@@ -37,6 +37,8 @@ from .summation import (
     SeriesSpec,
     SumCertificate,
     build_P_Q,
+    certificate_from_check,
+    identity_checks,
     invariant_sum,
     partial_sum_Sk,
     truncated_combo_sum,
@@ -93,6 +95,8 @@ __all__ = [
     "SeriesSpec",
     "SumCertificate",
     "build_P_Q",
+    "certificate_from_check",
+    "identity_checks",
     "invariant_sum",
     "partial_sum_Sk",
     "truncated_combo_sum",

@@ -19,13 +19,16 @@ from .bernoulli import (
     volkenborn_level,
     volkenborn_poly,
 )
-from .padic import Prime, ValExponent, padic_expand, vp
+from .padic import Prime, ValExponent, in_convergence_domain, padic_expand, vp
 from .poly import Poly, int_poly
 from .recurrences import shared_family
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
-from .summation import (
+# verify_identity and truncated_padic_sum are not called here; they stay
+# importable from this module, where perfbench/spans.py traces them
+from .summation import (  # noqa: F401
     SeriesSpec,
-    in_convergence_domain,
+    certificate_from_check,
+    identity_checks,
     invariant_sum,
     build_P_Q,
     truncated_padic_sum,
@@ -39,7 +42,8 @@ EXIT_USAGE = 2
 
 def fmt_q(q) -> int | str:
     """Exact rendering: plain int or 'num/den'."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return int(q)
     return f"{q.numerator}/{q.denominator}"
@@ -53,14 +57,26 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def parse_range(part: str) -> range:
+    """Inclusive integer span 'a..b'; empty and malformed spans are errors."""
+    try:
+        lo, hi = map(int, part.split(".."))
+    except ValueError:
+        raise ValueError(
+            f"malformed range {part!r}: expected a..b with integers a, b"
+        ) from None
+    if lo > hi:
+        raise ValueError(f"empty range {part!r}: {lo} > {hi}")
+    return range(lo, hi + 1)
+
+
 def parse_int_set(text: str) -> list[int]:
     """Comma list of integers and inclusive 'a..b' ranges."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(parse_range(part))
         else:
             out.append(int(part))
     return out
@@ -72,8 +88,7 @@ def parse_rational_set(text: str) -> list[Fraction]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(Fraction(v) for v in range(int(lo), int(hi) + 1))
+            out.extend(Fraction(v) for v in parse_range(part))
         else:
             out.append(Fraction(part))
     return out
@@ -119,61 +134,64 @@ def cmd_triples(args, machine: bool) -> int:
 
 def cmd_verify(args, machine: bool) -> int:
     em = Emitter("verify", machine)
-    ks = parse_int_set(args.k)
+    ks = sorted(parse_int_set(args.k))
     xs = parse_rational_set(args.x_set)
     primes = [Prime(p) for p in parse_int_set(args.p_list)] if args.p_list else []
+    if ks[0] < 1:
+        print("error: k must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n_max < 1:
+        print("error: --n-max must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    shared_family().ensure(ks[-1] - 1)
     all_ok = True
-    for k in sorted(ks):
-        if k < 1:
-            print("error: k must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
-        for N in range(1, args.n_max + 1):
-            for x in xs:
-                check = verify_identity(k, N, x)
-                all_ok = all_ok and check.ok
-                params = {"k": k, "N": N, "x": fmt_q(x)}
-                result = {
-                    "lhs": fmt_q(check.lhs),
-                    "rhs": fmt_q(check.rhs),
-                    "tail": fmt_q(check.tail),
-                }
+    for k in ks:
+        # one running pass per x, advanced together so records stay in N, x order
+        for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
+            for check in checks:
+                x, N, ok = check.x, check.N, check.ok
+                all_ok = all_ok and ok
+                xq, lhs, rhs = fmt_q(x), fmt_q(check.lhs), fmt_q(check.rhs)
+                params = {"k": k, "N": N, "x": xq}
                 em.emit(
                     params,
-                    result,
-                    check.ok,
-                    f"identity k={k} N={N} x={fmt_q(x)}: "
-                    f"lhs={fmt_q(check.lhs)} rhs={fmt_q(check.rhs)} "
-                    f"{'ok' if check.ok else 'FAIL'}",
+                    {"lhs": lhs, "rhs": rhs, "tail": fmt_q(check.tail)},
+                    ok,
+                    f"identity k={k} N={N} x={xq}: lhs={lhs} rhs={rhs} "
+                    f"{'ok' if ok else 'FAIL'}",
                 )
                 for p in primes:
                     params_p = dict(params, p=int(p))
-                    if x.denominator != 1 or not in_convergence_domain(x, p):
+                    if x.denominator != 1:
                         em.emit(
                             params_p,
                             {"rejected": True, "reason": f"x not in Z_{int(p)}"},
                             True,
-                            f"certificate k={k} N={N} x={fmt_q(x)} p={int(p)}: "
+                            f"certificate k={k} N={N} x={xq} p={int(p)}: "
                             f"rejected (x not in Z_{int(p)})",
                         )
                         continue
                     if x == 0:
                         continue
-                    cert = truncated_padic_sum(k, int(x), p, N)
+                    cert = certificate_from_check(check, p)
+                    cert_ok = cert.ok
+                    all_ok = all_ok and cert_ok
+                    partial, target = fmt_q(cert.partial), fmt_q(cert.target)
+                    achieved = fmt_exp(cert.distance_exponent)
                     result_p = {
-                        "partial": fmt_q(cert.partial),
-                        "target": fmt_q(cert.target),
+                        "partial": partial,
+                        "target": target,
                         "tail": fmt_q(cert.tail),
-                        "achieved_exponent": fmt_exp(cert.distance_exponent),
+                        "achieved_exponent": achieved,
                         "bound_exponent": cert.bound_exponent,
                     }
                     em.emit(
                         params_p,
                         result_p,
-                        cert.ok,
-                        f"certificate k={k} N={N} x={fmt_q(x)} p={int(p)}: "
-                        f"partial={fmt_q(cert.partial)} target={fmt_q(cert.target)} "
-                        f"achieved={fmt_exp(cert.distance_exponent)} "
-                        f"bound={cert.bound_exponent} ok",
+                        cert_ok,
+                        f"certificate k={k} N={N} x={xq} p={int(p)}: "
+                        f"partial={partial} target={target} achieved={achieved} "
+                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}",
                     )
     return EXIT_OK if all_ok else EXIT_FAIL
 

@@ -15,18 +15,22 @@ from threading import Lock
 from .poly import BivarPoly, Poly, binomial, int_poly, n_poly
 
 
-def compute_A_family(kmax: int) -> list[BivarPoly]:
+def compute_A_family(
+    kmax: int, start: list[BivarPoly] | None = None
+) -> list[BivarPoly]:
     """A_0 .. A_kmax, where A_0 = 1 and
 
     A_k(n;x) = n^k x^k + A_{k-1}(n;x)
                - sum_{l=1}^{k} C(k+1,l) x^(k-l+1) A_{l-1}(n;x).
 
-    Each A_k is verified against its defining relation before being returned.
+    Given start = [A_0 .. A_j], only A_{j+1} .. A_kmax are built; start itself
+    is not changed.  Each new A_k is verified against its defining relation
+    before being returned.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    family = [BivarPoly.const(1)]
-    for k in range(1, kmax + 1):
+    family = list(start) if start else [BivarPoly.const(1)]
+    for k in range(len(family), kmax + 1):
         nk_xk = BivarPoly.make(
             [Poly.make([], "n")] * k + [Poly.monomial(k, 1, "n")]
         )
@@ -37,7 +41,7 @@ def compute_A_family(kmax: int) -> list[BivarPoly]:
         _check_A_shape(acc, k)
         assert family_residual(family + [acc], k).is_zero
         family.append(acc)
-    return family
+    return family[: kmax + 1]
 
 
 def _check_A_shape(A: BivarPoly, k: int) -> None:
@@ -145,19 +149,22 @@ class SummationTriple:
 class TripleFamily:
     """Incremental, cached construction of A/U/V triples.
 
-    Construction is sequential in k (each A_k depends on all earlier ones);
-    once built, the immutable lists may be read concurrently.
+    `ensure` extends the A-family from its current length, so each A_k is
+    built and checked once per family; `triple` assembles and checks each
+    SummationTriple once and then returns the same object.  Construction
+    is sequential in k (each A_k depends on all earlier ones); once built,
+    the immutable lists and triples may be read concurrently.
     """
 
     def __init__(self):
         self._A: list[BivarPoly] = [BivarPoly.const(1)]
+        self._triples: dict[int, SummationTriple] = {}
         self._lock = Lock()
 
     def ensure(self, kmax: int) -> None:
         with self._lock:
-            if len(self._A) > kmax:
-                return
-            self._A = compute_A_family(kmax)
+            if len(self._A) <= kmax:
+                self._A = compute_A_family(kmax, self._A)
 
     def A(self, k: int) -> BivarPoly:
         """A_k(n; x)."""
@@ -173,11 +180,16 @@ class TripleFamily:
         return compute_V(k, self._A)
 
     def triple(self, k: int) -> SummationTriple:
-        """Assemble (U_k, V_k, A_{k-1}) with all structural invariants checked."""
+        """(U_k, V_k, A_{k-1}), assembled with all structural invariants
+        checked on the first call for k."""
         if k < 1:
             raise ValueError("k must be positive")
-        self.ensure(k - 1)
-        return SummationTriple(k, self.U(k), self.V(k), self._A[k - 1])
+        trip = self._triples.get(k)
+        if trip is None:
+            self.ensure(k - 1)
+            trip = SummationTriple(k, self.U(k), self.V(k), self._A[k - 1])
+            trip = self._triples.setdefault(k, trip)
+        return trip
 
 
 _shared = TripleFamily()

@@ -13,7 +13,7 @@ v_p(N!) + N*v_p(x).
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +21,6 @@ from .padic import (
     Prime,
     ValExponent,
     factorial_norm_exponent,
-    in_convergence_domain,
     padic_distance_exponent,
     vp,
 )
@@ -50,7 +49,8 @@ class SumCertificate:
 
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
     partial - target = tail holds exactly, and the p-adic distance from the
-    partial sum to the target is at most p^(-bound_exponent).
+    partial sum to the target is at most p^(-bound_exponent).  `ok` checks
+    both from the certificate's own fields, so a forged one fails.
     """
 
     k: int
@@ -63,15 +63,12 @@ class SumCertificate:
     distance_exponent: ValExponent
     bound_exponent: int
 
-    def __post_init__(self):
-        assert self.partial - self.target == self.tail, "certificate algebra broken"
-        assert self.distance_exponent >= self.bound_exponent, (
-            f"achieved exponent {self.distance_exponent} below bound {self.bound_exponent}"
-        )
-
     @property
     def ok(self) -> bool:
-        return True  # construction already enforces soundness
+        return (
+            self.partial - self.target == self.tail
+            and self.distance_exponent >= self.bound_exponent
+        )
 
 
 @dataclass(frozen=True)
@@ -105,18 +102,46 @@ def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
     return total
 
 
-def _partial_bracket_sum(k: int, N: int, x: Fraction, U: Poly) -> Fraction:
-    """sum_{n=0}^{N-1} n! [n^k x^k + U_k(x)] x^n with running factorial."""
-    Ux = U(x)
-    xk = x**k
-    total = Fraction(0)
-    fact = 1
-    xpow = Fraction(1)
-    for n in range(N):
-        total += fact * (n**k * xk + Ux) * xpow
-        fact *= n + 1
-        xpow *= x
-    return total
+def identity_checks(
+    k: int, x: Fraction | int, n_max: int, family: TripleFamily | None = None
+) -> Iterator[IdentityCheck]:
+    """Both sides of the finite identity at (k, N, x) for N = 1..n_max, in one pass.
+
+    With x = a/b, step N keeps every quantity as an integer scaled by
+    D_N = b^(N-1+k), so the running sums take no gcd:
+
+        L_1 = U_k(x) b^k,  L_{N+1} = b L_N + N! (N^k a^k + U_k(x) b^k) a^N
+        T_N = N! a^N * A_{k-1}(N; x) b^(k-1)
+        R_N = V_k(x) b^(k-1) * b^N + T_N
+
+    L_N, R_N and T_N are lhs, rhs and tail times D_N; Fraction is built
+    only for the returned fields.
+    """
+    if k < 1 or n_max < 1:
+        raise ValueError("k and N must be >= 1")
+    fam = family or shared_family()
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    trip = fam.triple(k)
+    Ub = int(trip.U(x) * b**k)
+    Vb = int(trip.V(x) * b ** (k - 1))
+    # A_{k-1}(n; x) b^(k-1) as an integer polynomial in n
+    Ab = sum(
+        (lay.scale(a**l * b ** (k - 1 - l)) for l, lay in enumerate(trip.A.layers)),
+        Poly.make([], "n"),
+    )
+    ak = a**k
+    L = Ub
+    fact, apow, bpow, D = 1, a, b, b**k  # N!, a^N, b^N, D_N at N = 1
+    for N in range(1, n_max + 1):
+        T = fact * apow * Ab(N)
+        R = Vb * bpow + T
+        yield IdentityCheck(k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
+        L = b * L + fact * (N**k * ak + Ub) * apow
+        fact *= N + 1
+        apow *= a
+        bpow *= b
+        D *= b
 
 
 def verify_identity(
@@ -127,15 +152,23 @@ def verify_identity(
     Inequality can only arise from an implementation bug; the identity
     itself holds for every rational x.
     """
-    if k < 1 or N < 1:
-        raise ValueError("k and N must be >= 1")
-    fam = family or shared_family()
-    x = Fraction(x)
-    trip = fam.triple(k)
-    lhs = _partial_bracket_sum(k, N, x, trip.U)
-    tail = Fraction(math.factorial(N)) * x**N * trip.A.eval(N, x)
-    rhs = trip.V(x) + tail
-    return IdentityCheck(k, N, x, lhs, rhs, tail)
+    *_, check = identity_checks(k, x, N, family)
+    return check
+
+
+def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
+    """The p-adic certificate read off an identity check at a nonzero integer x.
+
+    The target lhs - tail = V_k(x) is the same in every Q_p; only the two
+    exponents depend on p.
+    """
+    x, N = check.x, check.N
+    if x.denominator != 1 or x == 0:
+        raise ValueError("x must be a nonzero integer")
+    target = check.lhs - check.tail
+    bound = factorial_norm_exponent(N, p) + N * vp(x, p).value
+    dist = padic_distance_exponent(check.lhs, target, p)
+    return SumCertificate(check.k, N, x, p, check.lhs, target, check.tail, dist, bound)
 
 
 def invariant_sum(k: int, x: int, family: TripleFamily | None = None) -> Fraction:
@@ -152,15 +185,9 @@ def truncated_padic_sum(
     k: int, x: int, p: Prime, N: int, family: TripleFamily | None = None
 ) -> SumCertificate:
     """Certificate that the N-term partial sum is p-adically close to V_k(x)."""
-    if not isinstance(x, int) or x == 0:
+    if not isinstance(x, int):
         raise ValueError("x must be a nonzero integer")
-    if not in_convergence_domain(x, p):
-        raise ValueError(f"x = {x} lies outside Z_{int(p)}")
-    check = verify_identity(k, N, x, family)
-    target = check.lhs - check.tail  # == V_k(x) exactly
-    bound = factorial_norm_exponent(N, p) + N * vp(x, p).value
-    dist = padic_distance_exponent(check.lhs, target, p)
-    return SumCertificate(k, N, Fraction(x), p, check.lhs, target, check.tail, dist, bound)
+    return certificate_from_check(verify_identity(k, N, x, family), p)
 
 
 def build_P_Q(

@@ -136,6 +136,7 @@ def test_criterion_6_padic_certificates():
                     want = factorial_norm_exponent(N, p) + N * vp(x, p).value
                     ok &= cert.distance_exponent >= want
                     ok &= cert.bound_exponent == want
+                    ok &= cert.ok
                     checked += 1
                 targets.add(cert.target)
             ok &= len(targets) == 1 and targets.pop() == invariant_sum(k, x)

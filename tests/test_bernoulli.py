@@ -151,3 +151,4 @@ class TestBernoulliCertificates:
                 for N in (1, 4, 9, 15):
                     cert = bernoulli_series_certificate(k, Prime(pi), N, TABLE)
                     assert cert.distance_exponent >= cert.bound_exponent
+                    assert cert.ok

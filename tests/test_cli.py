@@ -1,8 +1,12 @@
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
-from padicsum.cli import main, parse_int_set, parse_rational_set
+import padicsum.cli as cli
+from padicsum import Prime, ValExponent, truncated_padic_sum, verify_identity
+from padicsum.cli import fmt_exp, fmt_q, main, parse_int_set, parse_rational_set
 
 
 def run(capsys, *argv):
@@ -22,10 +26,15 @@ class TestFlagParsing:
         assert parse_int_set("1..2,7") == [1, 2, 7]
 
     def test_rational_sets(self):
-        from fractions import Fraction
-
         assert parse_rational_set("1/2,-3") == [Fraction(1, 2), Fraction(-3)]
         assert parse_rational_set("0..2") == [0, 1, 2]
+
+    @pytest.mark.parametrize("text", ["5..1", "1..2..3", "a..2", "1..", "3,2..1"])
+    def test_bad_ranges_raise(self, text):
+        with pytest.raises(ValueError, match="range"):
+            parse_int_set(text)
+        with pytest.raises(ValueError, match="range"):
+            parse_rational_set(text)
 
 
 class TestTriples:
@@ -101,6 +110,82 @@ class TestVerify:
             for r in machine_records(out1)
         ]
         assert keys == sorted(keys)
+
+
+    def test_matches_per_point_certificates(self, capsys):
+        xs = [Fraction(v) for v in range(-2, 3)] + [Fraction(-5, 3)]
+        code, out = run(
+            capsys, "--format", "machine", "verify", "--k", "1..3", "--n-max", "6",
+            "--x-set=-2..2,-5/3", "--p-list", "2,3",
+        )
+        assert code == 0
+        expected = []
+        for k in range(1, 4):
+            for N in range(1, 7):
+                for x in xs:
+                    c = verify_identity(k, N, x)
+                    params = {"k": k, "N": N, "x": fmt_q(x)}
+                    result = {"lhs": fmt_q(c.lhs), "rhs": fmt_q(c.rhs), "tail": fmt_q(c.tail)}
+                    expected.append(
+                        {"command": "verify", "params": params, "result": result, "ok": True}
+                    )
+                    for p in (2, 3):
+                        if x.denominator != 1:
+                            result = {"rejected": True, "reason": f"x not in Z_{p}"}
+                        elif x == 0:
+                            continue
+                        else:
+                            cert = truncated_padic_sum(k, int(x), Prime(p), N)
+                            result = {
+                                "partial": fmt_q(cert.partial),
+                                "target": fmt_q(cert.target),
+                                "tail": fmt_q(cert.tail),
+                                "achieved_exponent": fmt_exp(cert.distance_exponent),
+                                "bound_exponent": cert.bound_exponent,
+                            }
+                        expected.append({
+                            "command": "verify", "params": dict(params, p=p),
+                            "result": result, "ok": True,
+                        })
+        assert machine_records(out) == expected
+
+    def test_failed_certificate_is_reported(self, capsys, monkeypatch):
+        real = cli.certificate_from_check
+
+        def forged(check, p):
+            cert = real(check, p)
+            return dataclasses.replace(
+                cert, distance_exponent=ValExponent.of(0), bound_exponent=99
+            )
+
+        monkeypatch.setattr(cli, "certificate_from_check", forged)
+        argv = ("verify", "--k", "1", "--n-max", "2", "--x-set", "1", "--p-list", "2")
+        code, out = run(capsys, "--format", "machine", *argv)
+        assert code == 1
+        certs = [r for r in machine_records(out) if "p" in r["params"]]
+        assert len(certs) == 2 and not any(r["ok"] for r in certs)
+        assert certs[0]["result"]["bound_exponent"] == 99
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert out.count("bound=99 FAIL") == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--k", "5..1", "--n-max", "3", "--x-set", "1"), "empty range '5..1'"),
+            (("--k", "1", "--n-max", "3", "--x-set=2..1"), "empty range '2..1'"),
+            (("--k", "1", "--n-max", "0", "--x-set", "1"), "--n-max must be >= 1"),
+            (("--k", "1..2..3", "--n-max", "3", "--x-set", "1"), "malformed range '1..2..3'"),
+            (("--k", "0..2", "--n-max", "3", "--x-set", "1"), "k must be >= 1"),
+        ],
+    )
+    def test_range_errors_are_usage_errors(self, capsys, flags, message):
+        code = main(["verify", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "unpack" not in captured.err
 
 
 class TestSum:

@@ -1,7 +1,9 @@
 import pytest
 
+import padicsum.recurrences as recurrences
 from padicsum import (
     BivarPoly,
+    TripleFamily,
     build_triple,
     compute_A_family,
     compute_U,
@@ -145,10 +147,41 @@ class TestBuildTriple:
         with pytest.raises(ValueError):
             build_triple(0)
 
+    def test_triple_is_memoised(self):
+        fam = TripleFamily()
+        for k in (1, 4, 9):
+            assert fam.triple(k) is fam.triple(k)
+        assert build_triple(3) is build_triple(3)
+
     def test_shared_cache_consistency(self):
         fam = shared_family()
         fam.ensure(8)
         assert fam.triple(8).U == compute_U(8, compute_A_family(8))
+
+
+class TestIncrementalFamily:
+    def test_ensure_extends_to_the_scratch_build(self, monkeypatch):
+        builds = []
+        original = recurrences.compute_A_family
+
+        def spy(kmax, start=None):
+            builds.append((kmax, len(start)))
+            return original(kmax, start)
+
+        monkeypatch.setattr(recurrences, "compute_A_family", spy)
+        fam = TripleFamily()
+        fam.ensure(3)
+        fam.ensure(8)
+        fam.ensure(5)
+        assert [fam.A(k) for k in range(9)] == original(8)
+        # each call builds only the missing A_k: A_1..A_3, then A_4..A_8
+        assert builds == [(3, 1), (8, 4)]
+
+    def test_extending_a_prefix(self):
+        prefix = compute_A_family(3)
+        assert compute_A_family(8, prefix) == compute_A_family(8)
+        assert len(prefix) == 4
+        assert compute_A_family(2, prefix) == prefix[:3]
 
 
 def test_compute_A_family_base_case():

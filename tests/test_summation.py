@@ -1,22 +1,33 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padicsum
 from padicsum import (
     Prime,
     SeriesSpec,
+    SumCertificate,
+    ValExponent,
     build_P_Q,
     build_triple,
+    certificate_from_check,
+    identity_checks,
     in_convergence_domain,
     invariant_sum,
+    legendre_valuation,
     n_poly,
     partial_sum_Sk,
     truncated_combo_sum,
     truncated_padic_sum,
     verify_identity,
+    vp,
 )
 
 
@@ -49,6 +60,65 @@ class TestPartialSums:
     def test_matches_brute_force(self, k, N, num, den):
         x = Fraction(num, den)
         assert partial_sum_Sk(k, N, x) == brute_Sk(k, N, x)
+
+
+def oracle_identity(k, N, x):
+    """Independent per-point evaluation of (lhs, rhs, tail) at (k, N, x):
+    a math.factorial/Fraction sum for lhs, V(x) + N! x^N A(N, x) for rhs."""
+    x = Fraction(x)
+    trip = build_triple(k)
+    lhs = sum(
+        (math.factorial(n) * (n**k * x**k + trip.U(x)) * x**n for n in range(N)),
+        Fraction(0),
+    )
+    tail = math.factorial(N) * x**N * trip.A.eval(N, x)
+    return lhs, trip.V(x) + tail, tail
+
+
+KERNEL_XS = [Fraction(v) for v in range(-3, 4)] + [
+    Fraction(-5, 2), Fraction(-6, 7), Fraction(1, 3), Fraction(7, 4)
+]
+
+
+# partial - target != tail, and exponent 0 against bound 99
+FORGED = SumCertificate(
+    1, 1, Fraction(1), Prime(2), Fraction(7), Fraction(1), Fraction(2),
+    ValExponent.of(0), 99,
+)
+
+
+class TestIdentityKernel:
+    def test_every_N_matches_per_point_oracle(self):
+        for k in range(1, 9):
+            for x in KERNEL_XS:
+                checks = list(identity_checks(k, x, 20))
+                assert [c.N for c in checks] == list(range(1, 21))
+                for c in checks:
+                    assert (c.k, c.x) == (k, x)
+                    assert (c.lhs, c.rhs, c.tail) == oracle_identity(k, c.N, x)
+                    assert c.ok
+
+    @given(
+        k=st.integers(1, 10),
+        n_max=st.integers(1, 25),
+        num=st.integers(-9, 9),
+        den=st.integers(1, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fuzz_against_oracle(self, k, n_max, num, den):
+        x = Fraction(num, den)
+        for c in identity_checks(k, x, n_max):
+            assert (c.lhs, c.rhs, c.tail) == oracle_identity(k, c.N, x)
+
+    def test_verify_identity_is_last_item(self):
+        for k, N, x in ((1, 1, 2), (4, 9, Fraction(-6, 5)), (7, 15, 0)):
+            assert verify_identity(k, N, x) == list(identity_checks(k, x, N))[-1]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            next(identity_checks(0, 1, 5))
+        with pytest.raises(ValueError):
+            next(identity_checks(1, 1, 0))
 
 
 class TestVerifyIdentity:
@@ -147,6 +217,56 @@ class TestCertificates:
         with pytest.raises(ValueError):
             truncated_padic_sum(1, Fraction(1, 2), Prime(2), 5)
 
+    def test_from_check_matches_per_point_oracle(self):
+        for k in (1, 3, 6):
+            for x in (-3, -1, 2, 12):
+                for c in identity_checks(k, x, 12):
+                    lhs, _, tail = oracle_identity(k, c.N, x)
+                    for pi in (2, 3, 5, 7):
+                        p = Prime(pi)
+                        cert = certificate_from_check(c, p)
+                        assert cert == truncated_padic_sum(k, x, p, c.N)
+                        assert (cert.partial, cert.tail) == (lhs, tail)
+                        assert cert.target == invariant_sum(k, x)
+                        assert cert.bound_exponent == (
+                            legendre_valuation(c.N, p) + c.N * vp(x, p).value
+                        )
+                        assert cert.distance_exponent == vp(tail, p)
+                        assert cert.ok
+
+    def test_from_check_rejects_rational_or_zero_x(self):
+        for x in (0, Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                certificate_from_check(verify_identity(2, 3, x), Prime(3))
+
+    def test_forged_certificates_fail(self):
+        good = truncated_padic_sum(1, 1, Prime(5), 10)
+        assert good.ok
+        assert not FORGED.ok
+        # right algebra, exponent below its bound
+        assert not SumCertificate(
+            1, 10, Fraction(1), Prime(5), good.partial, good.target, good.tail,
+            ValExponent.of(1), 2,
+        ).ok
+
+    def test_forged_certificate_fails_under_O(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from padicsum import Prime, SumCertificate, ValExponent\n"
+            "c = SumCertificate(1, 1, F(1), Prime(2), F(7), F(1), F(2),"
+            " ValExponent.of(0), 99)\n"
+            "print(c.ok is False)\n"
+        )
+        src = str(Path(padicsum.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "True\n"
+
+
 
 class TestTheorem2:
     def test_build_P_Q_k1(self):
@@ -170,12 +290,13 @@ class TestTheorem2:
     def test_combo_certificates(self):
         cert = truncated_combo_sum(SeriesSpec(1, (1,), Fraction(1)), Prime(7), 7)
         assert cert.distance_exponent >= 1  # v_7(7!) = 1
+        assert cert.ok
 
         cert = truncated_combo_sum(SeriesSpec(3, (0, 0, 1), Fraction(1)), Prime(2), 4)
-        assert cert.target == 1
+        assert cert.target == 1 and cert.ok
 
         zero = truncated_combo_sum(SeriesSpec(2, (0, 0), Fraction(5)), Prime(3), 6)
-        assert zero.partial == 0 and zero.target == 0
+        assert zero.partial == 0 and zero.target == 0 and zero.ok
 
     def test_combo_linearity(self):
         p, N, x = Prime(5), 8, Fraction(2)
@@ -193,6 +314,7 @@ class TestTheorem2:
             a = truncated_combo_sum(SeriesSpec(k, C, Fraction(-2)), Prime(3), 10)
             b = truncated_padic_sum(k, -2, Prime(3), 10)
             assert (a.partial, a.target) == (b.partial, b.target)
+            assert a.ok and b.ok
 
     def test_rejects_rational_x(self):
         with pytest.raises(ValueError):
