@@ -14,7 +14,6 @@ from .padic import (
     factorial_norm_exponent,
     in_convergence_domain,
     is_prime,
-    legendre_valuation,
     padic_distance_exponent,
     padic_expand,
     vp,
@@ -36,7 +35,6 @@ from .summation import (
     IdentityCheck,
     SeriesSpec,
     SumCertificate,
-    build_P_Q,
     certificate_from_check,
     identity_checks,
     invariant_sum,
@@ -71,7 +69,6 @@ __all__ = [
     "factorial_norm_exponent",
     "in_convergence_domain",
     "is_prime",
-    "legendre_valuation",
     "padic_distance_exponent",
     "padic_expand",
     "vp",
@@ -94,7 +91,6 @@ __all__ = [
     "IdentityCheck",
     "SeriesSpec",
     "SumCertificate",
-    "build_P_Q",
     "certificate_from_check",
     "identity_checks",
     "invariant_sum",

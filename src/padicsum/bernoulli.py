@@ -137,7 +137,7 @@ def bernoulli_series_certificate(
     """
     fam = family or shared_family()
     lhs, rhs = bernoulli_identity_partial(k, N, table, fam)
-    target = volkenborn_poly(fam.V(k), table)
+    target = volkenborn_poly(fam.triple(k).V, table)
     tail = lhs - target  # == N! sum_l A_{k-1,l}(N) B_{N+l}
     dist = padic_distance_exponent(lhs, target, p)
     bound = factorial_norm_exponent(N, p) - 1

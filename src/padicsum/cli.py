@@ -17,20 +17,17 @@ from .bernoulli import (
     bernoulli_identity_partial,
     bernoulli_numbers,
     volkenborn_level,
-    volkenborn_poly,
 )
 from .padic import Prime, ValExponent, in_convergence_domain, padic_expand, vp
-from .poly import Poly, int_poly
+from .poly import int_poly
 from .recurrences import shared_family
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
 # verify_identity and truncated_padic_sum are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them
 from .summation import (  # noqa: F401
-    SeriesSpec,
     certificate_from_check,
     identity_checks,
     invariant_sum,
-    build_P_Q,
     truncated_padic_sum,
     verify_identity,
 )
@@ -53,10 +50,6 @@ def fmt_exp(e: ValExponent) -> int | str:
     return e.value if e.finite else "inf"
 
 
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def parse_range(part: str) -> range:
     """Inclusive integer span 'a..b'; empty and malformed spans are errors."""
     try:
@@ -70,27 +63,16 @@ def parse_range(part: str) -> range:
     return range(lo, hi + 1)
 
 
-def parse_int_set(text: str) -> list[int]:
-    """Comma list of integers and inclusive 'a..b' ranges."""
-    out: list[int] = []
+def parse_set(text: str, kind=int) -> list:
+    """Comma list of `kind` values (int or Fraction) and inclusive integer
+    'a..b' ranges."""
+    out = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            out.extend(parse_range(part))
+            out.extend(map(kind, parse_range(part)))
         else:
-            out.append(int(part))
-    return out
-
-
-def parse_rational_set(text: str) -> list[Fraction]:
-    """Comma list of rationals; integer 'a..b' ranges also accepted."""
-    out: list[Fraction] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            out.extend(Fraction(v) for v in parse_range(part))
-        else:
-            out.append(Fraction(part))
+            out.append(kind(part))
     return out
 
 
@@ -118,7 +100,7 @@ def cmd_triples(args, machine: bool) -> int:
         return EXIT_USAGE
     em = Emitter("triples", machine)
     fam = shared_family()
-    fam.ensure(args.kmax)
+    fam.ensure(args.kmax - 1)
     for k in range(1, args.kmax + 1):
         trip = fam.triple(k)
         result = {
@@ -134,9 +116,9 @@ def cmd_triples(args, machine: bool) -> int:
 
 def cmd_verify(args, machine: bool) -> int:
     em = Emitter("verify", machine)
-    ks = sorted(parse_int_set(args.k))
-    xs = parse_rational_set(args.x_set)
-    primes = [Prime(p) for p in parse_int_set(args.p_list)] if args.p_list else []
+    ks = sorted(parse_set(args.k))
+    xs = parse_set(args.x_set, Fraction)
+    primes = [Prime(p) for p in parse_set(args.p_list)] if args.p_list else []
     if ks[0] < 1:
         print("error: k must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -198,19 +180,20 @@ def cmd_verify(args, machine: bool) -> int:
 
 def cmd_sum(args, machine: bool) -> int:
     em = Emitter("sum", machine)
-    x = parse_rational(args.x)
+    x = Fraction(args.x)
     if x.denominator != 1:
         print("error: --x must be an integer (p-adic invariance)", file=sys.stderr)
         return EXIT_USAGE
     if args.C:
-        C = tuple(parse_int_set(args.C))
+        C = parse_set(args.C)
         if len(C) != args.k:
             print("error: --C must list exactly k coefficients", file=sys.stderr)
             return EXIT_USAGE
-        spec = SeriesSpec(args.k, C, x)
-        _, Q = build_P_Q(spec)
-        value = Fraction(Q(int(x)))
-        params = {"k": args.k, "C": list(C), "x": fmt_q(x)}
+        value = sum(
+            (c * invariant_sum(j, int(x)) for j, c in enumerate(C, start=1)),
+            Fraction(0),
+        )
+        params = {"k": args.k, "C": C, "x": fmt_q(x)}
     else:
         value = invariant_sum(args.k, int(x))
         params = {"k": args.k, "x": fmt_q(x)}
@@ -220,7 +203,7 @@ def cmd_sum(args, machine: bool) -> int:
 
 def cmd_padic(args, machine: bool) -> int:
     em = Emitter("padic", machine)
-    q = parse_rational(args.value)
+    q = Fraction(args.value)
     p = Prime(args.p)
     exp = padic_expand(q, p, args.digits)
     v = vp(q, p)
@@ -260,7 +243,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
     if args.level:
         p_raw, m = args.level
         p = Prime(p_raw)
-        coeffs = parse_int_set(args.poly) if args.poly else [0, 1]
+        coeffs = parse_set(args.poly) if args.poly else [0, 1]
         P = int_poly(coeffs)
         value = volkenborn_level(P, p, m)
         em.emit(

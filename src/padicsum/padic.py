@@ -117,21 +117,6 @@ def digit_sum(n: int, p: Prime) -> int:
     return s
 
 
-def legendre_valuation(n: int, p: Prime) -> int:
-    """v_p(n!) by the floor-sum; cross-checked against (n - s_n)/(p - 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pp = int(p)
-    total = 0
-    q = pp
-    while q <= n:
-        total += n // q
-        q *= pp
-    delta = n - digit_sum(n, p)
-    assert delta % (pp - 1) == 0 and delta // (pp - 1) == total
-    return total
-
-
 def factorial_norm_exponent(n: int, p: Prime) -> int:
     """Exponent e with |n!|_p = p^(-e), i.e. (n - s_n)/(p - 1).
 

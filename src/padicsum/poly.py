@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def binomial(n: int, k: int) -> int:
@@ -223,7 +222,3 @@ def int_poly(coeffs) -> Poly:
 def n_poly(coeffs) -> Poly:
     """Polynomial in n with integer coefficients (little-endian powers)."""
     return Poly.make(coeffs, "n")
-
-
-def rational_poly(coeffs) -> Poly:
-    return Poly.make([Fraction(c) for c in coeffs], "x")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from threading import Lock
 
-from .poly import BivarPoly, Poly, binomial, int_poly, n_poly
+from .poly import BivarPoly, Poly, binomial, int_poly
 
 
 def compute_A_family(
@@ -171,23 +171,17 @@ class TripleFamily:
         self.ensure(k)
         return self._A[k]
 
-    def U(self, k: int) -> Poly:
-        self.ensure(k - 1)
-        return compute_U(k, self._A)
-
-    def V(self, k: int) -> Poly:
-        self.ensure(k - 1)
-        return compute_V(k, self._A)
-
     def triple(self, k: int) -> SummationTriple:
         """(U_k, V_k, A_{k-1}), assembled with all structural invariants
-        checked on the first call for k."""
+        checked on the first call for k; the library reads U_k and V_k only
+        from here."""
         if k < 1:
             raise ValueError("k must be positive")
         trip = self._triples.get(k)
         if trip is None:
             self.ensure(k - 1)
-            trip = SummationTriple(k, self.U(k), self.V(k), self._A[k - 1])
+            A = self._A
+            trip = SummationTriple(k, compute_U(k, A), compute_V(k, A), A[k - 1])
             trip = self._triples.setdefault(k, trip)
         return trip
 

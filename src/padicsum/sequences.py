@@ -113,10 +113,11 @@ def paper_sequences(
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     fam = family or shared_family()
-    fam.ensure(kmax)
+    fam.ensure(kmax - 1)
     neg_v, neg_vbar, u, neg_ubar = [], [], [], []
     for k in range(1, kmax + 1):
-        U, V = fam.U(k), fam.V(k)
+        trip = fam.triple(k)
+        U, V = trip.U, trip.V
         neg_v.append(-V(1))
         neg_vbar.append(-V(-1))
         u.append(U(1))

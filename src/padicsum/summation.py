@@ -24,7 +24,7 @@ from .padic import (
     padic_distance_exponent,
     vp,
 )
-from .poly import BivarPoly, Poly
+from .poly import Poly
 from .recurrences import TripleFamily, shared_family
 
 
@@ -178,7 +178,7 @@ def invariant_sum(k: int, x: int, family: TripleFamily | None = None) -> Fractio
     if not isinstance(x, int):
         raise TypeError("p-adic invariance holds for integer x only")
     fam = family or shared_family()
-    return Fraction(fam.V(k)(x))
+    return Fraction(fam.triple(k).V(x))
 
 
 def truncated_padic_sum(
@@ -190,50 +190,20 @@ def truncated_padic_sum(
     return certificate_from_check(verify_identity(k, N, x, family), p)
 
 
-def build_P_Q(
-    spec: SeriesSpec, family: TripleFamily | None = None
-) -> tuple[BivarPoly, Poly]:
-    """P(n; x) = sum_j C_j [n^j x^j + U_j(x)] and Q(x) = sum_j C_j V_j(x).
-
-    The sum of the series at integer x is Q(x); linearity over the per-j
-    identities forces Q to combine the V_j (not the U_j).
-    """
-    fam = family or shared_family()
-    P = BivarPoly.make([])
-    Q = Poly.make([], "x")
-    for j in range(1, spec.k + 1):
-        c = spec.C[j - 1]
-        if c == 0:
-            continue
-        nj_xj = BivarPoly.make([Poly.make([], "n")] * j + [Poly.monomial(j, 1, "n")])
-        Uj_layers = BivarPoly.make([Poly.const(u, "n") for u in fam.U(j).coeffs])
-        P = P + (nj_xj + Uj_layers).scale(c)
-        Q = Q + fam.V(j).scale(c)
-    return P, Q
-
-
 def truncated_combo_sum(
     spec: SeriesSpec, p: Prime, N: int, family: TripleFamily | None = None
 ) -> SumCertificate:
-    """Certificate for the Theorem-2 combination sum_n n! P(n; x) x^n -> Q(x)."""
-    x = spec.x
-    if x.denominator != 1:
-        raise ValueError("p-adic invariance requires integer x")
-    xi = int(x)
-    fam = family or shared_family()
-    P, Q = build_P_Q(spec, fam)
-    target = Fraction(Q(xi))
-    total = Fraction(0)
-    fact = 1
-    xpow = Fraction(1)
-    for n in range(N):
-        total += fact * P.eval(n, xi) * xpow
-        fact *= n + 1
-        xpow *= xi
-    tail = total - target  # == N! x^N sum_j C_j A_{j-1}(N; x)
-    dist = padic_distance_exponent(total, target, p)
-    if xi == 0:
-        bound = 0
-    else:
-        bound = factorial_norm_exponent(N, p) + N * vp(xi, p).value
-    return SumCertificate(spec.k, N, x, p, total, target, tail, dist, bound)
+    """Certificate that the N-term partial sum of the Theorem-2 combination
+    sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n is p-adically close to
+    sum_j C_j V_j(x).
+
+    Its identity at N is the C-weighted sum of the per-j identities.
+    """
+    lhs = rhs = tail = Fraction(0)
+    for j, c in enumerate(spec.C, start=1):
+        if c:
+            check = verify_identity(j, N, spec.x, family)
+            lhs += c * check.lhs
+            rhs += c * check.rhs
+            tail += c * check.tail
+    return certificate_from_check(IdentityCheck(spec.k, N, spec.x, lhs, rhs, tail), p)

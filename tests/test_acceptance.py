@@ -155,9 +155,9 @@ def test_criterion_7_paper_example_sums():
         invariant_sum(2, -1) == -3,
         invariant_sum(3, 1) == 1,
         invariant_sum(3, -1) == -9,  # i.e. sum (-1)^n n! (n^3+15) = 9
-        volkenborn_poly(fam.V(1), table) == -1,
-        volkenborn_poly(fam.V(2), table) == -2,
-        volkenborn_poly(fam.V(3), table) == -4,
+        volkenborn_poly(fam.triple(1).V, table) == -1,
+        volkenborn_poly(fam.triple(2).V, table) == -2,
+        volkenborn_poly(fam.triple(3).V, table) == -4,
     ]
     report("7. nine example sums", all(checks), f"{sum(checks)}/9")
 

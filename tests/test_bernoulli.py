@@ -61,9 +61,9 @@ class TestVolkenbornPoly:
 
     def test_V_polynomials(self):
         fam = shared_family()
-        assert volkenborn_poly(fam.V(1), TABLE) == -1
-        assert volkenborn_poly(fam.V(2), TABLE) == -2
-        assert volkenborn_poly(fam.V(3), TABLE) == -4
+        assert volkenborn_poly(fam.triple(1).V, TABLE) == -1
+        assert volkenborn_poly(fam.triple(2).V, TABLE) == -2
+        assert volkenborn_poly(fam.triple(3).V, TABLE) == -4
 
     def test_table_too_short(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 import padicsum.cli as cli
 from padicsum import Prime, ValExponent, truncated_padic_sum, verify_identity
-from padicsum.cli import fmt_exp, fmt_q, main, parse_int_set, parse_rational_set
+from padicsum.cli import fmt_exp, fmt_q, main, parse_set
 
 
 def run(capsys, *argv):
@@ -21,20 +21,21 @@ def machine_records(out):
 
 class TestFlagParsing:
     def test_int_sets(self):
-        assert parse_int_set("2,3,5") == [2, 3, 5]
-        assert parse_int_set("-3..3") == [-3, -2, -1, 0, 1, 2, 3]
-        assert parse_int_set("1..2,7") == [1, 2, 7]
+        assert parse_set("2,3,5") == [2, 3, 5]
+        assert parse_set("-3..3") == [-3, -2, -1, 0, 1, 2, 3]
+        assert parse_set("1..2,7") == [1, 2, 7]
 
     def test_rational_sets(self):
-        assert parse_rational_set("1/2,-3") == [Fraction(1, 2), Fraction(-3)]
-        assert parse_rational_set("0..2") == [0, 1, 2]
+        assert parse_set("1/2,-3", Fraction) == [Fraction(1, 2), Fraction(-3)]
+        xs = parse_set("0..2", Fraction)
+        assert xs == [0, 1, 2] and all(type(x) is Fraction for x in xs)
 
     @pytest.mark.parametrize("text", ["5..1", "1..2..3", "a..2", "1..", "3,2..1"])
     def test_bad_ranges_raise(self, text):
         with pytest.raises(ValueError, match="range"):
-            parse_int_set(text)
+            parse_set(text)
         with pytest.raises(ValueError, match="range"):
-            parse_rational_set(text)
+            parse_set(text, Fraction)
 
 
 class TestTriples:
@@ -194,6 +195,9 @@ class TestSum:
             (("sum", "--k", "1", "--x", "1"), -1),
             (("sum", "--k", "2", "--x", "-1"), -3),
             (("sum", "--k", "2", "--C", "1,1", "--x", "1"), 0),
+            (("sum", "--k", "3", "--C", "2,-1,3", "--x", "-2"), -66),
+            (("sum", "--k", "4", "--C", "0,0,0,1", "--x", "3"), -19),
+            (("sum", "--k", "4", "--x", "3"), -19),
         ]:
             code, out = run(capsys, "--format", "machine", *argv)
             assert code == 0

@@ -12,7 +12,6 @@ from padicsum import (
     factorial_norm_exponent,
     in_convergence_domain,
     is_prime,
-    legendre_valuation,
     padic_distance_exponent,
     padic_expand,
     vp,
@@ -29,6 +28,17 @@ def brute_force_factorial_valuation(n, p):
             count += 1
             m //= p
     return count
+
+
+def legendre_valuation(n, p):
+    """Independent oracle: v_p(n!) by Legendre's floor sum sum_i floor(n / p^i)."""
+    pp = int(p)
+    total = 0
+    q = pp
+    while q <= n:
+        total += n // q
+        q *= pp
+    return total
 
 
 class TestPrime:
@@ -68,29 +78,29 @@ class TestDigitSum:
 
 class TestLegendreValuation:
     def test_examples(self):
-        assert legendre_valuation(0, Prime(7)) == 0
-        assert legendre_valuation(10, Prime(2)) == 8
-        assert legendre_valuation(6, Prime(3)) == 2  # 720 = 3^2 * 80
+        assert factorial_norm_exponent(0, Prime(7)) == 0
+        assert factorial_norm_exponent(10, Prime(2)) == 8
+        assert factorial_norm_exponent(6, Prime(3)) == 2  # 720 = 3^2 * 80
 
     def test_matches_brute_force_and_digit_formula(self):
         for p in PRIMES:
             pp = int(p)
             for n in range(0, 500):
-                v = legendre_valuation(n, p)
+                v = factorial_norm_exponent(n, p)
                 assert v == brute_force_factorial_valuation(n, pp)
-                assert v == (n - digit_sum(n, p)) // (pp - 1)
+                assert v == legendre_valuation(n, p)
 
     def test_monotone_with_step_vp_n(self):
         for p in PRIMES:
             prev = 0
             for n in range(1, 300):
-                cur = legendre_valuation(n, p)
+                cur = factorial_norm_exponent(n, p)
                 assert cur >= prev
                 assert cur - prev == vp(n, p).value
                 prev = cur
 
     def test_large_scale_digit_formula(self):
-        # spot-check the closed form at scale
+        # spot-check the digit formula against the floor sum at scale
         for p in PRIMES:
             for n in (9999, 10000):
                 assert legendre_valuation(n, p) == factorial_norm_exponent(n, p)
@@ -105,7 +115,7 @@ class TestVp:
     def test_examples(self):
         assert vp(Fraction(1, 6), Prime(3)) == -1
         assert vp(720, Prime(3)) == 2
-        assert vp(720, Prime(3)).value == legendre_valuation(6, Prime(3))
+        assert vp(720, Prime(3)).value == factorial_norm_exponent(6, Prime(3))
 
     @given(
         a=st.integers(-1000, 1000),

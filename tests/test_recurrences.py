@@ -13,8 +13,10 @@ from padicsum import (
     family_residual,
     int_poly,
     n_poly,
+    paper_sequences,
     shared_family,
 )
+from padicsum.cli import main
 
 # Published tables for k = 1..6, little-endian power order.
 U_TABLE = {
@@ -176,6 +178,21 @@ class TestIncrementalFamily:
         assert [fam.A(k) for k in range(9)] == original(8)
         # each call builds only the missing A_k: A_1..A_3, then A_4..A_8
         assert builds == [(3, 1), (8, 4)]
+
+    def test_triples_and_sequences_build_only_what_they_read(self, monkeypatch):
+        builds = []
+        original = recurrences.compute_A_family
+
+        def spy(kmax, start=None):
+            builds.append(kmax)
+            return original(kmax, start)
+
+        monkeypatch.setattr(recurrences, "compute_A_family", spy)
+        monkeypatch.setattr(recurrences, "_shared", TripleFamily())
+        # U_k, V_k and A_{k-1} for k <= 6 need A_0..A_5 only
+        assert main(["--format", "machine", "triples", "--kmax", "6"]) == 0
+        paper_sequences(6, TripleFamily())
+        assert builds == [5, 5]
 
     def test_extending_a_prefix(self):
         prefix = compute_A_family(3)

@@ -15,20 +15,18 @@ from padicsum import (
     SeriesSpec,
     SumCertificate,
     ValExponent,
-    build_P_Q,
     build_triple,
     certificate_from_check,
     identity_checks,
     in_convergence_domain,
     invariant_sum,
-    legendre_valuation,
-    n_poly,
     partial_sum_Sk,
     truncated_combo_sum,
     truncated_padic_sum,
     verify_identity,
     vp,
 )
+from test_padic import legendre_valuation
 
 
 def brute_Sk(k, N, x):
@@ -268,24 +266,32 @@ class TestCertificates:
 
 
 
+def brute_combo(C, N, x):
+    """Independent oracle for a Theorem-2 combination: the term-by-term
+    partial sum sum_{n<N} n! sum_j C_j (n^j x^j + U_j(x)) x^n and its
+    target sum_j C_j V_j(x)."""
+    trips = [build_triple(j) for j in range(1, len(C) + 1)]
+    partial = sum(
+        math.factorial(n)
+        * sum(c * (n**j * x**j + t.U(x)) for j, (c, t) in enumerate(zip(C, trips), 1))
+        * x**n
+        for n in range(N)
+    )
+    return partial, sum(c * t.V(x) for c, t in zip(C, trips))
+
+
 class TestTheorem2:
-    def test_build_P_Q_k1(self):
-        P, Q = build_P_Q(SeriesSpec(1, (1,), Fraction(1)))
-        assert P.layer(1) == n_poly([1, 1])  # (n + 1) x
-        assert P.layer(0) == n_poly([-1])
-        assert Q.coeffs == (-1,)
-
-    def test_build_P_Q_k2_pure(self):
-        P, Q = build_P_Q(SeriesSpec(2, (0, 1), Fraction(1)))
-        assert P.layer(2) == n_poly([-1, 0, 1])  # n^2 - 1
-        assert P.layer(1) == n_poly([3])
-        assert P.layer(0) == n_poly([-1])
-        assert Q.coeffs == (-1, 2)
-
-    def test_Q_additivity(self):
-        _, Q11 = build_P_Q(SeriesSpec(2, (1, 1), Fraction(1)))
-        assert Q11.coeffs == (-2, 2)  # V_1 + V_2 = 2x - 2
-        assert Q11(1) == 0
+    @pytest.mark.parametrize("C", [(1,), (0, 1), (1, 1), (2, -1, 3), (0, 0, 0, 5)])
+    def test_matches_brute_force_oracle(self, C):
+        for x in (-3, -1, 2, 4):
+            for N in (1, 4, 9):
+                partial, target = brute_combo(C, N, x)
+                for pi in (2, 3, 5):
+                    cert = truncated_combo_sum(
+                        SeriesSpec(len(C), C, Fraction(x)), Prime(pi), N
+                    )
+                    assert (cert.partial, cert.target) == (partial, target)
+                    assert cert.ok
 
     def test_combo_certificates(self):
         cert = truncated_combo_sum(SeriesSpec(1, (1,), Fraction(1)), Prime(7), 7)
@@ -317,8 +323,9 @@ class TestTheorem2:
             assert a.ok and b.ok
 
     def test_rejects_rational_x(self):
-        with pytest.raises(ValueError):
-            truncated_combo_sum(SeriesSpec(1, (1,), Fraction(1, 2)), Prime(3), 4)
+        for x in (Fraction(1, 2), Fraction(0)):
+            with pytest.raises(ValueError):
+                truncated_combo_sum(SeriesSpec(1, (1,), x), Prime(3), 4)
 
 
 def test_convergence_domain_reexport():
