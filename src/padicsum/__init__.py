@@ -36,6 +36,7 @@ from .summation import (
     SeriesSpec,
     SumCertificate,
     certificate_from_check,
+    factorial_series,
     identity_checks,
     invariant_sum,
     partial_sum_Sk,
@@ -92,6 +93,7 @@ __all__ = [
     "SeriesSpec",
     "SumCertificate",
     "certificate_from_check",
+    "factorial_series",
     "identity_checks",
     "invariant_sum",
     "partial_sum_Sk",

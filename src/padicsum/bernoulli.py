@@ -11,11 +11,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .padic import Prime, factorial_norm_exponent, padic_distance_exponent
+from .padic import Prime, factorial_norm_exponent
 from .poly import Poly, binomial
-from .recurrences import TripleFamily, shared_family
-from .summation import SumCertificate
+from .recurrences import build_triple
+from .summation import SumCertificate, factorial_series
 
 WORK_LIMIT_ENV = "PADICSUM_WORK_LIMIT"
 DEFAULT_WORK_LIMIT = 10**9
@@ -89,7 +90,7 @@ def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
 
 
 def bernoulli_identity_partial(
-    k: int, N: int, table: BernoulliTable, family: TripleFamily | None = None
+    k: int, N: int, table: BernoulliTable
 ) -> tuple[Fraction, Fraction]:
     """Both sides of the Volkenborn image of the finite identity at (k, N).
 
@@ -102,20 +103,16 @@ def bernoulli_identity_partial(
         raise ValueError("k and N must be >= 1")
     if N + k - 1 >= len(table):
         raise ValueError("Bernoulli table too short")
-    fam = family or shared_family()
-    trip = fam.triple(k)
-    lhs = Fraction(0)
-    fact = 1
-    for n in range(N):
-        term = Fraction(n**k) * table[n + k]
-        term += sum(
-            (Fraction(u) * table[n + l] for l, u in enumerate(trip.U.coeffs)),
-            Fraction(0),
+    trip = build_triple(k)
+
+    def c(n: int) -> Fraction:
+        return n**k * table[n + k] + sum(
+            (u * table[n + l] for l, u in enumerate(trip.U.coeffs)), Fraction(0)
         )
-        lhs += fact * term
-        fact *= n + 1
+
+    _, fact, lhs = next(islice(factorial_series(c), N - 1, None))  # fact == N!
     A_at_N = trip.A.eval_n(N)  # polynomial in x, coeff l = A_{k-1,l}(N)
-    tail = fact * sum(  # fact == N! after the loop
+    tail = fact * sum(
         (Fraction(a) * table[N + l] for l, a in enumerate(A_at_N.coeffs)),
         Fraction(0),
     )
@@ -124,21 +121,15 @@ def bernoulli_identity_partial(
 
 
 def bernoulli_series_certificate(
-    k: int,
-    p: Prime,
-    N: int,
-    table: BernoulliTable,
-    family: TripleFamily | None = None,
+    k: int, p: Prime, N: int, table: BernoulliTable
 ) -> SumCertificate:
     """Certificate that the Bernoulli-weighted partial sum approaches
     volkenborn_poly(V_k) with exponent at least v_p(N!) - 1.
 
     The -1 slack comes from |B_n|_p <= p.
     """
-    fam = family or shared_family()
-    lhs, rhs = bernoulli_identity_partial(k, N, table, fam)
-    target = volkenborn_poly(fam.triple(k).V, table)
+    lhs, rhs = bernoulli_identity_partial(k, N, table)
+    target = volkenborn_poly(build_triple(k).V, table)
     tail = lhs - target  # == N! sum_l A_{k-1,l}(N) B_{N+l}
-    dist = padic_distance_exponent(lhs, target, p)
     bound = factorial_norm_exponent(N, p) - 1
-    return SumCertificate(k, N, Fraction(1), p, lhs, target, tail, dist, bound)
+    return SumCertificate(k, N, Fraction(1), p, lhs, target, tail, bound)

@@ -20,7 +20,7 @@ from .bernoulli import (
 )
 from .padic import Prime, ValExponent, in_convergence_domain, padic_expand, vp
 from .poly import int_poly
-from .recurrences import shared_family
+from .recurrences import build_triple, shared_family
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
 # verify_identity and truncated_padic_sum are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them
@@ -96,13 +96,11 @@ class Emitter:
 
 def cmd_triples(args, machine: bool) -> int:
     if args.kmax < 1:
-        print("error: --kmax must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--kmax must be >= 1")
     em = Emitter("triples", machine)
-    fam = shared_family()
-    fam.ensure(args.kmax - 1)
+    shared_family().ensure(args.kmax - 1)
     for k in range(1, args.kmax + 1):
-        trip = fam.triple(k)
+        trip = build_triple(k)
         result = {
             "k": k,
             "U": [int(c) for c in trip.U.coeffs],
@@ -120,11 +118,9 @@ def cmd_verify(args, machine: bool) -> int:
     xs = parse_set(args.x_set, Fraction)
     primes = [Prime(p) for p in parse_set(args.p_list)] if args.p_list else []
     if ks[0] < 1:
-        print("error: k must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("k must be >= 1")
     if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--n-max must be >= 1")
     shared_family().ensure(ks[-1] - 1)
     all_ok = True
     for k in ks:
@@ -182,13 +178,11 @@ def cmd_sum(args, machine: bool) -> int:
     em = Emitter("sum", machine)
     x = Fraction(args.x)
     if x.denominator != 1:
-        print("error: --x must be an integer (p-adic invariance)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--x must be an integer (p-adic invariance)")
     if args.C:
         C = parse_set(args.C)
         if len(C) != args.k:
-            print("error: --C must list exactly k coefficients", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--C must list exactly k coefficients")
         value = sum(
             (c * invariant_sum(j, int(x)) for j, c in enumerate(C, start=1)),
             Fraction(0),
@@ -226,8 +220,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
     em = Emitter("bernoulli", machine)
     if args.identity is not None:
         if args.N is None:
-            print("error: --identity needs --N", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--identity needs --N")
         k, N = args.identity, args.N
         table = bernoulli_numbers(N + k)
         lhs, rhs = bernoulli_identity_partial(k, N, table)
@@ -254,8 +247,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
         )
         return EXIT_OK
     if args.nmax is None:
-        print("error: one of --nmax, --identity, --level required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("one of --nmax, --identity, --level required")
     table = bernoulli_numbers(args.nmax)
     for n in range(args.nmax + 1):
         em.emit(
@@ -268,6 +260,8 @@ def cmd_bernoulli(args, machine: bool) -> int:
 
 
 def cmd_kurepa(args, machine: bool) -> int:
+    if args.gcd_max is None and args.digit_max is None:
+        raise ValueError("need --gcd-max and/or --digit-max")
     em = Emitter("kurepa", machine)
     code = EXIT_OK
     if args.gcd_max is not None:
@@ -299,16 +293,12 @@ def cmd_kurepa(args, machine: bool) -> int:
         )
         if not report.ok:
             code = EXIT_FAIL
-    if args.gcd_max is None and args.digit_max is None:
-        print("error: need --gcd-max and/or --digit-max", file=sys.stderr)
-        return EXIT_USAGE
     return code
 
 
 def cmd_sequences(args, machine: bool) -> int:
     if args.kmax < 1:
-        print("error: --kmax must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--kmax must be >= 1")
     em = Emitter("sequences", machine)
     seqs = paper_sequences(args.kmax)
     labels = {

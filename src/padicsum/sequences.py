@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .padic import Prime, is_prime
 from .poly import binomial
-from .recurrences import TripleFamily, shared_family
+from .recurrences import build_triple, shared_family
+from .summation import factorial_series
 
 
 @dataclass(frozen=True)
@@ -33,11 +35,9 @@ def left_factorial(n: int) -> int:
     """!n = sum_{j=0}^{n-1} j!."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = 0
-    fact = 1
-    for j in range(n):
-        total += fact
-        fact *= j + 1
+    if n == 0:
+        return 0
+    _, _, total = next(islice(factorial_series(lambda j: 1), n - 1, None))
     return total
 
 
@@ -45,17 +45,14 @@ def kurepa_gcd_scan(nmax: int) -> KurepaReport:
     """Check gcd(!n, n!) = 2 for 2 <= n <= nmax, with incremental !n and n!."""
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
-    lf = 2  # !2 = 0! + 1!
-    fact = 2  # 2!
     first_failure = None
     ok_up_to = 1
-    for n in range(2, nmax + 1):
+    # (n, n!, !n) for n = 2..nmax
+    for n, fact, lf in islice(factorial_series(lambda j: 1), 1, nmax):
         if math.gcd(lf, fact) != 2:
             first_failure = n
             break
         ok_up_to = n
-        lf += fact
-        fact *= n + 1
     return KurepaReport(nmax, ok_up_to, 0, first_failure)
 
 
@@ -100,9 +97,7 @@ def bell_numbers(nmax: int) -> list[int]:
     return bells
 
 
-def paper_sequences(
-    kmax: int, family: TripleFamily | None = None
-) -> dict[str, list[int]]:
+def paper_sequences(kmax: int) -> dict[str, list[int]]:
     """The four sequences, for k = 1..kmax:
 
     neg_v:    -V_k(1)    (A014619-style list)
@@ -112,11 +107,10 @@ def paper_sequences(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    fam = family or shared_family()
-    fam.ensure(kmax - 1)
+    shared_family().ensure(kmax - 1)
     neg_v, neg_vbar, u, neg_ubar = [], [], [], []
     for k in range(1, kmax + 1):
-        trip = fam.triple(k)
+        trip = build_triple(k)
         U, V = trip.U, trip.V
         neg_v.append(-V(1))
         neg_vbar.append(-V(-1))

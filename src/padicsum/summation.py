@@ -13,9 +13,11 @@ v_p(N!) + N*v_p(x).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import count, islice
 
 from .padic import (
     Prime,
@@ -25,7 +27,7 @@ from .padic import (
     vp,
 )
 from .poly import Poly
-from .recurrences import TripleFamily, shared_family
+from .recurrences import build_triple
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,8 @@ class SumCertificate:
 
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
     partial - target = tail holds exactly, and the p-adic distance from the
-    partial sum to the target is at most p^(-bound_exponent).  `ok` checks
+    partial sum to the target is at most p^(-bound_exponent).  The achieved
+    distance exponent is computed from partial - target, and `ok` checks
     both from the certificate's own fields, so a forged one fails.
     """
 
@@ -60,8 +63,12 @@ class SumCertificate:
     partial: Fraction
     target: Fraction
     tail: Fraction
-    distance_exponent: ValExponent
     bound_exponent: int
+
+    @cached_property
+    def distance_exponent(self) -> ValExponent:
+        """v_p(partial - target)."""
+        return padic_distance_exponent(self.partial, self.target, self.p)
 
     @property
     def ok(self) -> bool:
@@ -87,42 +94,54 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
+def factorial_series(
+    c: Callable[[int], int | Fraction], a: int = 1, b: int = 1
+) -> Iterator[tuple[int, int, int | Fraction]]:
+    """The factorial series sum_n n! c(n) x^n at x = a/b, one N at a time.
+
+    Yields (N, N! a^N, S_N) for N = 1, 2, ..., where
+
+        S_N = b^(N-1) sum_{n<N} n! c(n) (a/b)^n,  S_{N+1} = b S_N + N! a^N c(N),
+
+    so integer c, a and b keep every S_N an integer and no step takes a
+    gcd.  c(N) is evaluated only when S_{N+1} is requested.
+    """
+    S, fa = c(0), a  # S_1 and 1! a^1
+    for N in count(1):
+        yield N, fa, S
+        S = b * S + fa * c(N)
+        fa *= (N + 1) * a
+
+
 def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
     """Exact S_k(N; x) = sum_{n=0}^{N-1} n! n^k x^n, with 0^0 = 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
     x = Fraction(x)
-    total = Fraction(1) if k == 0 else Fraction(0)  # n = 0 term, 0^0 = 1
-    fact = 1
-    xpow = x
-    for n in range(1, N):
-        total += fact * n**k * xpow
-        fact *= n + 1
-        xpow *= x
-    return total
+    b = x.denominator
+    series = factorial_series(lambda n: n**k, x.numerator, b)
+    _, _, S = next(islice(series, N - 1, None))
+    return Fraction(S, b ** (N - 1))
 
 
-def identity_checks(
-    k: int, x: Fraction | int, n_max: int, family: TripleFamily | None = None
-) -> Iterator[IdentityCheck]:
+def identity_checks(k: int, x: Fraction | int, n_max: int) -> Iterator[IdentityCheck]:
     """Both sides of the finite identity at (k, N, x) for N = 1..n_max, in one pass.
 
     With x = a/b, step N keeps every quantity as an integer scaled by
     D_N = b^(N-1+k), so the running sums take no gcd:
 
-        L_1 = U_k(x) b^k,  L_{N+1} = b L_N + N! (N^k a^k + U_k(x) b^k) a^N
+        L_N = b^(N-1) sum_{n<N} n! (n^k a^k + U_k(x) b^k) (a/b)^n
         T_N = N! a^N * A_{k-1}(N; x) b^(k-1)
         R_N = V_k(x) b^(k-1) * b^N + T_N
 
-    L_N, R_N and T_N are lhs, rhs and tail times D_N; Fraction is built
-    only for the returned fields.
+    L_N is the factorial_series sum; L_N, R_N and T_N are lhs, rhs and
+    tail times D_N, and Fraction is built only for the returned fields.
     """
     if k < 1 or n_max < 1:
         raise ValueError("k and N must be >= 1")
-    fam = family or shared_family()
     x = Fraction(x)
     a, b = x.numerator, x.denominator
-    trip = fam.triple(k)
+    trip = build_triple(k)
     Ub = int(trip.U(x) * b**k)
     Vb = int(trip.V(x) * b ** (k - 1))
     # A_{k-1}(n; x) b^(k-1) as an integer polynomial in n
@@ -131,28 +150,23 @@ def identity_checks(
         Poly.make([], "n"),
     )
     ak = a**k
-    L = Ub
-    fact, apow, bpow, D = 1, a, b, b**k  # N!, a^N, b^N, D_N at N = 1
-    for N in range(1, n_max + 1):
-        T = fact * apow * Ab(N)
+    series = factorial_series(lambda n: n**k * ak + Ub, a, b)
+    bpow, D = b, b**k  # b^N, D_N at N = 1
+    for N, fa, L in islice(series, n_max):
+        T = fa * Ab(N)
         R = Vb * bpow + T
         yield IdentityCheck(k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
-        L = b * L + fact * (N**k * ak + Ub) * apow
-        fact *= N + 1
-        apow *= a
         bpow *= b
         D *= b
 
 
-def verify_identity(
-    k: int, N: int, x: Fraction | int, family: TripleFamily | None = None
-) -> IdentityCheck:
+def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:
     """Evaluate both sides of the finite identity exactly and compare.
 
     Inequality can only arise from an implementation bug; the identity
     itself holds for every rational x.
     """
-    *_, check = identity_checks(k, x, N, family)
+    *_, check = identity_checks(k, x, N)
     return check
 
 
@@ -167,32 +181,26 @@ def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
         raise ValueError("x must be a nonzero integer")
     target = check.lhs - check.tail
     bound = factorial_norm_exponent(N, p) + N * vp(x, p).value
-    dist = padic_distance_exponent(check.lhs, target, p)
-    return SumCertificate(check.k, N, x, p, check.lhs, target, check.tail, dist, bound)
+    return SumCertificate(check.k, N, x, p, check.lhs, target, check.tail, bound)
 
 
-def invariant_sum(k: int, x: int, family: TripleFamily | None = None) -> Fraction:
+def invariant_sum(k: int, x: int) -> Fraction:
     """The common p-adic value V_k(x) of the infinite series, for integer x."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not isinstance(x, int):
         raise TypeError("p-adic invariance holds for integer x only")
-    fam = family or shared_family()
-    return Fraction(fam.triple(k).V(x))
+    return Fraction(build_triple(k).V(x))
 
 
-def truncated_padic_sum(
-    k: int, x: int, p: Prime, N: int, family: TripleFamily | None = None
-) -> SumCertificate:
+def truncated_padic_sum(k: int, x: int, p: Prime, N: int) -> SumCertificate:
     """Certificate that the N-term partial sum is p-adically close to V_k(x)."""
     if not isinstance(x, int):
         raise ValueError("x must be a nonzero integer")
-    return certificate_from_check(verify_identity(k, N, x, family), p)
+    return certificate_from_check(verify_identity(k, N, x), p)
 
 
-def truncated_combo_sum(
-    spec: SeriesSpec, p: Prime, N: int, family: TripleFamily | None = None
-) -> SumCertificate:
+def truncated_combo_sum(spec: SeriesSpec, p: Prime, N: int) -> SumCertificate:
     """Certificate that the N-term partial sum of the Theorem-2 combination
     sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n is p-adically close to
     sum_j C_j V_j(x).
@@ -202,7 +210,7 @@ def truncated_combo_sum(
     lhs = rhs = tail = Fraction(0)
     for j, c in enumerate(spec.C, start=1):
         if c:
-            check = verify_identity(j, N, spec.x, family)
+            check = verify_identity(j, N, spec.x)
             lhs += c * check.lhs
             rhs += c * check.rhs
             tail += c * check.tail

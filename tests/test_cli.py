@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import padicsum.cli as cli
-from padicsum import Prime, ValExponent, truncated_padic_sum, verify_identity
+from padicsum import Prime, truncated_padic_sum, verify_identity
 from padicsum.cli import fmt_exp, fmt_q, main, parse_set
 
 
@@ -155,9 +155,7 @@ class TestVerify:
 
         def forged(check, p):
             cert = real(check, p)
-            return dataclasses.replace(
-                cert, distance_exponent=ValExponent.of(0), bound_exponent=99
-            )
+            return dataclasses.replace(cert, bound_exponent=99)
 
         monkeypatch.setattr(cli, "certificate_from_check", forged)
         argv = ("verify", "--k", "1", "--n-max", "2", "--x-set", "1", "--p-list", "2")

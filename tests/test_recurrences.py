@@ -191,7 +191,8 @@ class TestIncrementalFamily:
         monkeypatch.setattr(recurrences, "_shared", TripleFamily())
         # U_k, V_k and A_{k-1} for k <= 6 need A_0..A_5 only
         assert main(["--format", "machine", "triples", "--kmax", "6"]) == 0
-        paper_sequences(6, TripleFamily())
+        monkeypatch.setattr(recurrences, "_shared", TripleFamily())
+        paper_sequences(6)
         assert builds == [5, 5]
 
     def test_extending_a_prefix(self):

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import padicsum.sequences as sequences
 from padicsum import (
     Prime,
     bell_numbers,
@@ -43,6 +45,28 @@ class TestKurepaGcd:
     def test_gcd_always_even(self):
         for n in range(2, 60):
             assert math.gcd(left_factorial(n), math.factorial(n)) % 2 == 0
+
+    def test_scan_indices(self, monkeypatch):
+        def scan(fail_at=None):
+            seen = []
+
+            def gcd(a, b):
+                seen.append((a, b))
+                forced = fail_at and b == math.factorial(fail_at)
+                return 4 if forced else math.gcd(a, b)
+
+            monkeypatch.setattr(sequences, "math", SimpleNamespace(gcd=gcd))
+            return kurepa_gcd_scan(30), seen
+
+        def pairs(m):
+            return [(left_factorial(n), math.factorial(n)) for n in range(2, m + 1)]
+
+        report, seen = scan()
+        assert seen == pairs(30)
+        assert report.ok and report.gcd_ok_up_to == 30
+        report, seen = scan(fail_at=17)
+        assert seen == pairs(17)
+        assert report.first_failure == 17 and report.gcd_ok_up_to == 16
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from padicsum import (
     ValExponent,
     build_triple,
     certificate_from_check,
+    factorial_series,
     identity_checks,
     in_convergence_domain,
     invariant_sum,
@@ -60,6 +62,30 @@ class TestPartialSums:
         assert partial_sum_Sk(k, N, x) == brute_Sk(k, N, x)
 
 
+class TestFactorialSeries:
+    COEFFS = {
+        "one": lambda n: 1,
+        "n^3": lambda n: n**3,
+        "rational": lambda n: Fraction(2 * n - 1, n + 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(COEFFS))
+    def test_matches_brute_force(self, name):
+        c = self.COEFFS[name]
+        for x in map(Fraction, (1, -3, 0, "5/2", "-4/7")):
+            a, b = x.numerator, x.denominator
+            got = list(islice(factorial_series(c, a, b), 20))
+            assert [N for N, _, _ in got] == list(range(1, 21))
+            for N, fa, S in got:
+                assert fa == math.factorial(N) * a**N
+                brute = sum(
+                    (math.factorial(n) * c(n) * x**n for n in range(N)), Fraction(0)
+                )
+                assert Fraction(S) / b ** (N - 1) == brute
+                if name != "rational":
+                    assert isinstance(S, int)
+
+
 def oracle_identity(k, N, x):
     """Independent per-point evaluation of (lhs, rhs, tail) at (k, N, x):
     a math.factorial/Fraction sum for lhs, V(x) + N! x^N A(N, x) for rhs."""
@@ -80,8 +106,7 @@ KERNEL_XS = [Fraction(v) for v in range(-3, 4)] + [
 
 # partial - target != tail, and exponent 0 against bound 99
 FORGED = SumCertificate(
-    1, 1, Fraction(1), Prime(2), Fraction(7), Fraction(1), Fraction(2),
-    ValExponent.of(0), 99,
+    1, 1, Fraction(1), Prime(2), Fraction(7), Fraction(1), Fraction(2), 99
 )
 
 
@@ -241,18 +266,24 @@ class TestCertificates:
         good = truncated_padic_sum(1, 1, Prime(5), 10)
         assert good.ok
         assert not FORGED.ok
-        # right algebra, exponent below its bound
+        # right algebra, bound above the achieved exponent v_5(10!) = 2
         assert not SumCertificate(
-            1, 10, Fraction(1), Prime(5), good.partial, good.target, good.tail,
-            ValExponent.of(1), 2,
+            1, 10, Fraction(1), Prime(5), good.partial, good.target, good.tail, 3
         ).ok
+
+    def test_distance_is_computed_not_stored(self):
+        # partial - target == tail == 1, so the distance exponent is v_5(1) = 0
+        cert = SumCertificate(
+            1, 1, Fraction(1), Prime(5), Fraction(0), Fraction(-1), Fraction(1), 99
+        )
+        assert cert.distance_exponent == ValExponent.of(0)
+        assert not cert.ok
 
     def test_forged_certificate_fails_under_O(self):
         code = (
             "from fractions import Fraction as F\n"
-            "from padicsum import Prime, SumCertificate, ValExponent\n"
-            "c = SumCertificate(1, 1, F(1), Prime(2), F(7), F(1), F(2),"
-            " ValExponent.of(0), 99)\n"
+            "from padicsum import Prime, SumCertificate\n"
+            "c = SumCertificate(1, 1, F(1), Prime(2), F(7), F(1), F(2), 99)\n"
             "print(c.ok is False)\n"
         )
         src = str(Path(padicsum.__file__).resolve().parents[1])
