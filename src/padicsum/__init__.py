@@ -45,7 +45,6 @@ from .summation import (
     verify_identity,
 )
 from .bernoulli import (
-    BernoulliTable,
     bernoulli_identity_partial,
     bernoulli_numbers,
     bernoulli_series_certificate,
@@ -100,7 +99,6 @@ __all__ = [
     "truncated_combo_sum",
     "truncated_padic_sum",
     "verify_identity",
-    "BernoulliTable",
     "bernoulli_identity_partial",
     "bernoulli_numbers",
     "bernoulli_series_certificate",

@@ -222,8 +222,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
         if args.N is None:
             raise ValueError("--identity needs --N")
         k, N = args.identity, args.N
-        table = bernoulli_numbers(N + k)
-        lhs, rhs = bernoulli_identity_partial(k, N, table)
+        lhs, rhs = bernoulli_identity_partial(k, N)
         ok = lhs == rhs
         em.emit(
             {"k": k, "N": N},

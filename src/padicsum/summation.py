@@ -173,13 +173,13 @@ def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:
 def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
     """The p-adic certificate read off an identity check at a nonzero integer x.
 
-    The target lhs - tail = V_k(x) is the same in every Q_p; only the two
-    exponents depend on p.
+    The target rhs - tail = V_k(x) is the same in every Q_p, so `ok` fails
+    whenever lhs != rhs; only the two exponents depend on p.
     """
     x, N = check.x, check.N
     if x.denominator != 1 or x == 0:
         raise ValueError("x must be a nonzero integer")
-    target = check.lhs - check.tail
+    target = check.rhs - check.tail
     bound = factorial_norm_exponent(N, p) + N * vp(x, p).value
     return SumCertificate(check.k, N, x, p, check.lhs, target, check.tail, bound)
 

@@ -146,7 +146,6 @@ def test_criterion_6_padic_certificates():
 
 
 def test_criterion_7_paper_example_sums():
-    table = bernoulli_numbers(10)
     fam = shared_family()
     checks = [
         invariant_sum(1, 1) == -1,
@@ -155,9 +154,9 @@ def test_criterion_7_paper_example_sums():
         invariant_sum(2, -1) == -3,
         invariant_sum(3, 1) == 1,
         invariant_sum(3, -1) == -9,  # i.e. sum (-1)^n n! (n^3+15) = 9
-        volkenborn_poly(fam.triple(1).V, table) == -1,
-        volkenborn_poly(fam.triple(2).V, table) == -2,
-        volkenborn_poly(fam.triple(3).V, table) == -4,
+        volkenborn_poly(fam.triple(1).V) == -1,
+        volkenborn_poly(fam.triple(2).V) == -2,
+        volkenborn_poly(fam.triple(3).V) == -4,
     ]
     report("7. nine example sums", all(checks), f"{sum(checks)}/9")
 
@@ -172,10 +171,8 @@ def test_criterion_8_bernoulli():
     for pi in (2, 3, 5, 7, 11):
         p = Prime(pi)
         ok &= all(vp(table[n], p) >= -1 for n in range(61) if table[n] != 0)
-    big = bernoulli_numbers(30)
     ok &= all(
-        bernoulli_identity_partial(k, N, big)[0]
-        == bernoulli_identity_partial(k, N, big)[1]
+        bernoulli_identity_partial(k, N)[0] == bernoulli_identity_partial(k, N)[1]
         for k in range(1, 7)
         for N in range(1, 21)
     )

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+import padicsum.bernoulli as bernoulli
 from padicsum import (
     Prime,
     bernoulli_identity_partial,
     bernoulli_numbers,
     bernoulli_series_certificate,
     binomial,
+    build_triple,
     factorial_norm_exponent,
     int_poly,
     padic_distance_exponent,
@@ -18,6 +21,21 @@ from padicsum import (
 )
 
 TABLE = bernoulli_numbers(60)
+
+
+def explicit_bernoulli(n: int) -> Fraction:
+    """B_n = sum_{k<=n} 1/(k+1) sum_{j<=k} (-1)^j C(k,j) j^n, no recurrence."""
+    return sum(
+        Fraction(sum((-1) ** j * math.comb(k, j) * j**n for j in range(k + 1)), k + 1)
+        for k in range(n + 1)
+    )
+
+
+ORACLE = tuple(explicit_bernoulli(n) for n in range(41))
+
+
+def oracle_volkenborn(coeffs, shift: int = 0) -> Fraction:
+    return sum((c * ORACLE[shift + l] for l, c in enumerate(coeffs)), Fraction(0))
 
 
 class TestBernoulliNumbers:
@@ -31,7 +49,11 @@ class TestBernoulliNumbers:
             Fraction(0),
             Fraction(1, 42),
         ]
-        assert list(TABLE.values[:7]) == expect
+        assert list(TABLE[:7]) == expect
+
+    def test_matches_explicit_formula(self):
+        assert bernoulli_numbers(40) == ORACLE
+        assert bernoulli_numbers(0) == (1,)
 
     def test_B12(self):
         assert TABLE[12] == Fraction(-691, 2730)
@@ -56,18 +78,19 @@ class TestBernoulliNumbers:
 
 class TestVolkenbornPoly:
     def test_monomials(self):
-        assert volkenborn_poly(int_poly([1]), TABLE) == 1
-        assert volkenborn_poly(int_poly([0, 1]), TABLE) == Fraction(-1, 2)
+        assert volkenborn_poly(int_poly([])) == 0
+        assert volkenborn_poly(int_poly([1])) == 1
+        assert volkenborn_poly(int_poly([7])) == 7
+        assert volkenborn_poly(int_poly([0, 1])) == Fraction(-1, 2)
 
     def test_V_polynomials(self):
         fam = shared_family()
-        assert volkenborn_poly(fam.triple(1).V, TABLE) == -1
-        assert volkenborn_poly(fam.triple(2).V, TABLE) == -2
-        assert volkenborn_poly(fam.triple(3).V, TABLE) == -4
-
-    def test_table_too_short(self):
-        with pytest.raises(ValueError):
-            volkenborn_poly(int_poly([0, 0, 0, 1]), bernoulli_numbers(2))
+        assert volkenborn_poly(fam.triple(1).V) == -1
+        assert volkenborn_poly(fam.triple(2).V) == -2
+        assert volkenborn_poly(fam.triple(3).V) == -4
+        for k in (1, 2, 3):
+            V = fam.triple(k).V
+            assert volkenborn_poly(V) == oracle_volkenborn(V.coeffs)
 
 
 class TestVolkenbornLevel:
@@ -114,41 +137,63 @@ class TestVolkenbornLevel:
 class TestBernoulliIdentity:
     def test_k1_N1_by_hand(self):
         # 0! [0*B_1 + U_10 B_0 + U_11 B_1] = -1 - 1/2 = -3/2
-        lhs, rhs = bernoulli_identity_partial(1, 1, TABLE)
+        lhs, rhs = bernoulli_identity_partial(1, 1)
         assert lhs == Fraction(-3, 2)
         assert lhs == rhs
 
     def test_exact_equality_grid(self):
         for k in range(1, 7):
             for N in range(1, 21):
-                lhs, rhs = bernoulli_identity_partial(k, N, TABLE)
+                lhs, rhs = bernoulli_identity_partial(k, N)
                 assert lhs == rhs, (k, N)
 
-    def test_table_too_short(self):
-        with pytest.raises(ValueError):
-            bernoulli_identity_partial(3, 20, bernoulli_numbers(5))
+    def test_matches_brute_force_oracle(self):
+        for k in range(1, 6):
+            t = build_triple(k)
+            for N in range(1, 16):
+                lhs = sum(
+                    math.factorial(n)
+                    * (n**k * ORACLE[n + k] + oracle_volkenborn(t.U.coeffs, n))
+                    for n in range(N)
+                )
+                tail = math.factorial(N) * oracle_volkenborn(t.A.eval_n(N).coeffs, N)
+                rhs = oracle_volkenborn(t.V.coeffs) + tail
+                assert bernoulli_identity_partial(k, N) == (lhs, rhs), (k, N)
 
 
 class TestBernoulliCertificates:
     def test_k1_p5_N10(self):
-        cert = bernoulli_series_certificate(1, Prime(5), 10, TABLE)
+        cert = bernoulli_series_certificate(1, Prime(5), 10)
         assert cert.target == -1
         assert cert.bound_exponent == factorial_norm_exponent(10, Prime(5)) - 1 == 1
         assert cert.distance_exponent >= 1
 
     def test_targets(self):
         for k, target in ((1, -1), (2, -2), (3, -4)):
-            cert = bernoulli_series_certificate(k, Prime(3), 5, TABLE)
+            cert = bernoulli_series_certificate(k, Prime(3), 5)
             assert cert.target == target
 
     def test_small_N_finite_check(self):
-        cert = bernoulli_series_certificate(2, Prime(7), 1, TABLE)
+        cert = bernoulli_series_certificate(2, Prime(7), 1)
         assert cert.partial - cert.target == cert.tail
 
     def test_soundness_grid(self):
         for k in (1, 2, 3):
             for pi in (2, 3, 5, 7):
                 for N in (1, 4, 9, 15):
-                    cert = bernoulli_series_certificate(k, Prime(pi), N, TABLE)
+                    cert = bernoulli_series_certificate(k, Prime(pi), N)
                     assert cert.distance_exponent >= cert.bound_exponent
                     assert cert.ok
+
+    def test_fails_when_identity_fails(self, monkeypatch):
+        # lhs shifted by 3^20 stays 3-adically close, but lhs != rhs
+        true_partial = bernoulli.bernoulli_identity_partial
+
+        def shifted(k, N):
+            lhs, rhs = true_partial(k, N)
+            return lhs + 3**20, rhs
+
+        monkeypatch.setattr(bernoulli, "bernoulli_identity_partial", shifted)
+        cert = bernoulli_series_certificate(2, Prime(3), 6)
+        assert cert.target == -2
+        assert not cert.ok

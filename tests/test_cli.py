@@ -262,6 +262,14 @@ class TestBernoulli:
         rec = machine_records(out)[0]
         assert rec["result"]["value"] == 12  # (25 - 1)/2
 
+    @pytest.mark.parametrize("k, N", [("2", "-5"), ("0", "3")])
+    def test_bad_identity_is_usage_error(self, capsys, k, N):
+        code = main(["bernoulli", "--identity", k, "--N", N])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: k and N must be >= 1\n"
+
 
 class TestKurepa:
     def test_scans(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -261,6 +262,13 @@ class TestCertificates:
         for x in (0, Fraction(1, 2)):
             with pytest.raises(ValueError):
                 certificate_from_check(verify_identity(2, 3, x), Prime(3))
+
+    def test_from_check_fails_when_identity_fails(self):
+        # the target comes from the right-hand side, not from lhs - tail
+        c = verify_identity(3, 8, 2)
+        cert = certificate_from_check(dataclasses.replace(c, lhs=c.lhs + 1), Prime(5))
+        assert cert.target == invariant_sum(3, 2) == -3
+        assert not cert.ok
 
     def test_forged_certificates_fail(self):
         good = truncated_padic_sum(1, 1, Prime(5), 10)
