@@ -24,12 +24,8 @@ from .recurrences import (
     TripleFamily,
     build_triple,
     compute_A_family,
-    compute_U,
-    compute_U_by_recurrence,
-    compute_V,
-    compute_V_by_recurrence,
     family_residual,
-    shared_family,
+    solve_triple,
 )
 from .summation import (
     IdentityCheck,
@@ -53,11 +49,9 @@ from .bernoulli import (
 )
 from .sequences import (
     KurepaReport,
-    bell_numbers,
     kurepa_digit,
     kurepa_digit_scan,
     kurepa_gcd_scan,
-    left_factorial,
     paper_sequences,
 )
 
@@ -82,12 +76,8 @@ __all__ = [
     "TripleFamily",
     "build_triple",
     "compute_A_family",
-    "compute_U",
-    "compute_U_by_recurrence",
-    "compute_V",
-    "compute_V_by_recurrence",
     "family_residual",
-    "shared_family",
+    "solve_triple",
     "IdentityCheck",
     "SeriesSpec",
     "SumCertificate",
@@ -105,11 +95,9 @@ __all__ = [
     "volkenborn_level",
     "volkenborn_poly",
     "KurepaReport",
-    "bell_numbers",
     "kurepa_digit",
     "kurepa_digit_scan",
     "kurepa_gcd_scan",
-    "left_factorial",
     "paper_sequences",
 ]
 

@@ -20,7 +20,7 @@ from .bernoulli import (
 )
 from .padic import Prime, ValExponent, in_convergence_domain, padic_expand, vp
 from .poly import int_poly
-from .recurrences import build_triple, shared_family
+from .recurrences import build_triple
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
 # verify_identity and truncated_padic_sum are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them
@@ -98,7 +98,6 @@ def cmd_triples(args, machine: bool) -> int:
     if args.kmax < 1:
         raise ValueError("--kmax must be >= 1")
     em = Emitter("triples", machine)
-    shared_family().ensure(args.kmax - 1)
     for k in range(1, args.kmax + 1):
         trip = build_triple(k)
         result = {
@@ -121,7 +120,6 @@ def cmd_verify(args, machine: bool) -> int:
         raise ValueError("k must be >= 1")
     if args.n_max < 1:
         raise ValueError("--n-max must be >= 1")
-    shared_family().ensure(ks[-1] - 1)
     all_ok = True
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order

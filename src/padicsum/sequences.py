@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .padic import Prime, is_prime
-from .poly import binomial
-from .recurrences import build_triple, shared_family
+from .recurrences import build_triple
 from .summation import factorial_series
 
 
@@ -29,16 +28,6 @@ class KurepaReport:
     @property
     def ok(self) -> bool:
         return self.first_failure is None
-
-
-def left_factorial(n: int) -> int:
-    """!n = sum_{j=0}^{n-1} j!."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    _, _, total = next(islice(factorial_series(lambda j: 1), n - 1, None))
-    return total
 
 
 def kurepa_gcd_scan(nmax: int) -> KurepaReport:
@@ -57,18 +46,14 @@ def kurepa_gcd_scan(nmax: int) -> KurepaReport:
 
 
 def kurepa_digit(p: Prime) -> int:
-    """0th p-adic digit of sum_j j!, i.e. (sum_{j<p} j!) mod p.
-
-    Terms with j >= p vanish mod p, which the trailing assertion checks by
-    taking one step past the truncation point.
-    """
+    """0th p-adic digit of sum_j j!, i.e. (sum_{j<p} j!) mod p; the terms
+    with j >= p vanish mod p, since p divides j!."""
     pp = int(p)
     total = 0
     fact = 1
     for j in range(pp):
         total = (total + fact) % pp
         fact = fact * (j + 1) % pp
-    assert fact == 0, "j! for j >= p must vanish mod p"
     return total
 
 
@@ -88,15 +73,6 @@ def kurepa_digit_scan(pmax: int) -> KurepaReport:
     return KurepaReport(pmax, 0, checked, first_failure)
 
 
-def bell_numbers(nmax: int) -> list[int]:
-    """Bell numbers B(0..nmax) via B(n+1) = sum_i C(n,i) B(i); independent
-    oracle for the -U_k(-1) sequence."""
-    bells = [1]
-    for n in range(nmax):
-        bells.append(sum(binomial(n, i) * bells[i] for i in range(n + 1)))
-    return bells
-
-
 def paper_sequences(kmax: int) -> dict[str, list[int]]:
     """The four sequences, for k = 1..kmax:
 
@@ -107,7 +83,6 @@ def paper_sequences(kmax: int) -> dict[str, list[int]]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    shared_family().ensure(kmax - 1)
     neg_v, neg_vbar, u, neg_ubar = [], [], [], []
     for k in range(1, kmax + 1):
         trip = build_triple(k)

@@ -1,0 +1,78 @@
+"""Slow reference routes that the tests hold the library to.
+
+They take paths the library does not: U_k and V_k from the whole A-family
+or from their own recurrences, Bell numbers from their recurrence, and left
+factorials as one factorial-series sum each.
+"""
+
+from itertools import islice
+
+from padicsum import BivarPoly, Poly, binomial, factorial_series, int_poly
+
+
+def compute_U(k: int, A: list[BivarPoly]) -> Poly:
+    """U_k(x) = x*A_{k-1}(1; x) - A_{k-1}(0; x)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    Akm1 = A[k - 1]
+    return Akm1.eval_n(1).shift(1) - Akm1.eval_n(0)
+
+
+def compute_V(k: int, A: list[BivarPoly]) -> Poly:
+    """V_k(x) = -A_{k-1}(0; x)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return -A[k - 1].eval_n(0)
+
+
+def compute_U_by_recurrence(kmax: int) -> list[Poly]:
+    """U_1 .. U_kmax from the direct recurrence
+
+    U_{k+1}(x) = x^(k+1) + U_k(x) - sum_{l=1}^{k} C(k+1,l) x^(k-l+1) U_l(x),
+
+    starting from U_1 = x - 1.  Index 0 of the result holds U_1.
+    """
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    us = [int_poly([-1, 1])]
+    for k in range(1, kmax):
+        acc = Poly.monomial(k + 1) + us[k - 1]
+        for l in range(1, k + 1):
+            acc = acc - us[l - 1].scale(binomial(k + 1, l)).shift(k - l + 1)
+        us.append(acc)
+    return us
+
+
+def compute_V_by_recurrence(kmax: int) -> list[Poly]:
+    """V_1 .. V_kmax from V_{k+1}(x) = V_k(x) - sum_{l=1}^{k} C(k+1,l) x^(k-l+1) V_l(x),
+
+    starting from V_1 = -1.  Index 0 of the result holds V_1.
+    """
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    vs = [int_poly([-1])]
+    for k in range(1, kmax):
+        acc = vs[k - 1]
+        for l in range(1, k + 1):
+            acc = acc - vs[l - 1].scale(binomial(k + 1, l)).shift(k - l + 1)
+        vs.append(acc)
+    return vs
+
+
+def bell_numbers(nmax: int) -> list[int]:
+    """Bell numbers B(0..nmax) via B(n+1) = sum_i C(n,i) B(i); independent
+    oracle for the -U_k(-1) sequence."""
+    bells = [1]
+    for n in range(nmax):
+        bells.append(sum(binomial(n, i) * bells[i] for i in range(n + 1)))
+    return bells
+
+
+def left_factorial(n: int) -> int:
+    """!n = sum_{j=0}^{n-1} j!."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 0
+    _, _, total = next(islice(factorial_series(lambda j: 1), n - 1, None))
+    return total

@@ -14,7 +14,6 @@ from padicsum import (
     factorial_norm_exponent,
     int_poly,
     padic_distance_exponent,
-    shared_family,
     volkenborn_level,
     volkenborn_poly,
     vp,
@@ -84,12 +83,11 @@ class TestVolkenbornPoly:
         assert volkenborn_poly(int_poly([0, 1])) == Fraction(-1, 2)
 
     def test_V_polynomials(self):
-        fam = shared_family()
-        assert volkenborn_poly(fam.triple(1).V) == -1
-        assert volkenborn_poly(fam.triple(2).V) == -2
-        assert volkenborn_poly(fam.triple(3).V) == -4
+        assert volkenborn_poly(build_triple(1).V) == -1
+        assert volkenborn_poly(build_triple(2).V) == -2
+        assert volkenborn_poly(build_triple(3).V) == -4
         for k in (1, 2, 3):
-            V = fam.triple(k).V
+            V = build_triple(k).V
             assert volkenborn_poly(V) == oracle_volkenborn(V.coeffs)
 
 

@@ -3,20 +3,23 @@ import pytest
 import padicsum.recurrences as recurrences
 from padicsum import (
     BivarPoly,
+    Poly,
     TripleFamily,
     build_triple,
     compute_A_family,
-    compute_U,
-    compute_U_by_recurrence,
-    compute_V,
-    compute_V_by_recurrence,
     family_residual,
     int_poly,
     n_poly,
     paper_sequences,
-    shared_family,
+    solve_triple,
 )
 from padicsum.cli import main
+from oracles import (
+    compute_U,
+    compute_U_by_recurrence,
+    compute_V,
+    compute_V_by_recurrence,
+)
 
 # Published tables for k = 1..6, little-endian power order.
 U_TABLE = {
@@ -155,51 +158,57 @@ class TestBuildTriple:
             assert fam.triple(k) is fam.triple(k)
         assert build_triple(3) is build_triple(3)
 
-    def test_shared_cache_consistency(self):
-        fam = shared_family()
-        fam.ensure(8)
-        assert fam.triple(8).U == compute_U(8, compute_A_family(8))
-
 
 class TestIncrementalFamily:
-    def test_ensure_extends_to_the_scratch_build(self, monkeypatch):
-        builds = []
-        original = recurrences.compute_A_family
-
-        def spy(kmax, start=None):
-            builds.append((kmax, len(start)))
-            return original(kmax, start)
-
-        monkeypatch.setattr(recurrences, "compute_A_family", spy)
-        fam = TripleFamily()
-        fam.ensure(3)
-        fam.ensure(8)
-        fam.ensure(5)
-        assert [fam.A(k) for k in range(9)] == original(8)
-        # each call builds only the missing A_k: A_1..A_3, then A_4..A_8
-        assert builds == [(3, 1), (8, 4)]
-
     def test_triples_and_sequences_build_only_what_they_read(self, monkeypatch):
-        builds = []
-        original = recurrences.compute_A_family
+        solved = []
+        original = recurrences.solve_triple
 
-        def spy(kmax, start=None):
-            builds.append(kmax)
-            return original(kmax, start)
+        def spy(k):
+            solved.append(k)
+            return original(k)
 
-        monkeypatch.setattr(recurrences, "compute_A_family", spy)
+        monkeypatch.setattr(recurrences, "solve_triple", spy)
         monkeypatch.setattr(recurrences, "_shared", TripleFamily())
-        # U_k, V_k and A_{k-1} for k <= 6 need A_0..A_5 only
+        # each k is solved once, and the sequences then read the memo
         assert main(["--format", "machine", "triples", "--kmax", "6"]) == 0
-        monkeypatch.setattr(recurrences, "_shared", TripleFamily())
+        assert solved == [1, 2, 3, 4, 5, 6]
         paper_sequences(6)
-        assert builds == [5, 5]
+        assert solved == [1, 2, 3, 4, 5, 6]
 
-    def test_extending_a_prefix(self):
-        prefix = compute_A_family(3)
-        assert compute_A_family(8, prefix) == compute_A_family(8)
-        assert len(prefix) == 4
-        assert compute_A_family(2, prefix) == prefix[:3]
+
+class TestSolveTriple:
+    def test_triple_laws(self):
+        for k in range(1, 61):
+            t = solve_triple(k)
+            U, V, A = t.U, t.V, t.A
+            assert (U.degree, V.degree, A.degree_x) == (k, k - 1, k - 1), k
+            assert U.coeff(0) == V.coeff(0) == -1, k
+            assert U.leading() == (-1) ** (k + 1), k
+            assert V.leading() == (-1) ** k * k, k
+            # layer l of A_{k-1} is monic of degree l in n; layer 0 is 1
+            assert A.layer(0) == n_poly([1]), k
+            for l in range(k):
+                lay = A.layer(l)
+                assert lay.degree == l and lay.leading() == 1, (k, l)
+
+    def test_telescoping_equation(self):
+        # (n+1) x A(n+1; x) - A(n; x) - n^k x^k = U_k(x), as polynomials in x
+        for k in range(1, 61):
+            t = solve_triple(k)
+            for n in range(k + 2):
+                step = t.A.eval_n(n + 1).scale(n + 1).shift(1) - t.A.eval_n(n)
+                assert step - Poly.monomial(k, n**k) == t.U, (k, n)
+
+    def test_matches_the_oracle_routes(self):
+        kmax = 30
+        family = compute_A_family(kmax - 1)
+        us, vs = compute_U_by_recurrence(kmax), compute_V_by_recurrence(kmax)
+        for k in range(1, kmax + 1):
+            t = solve_triple(k)
+            assert t.A == family[k - 1], k
+            assert t.U == compute_U(k, family) == us[k - 1], k
+            assert t.V == compute_V(k, family) == vs[k - 1], k
 
 
 def test_compute_A_family_base_case():

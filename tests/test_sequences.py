@@ -6,17 +6,19 @@ import pytest
 import padicsum.sequences as sequences
 from padicsum import (
     Prime,
-    bell_numbers,
     binomial,
     compute_A_family,
-    compute_U_by_recurrence,
-    compute_V_by_recurrence,
     is_prime,
     kurepa_digit,
     kurepa_digit_scan,
     kurepa_gcd_scan,
-    left_factorial,
     paper_sequences,
+)
+from oracles import (
+    bell_numbers,
+    compute_U_by_recurrence,
+    compute_V_by_recurrence,
+    left_factorial,
 )
 
 
