@@ -257,12 +257,17 @@ def cmd_bernoulli(args, machine: bool) -> int:
 
 
 def cmd_kurepa(args, machine: bool) -> int:
-    if args.gcd_max is None and args.digit_max is None:
+    bounds = {"--gcd-max": (args.gcd_max, 2), "--digit-max": (args.digit_max, 3)}
+    if all(bound is None for bound, _ in bounds.values()):
         raise ValueError("need --gcd-max and/or --digit-max")
+    for flag, (bound, least) in bounds.items():
+        if bound is not None and bound < least:
+            raise ValueError(f"{flag} must be >= {least}")
     em = Emitter("kurepa", machine)
-    code = EXIT_OK
+    all_ok = True
     if args.gcd_max is not None:
         report = kurepa_gcd_scan(args.gcd_max)
+        all_ok = all_ok and report.ok
         em.emit(
             {"gcd_max": args.gcd_max},
             {
@@ -273,10 +278,9 @@ def cmd_kurepa(args, machine: bool) -> int:
             f"gcd(!n, n!) = 2 verified for 2 <= n <= {report.gcd_ok_up_to}"
             + ("" if report.ok else f"; FAILURE at n = {report.first_failure}"),
         )
-        if not report.ok:
-            code = EXIT_FAIL
     if args.digit_max is not None:
         report = kurepa_digit_scan(args.digit_max)
+        all_ok = all_ok and report.ok
         em.emit(
             {"digit_max": args.digit_max},
             {
@@ -288,9 +292,7 @@ def cmd_kurepa(args, machine: bool) -> int:
             f"<= {args.digit_max}"
             + ("" if report.ok else f"; FAILURE at p = {report.first_failure}"),
         )
-        if not report.ok:
-            code = EXIT_FAIL
-    return code
+    return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def cmd_sequences(args, machine: bool) -> int:

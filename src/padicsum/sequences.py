@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from .padic import Prime, is_prime
 from .recurrences import build_triple
-from .summation import factorial_series
 
 
 @dataclass(frozen=True)
@@ -30,19 +28,50 @@ class KurepaReport:
         return self.first_failure is None
 
 
+def kurepa_digits(primes: list[int]) -> list[int]:
+    """!p mod p for each p of an ascending list of primes, in one pass.
+
+    (!n, n!) advances by [[1, 1], [0, n+1]]; a span's product [[1, b], [0, d]]
+    is carried as (b, d).  walk() takes (!n, n!) at n = primes[lo - 1] (n = 0 at
+    lo = 0) down a remainder tree (Costa, Gerbicz, Harvey 2014) depth first."""
+    digits = [0] * len(primes)
+
+    def walk(lo: int, hi: int, lf: int, fact: int) -> tuple[int, int]:
+        m = math.prod(primes[lo:hi])
+        lf, fact = lf % m, fact % m
+        if hi - lo == 1:
+            b, d = 0, 1
+            for n in range(primes[lo - 1] if lo else 0, m):
+                b, d = b + d, d * (n + 1)
+            digits[lo] = (lf + b * fact) % m
+            return b, d
+        mid = (lo + hi) // 2
+        bl, dl = walk(lo, mid, lf, fact)
+        br, dr = walk(mid, hi, lf + bl * fact, dl * fact)
+        return bl + br * dl, dl * dr
+
+    if primes:
+        walk(0, len(primes), 0, 1)
+    return digits
+
+
+def _zero_digit_scan(bound: int) -> tuple[int, int | None]:
+    """(odd primes checked, the first odd prime p <= bound with !p = 0 mod p)"""
+    primes = [q for q in range(3, bound + 1, 2) if is_prime(q)]
+    digits = kurepa_digits(primes)
+    if 0 not in digits:
+        return len(primes), None
+    return digits.index(0) + 1, primes[digits.index(0)]
+
+
 def kurepa_gcd_scan(nmax: int) -> KurepaReport:
-    """Check gcd(!n, n!) = 2 for 2 <= n <= nmax, with incremental !n and n!."""
+    """Check gcd(!n, n!) = 2 for 2 <= n <= nmax.  The first failure is the
+    least odd prime p with !p = 0 (mod p): !n = !p (mod p) for n >= p, p does
+    not divide n! for n < p, and !n = 2 (mod 4) for n >= 4."""
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
-    first_failure = None
-    ok_up_to = 1
-    # (n, n!, !n) for n = 2..nmax
-    for n, fact, lf in islice(factorial_series(lambda j: 1), 1, nmax):
-        if math.gcd(lf, fact) != 2:
-            first_failure = n
-            break
-        ok_up_to = n
-    return KurepaReport(nmax, ok_up_to, 0, first_failure)
+    _, p = _zero_digit_scan(nmax)
+    return KurepaReport(nmax, nmax if p is None else p - 1, 0, p)
 
 
 def kurepa_digit(p: Prime) -> int:
@@ -58,19 +87,10 @@ def kurepa_digit(p: Prime) -> int:
 
 
 def kurepa_digit_scan(pmax: int) -> KurepaReport:
-    """Check kurepa_digit(p) != 0 for all odd primes p <= pmax."""
+    """Check !p != 0 (mod p), the 0th digit, for all odd primes p <= pmax."""
     if pmax < 3:
         raise ValueError("pmax must be >= 3")
-    checked = 0
-    first_failure = None
-    for q in range(3, pmax + 1, 2):
-        if not is_prime(q):
-            continue
-        checked += 1
-        if kurepa_digit(Prime(q)) == 0:
-            first_failure = q
-            break
-    return KurepaReport(pmax, 0, checked, first_failure)
+    return KurepaReport(pmax, 0, *_zero_digit_scan(pmax))
 
 
 def paper_sequences(kmax: int) -> dict[str, list[int]]:

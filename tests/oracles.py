@@ -1,13 +1,22 @@
 """Slow reference routes that the tests hold the library to.
 
 They take paths the library does not: U_k and V_k from the whole A-family
-or from their own recurrences, Bell numbers from their recurrence, and left
-factorials as one factorial-series sum each.
+or from their own recurrences, Bell numbers from their recurrence, left
+factorials as one factorial-series sum each, and the Kurepa gcd scan from
+bigint gcds of !n and n!.
 """
 
+import math
 from itertools import islice
 
-from padicsum import BivarPoly, Poly, binomial, factorial_series, int_poly
+from padicsum import (
+    BivarPoly,
+    KurepaReport,
+    Poly,
+    binomial,
+    factorial_series,
+    int_poly,
+)
 
 
 def compute_U(k: int, A: list[BivarPoly]) -> Poly:
@@ -76,3 +85,18 @@ def left_factorial(n: int) -> int:
         return 0
     _, _, total = next(islice(factorial_series(lambda j: 1), n - 1, None))
     return total
+
+
+def kurepa_gcd_scan_bigint(nmax: int) -> KurepaReport:
+    """Check gcd(!n, n!) = 2 for 2 <= n <= nmax, with incremental !n and n!."""
+    if nmax < 2:
+        raise ValueError("nmax must be >= 2")
+    first_failure = None
+    ok_up_to = 1
+    # (n, n!, !n) for n = 2..nmax
+    for n, fact, lf in islice(factorial_series(lambda j: 1), 1, nmax):
+        if math.gcd(lf, fact) != 2:
+            first_failure = n
+            break
+        ok_up_to = n
+    return KurepaReport(nmax, ok_up_to, 0, first_failure)

@@ -21,6 +21,7 @@ from padicsum import (
     compute_A_family,
     factorial_norm_exponent,
     family_residual,
+    Poly,
     int_poly,
     invariant_sum,
     kurepa_digit_scan,
@@ -62,12 +63,16 @@ def test_criterion_1_table_reproduction(family):
     comparisons = 0
     ok = True
     for k in range(1, 7):
-        ok &= compute_U(k, family) == int_poly(U_TABLE[k])
-        ok &= compute_V(k, family) == int_poly(V_TABLE[k])
-        ok &= family[k - 1] == as_bivar(A_TABLE[k - 1])
-        comparisons += 3
+        t = build_triple(k)
+        # the oracle route, then the library's route
+        for U, V, A in ((compute_U(k, family), compute_V(k, family), family[k - 1]),
+                        (t.U, t.V, t.A)):
+            ok &= U == int_poly(U_TABLE[k])
+            ok &= V == int_poly(V_TABLE[k])
+            ok &= A == as_bivar(A_TABLE[k - 1])
+            comparisons += 3
     elapsed = time.monotonic() - start
-    ok &= comparisons == 18 and elapsed < 1.0
+    ok &= comparisons == 36 and elapsed < 1.0
     report("1. table reproduction k=1..6", ok, f"{comparisons} comparisons, {elapsed:.3f}s")
 
 
@@ -79,6 +84,9 @@ def test_criterion_2_oracle_equivalence(family):
         us[k - 1] == compute_U(k, family) and vs[k - 1] == compute_V(k, family)
         for k in range(1, KMAX + 1)
     )
+    for k in range(1, KMAX + 1):
+        t = build_triple(k)
+        ok &= (t.U, t.V, t.A) == (us[k - 1], vs[k - 1], family[k - 1])
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
     report("2. oracle equivalence k<=25", ok, f"{elapsed:.3f}s")
@@ -86,6 +94,14 @@ def test_criterion_2_oracle_equivalence(family):
 
 def test_criterion_3_back_substitution(family):
     ok = all(family_residual(family, k).is_zero for k in range(1, KMAX + 1))
+    # the library's triple in its telescoping equation
+    # (n+1) x A(n+1; x) - A(n; x) = n^k x^k + U_k(x): both sides have degree
+    # k in n, so agreeing as polynomials in x at n = 0..k makes them equal
+    for k in range(1, KMAX + 1):
+        t = build_triple(k)
+        for n in range(k + 1):
+            step = t.A.eval_n(n + 1).scale(n + 1).shift(1) - t.A.eval_n(n)
+            ok &= step == Poly.monomial(k, n**k) + t.U
     report("3. symbolic back-substitution k<=25", ok)
 
 
@@ -121,6 +137,12 @@ def test_criterion_5_structural_bullets(family):
         ok &= U.coeff(k) == (-1) ** (k + 1)
         # V_k has degree k-1; its leading coefficient carries the (-1)^k k law
         ok &= V.leading() == (-1) ** k * k
+        # the same laws on the library's route, whose A is A_{k-1}
+        t = build_triple(k)
+        ok &= t.A.layer(0) == n_poly([1]) and t.A.layer(k - 1)(1) == (-1) ** (k - 1)
+        ok &= t.U.coeff(0) == -1 and t.V.coeff(0) == -1
+        ok &= t.U.coeff(k) == (-1) ** (k + 1)
+        ok &= t.V.degree == k - 1 and t.V.leading() == (-1) ** k * k
     report("5. structural bullets k<=25", ok)
 
 

@@ -286,6 +286,22 @@ class TestKurepa:
         code, _ = run(capsys, "kurepa")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--gcd-max", "10", "--digit-max", "2"], "--digit-max must be >= 3"),
+            (["--gcd-max", "1", "--digit-max", "100"], "--gcd-max must be >= 2"),
+            (["--gcd-max", "1"], "--gcd-max must be >= 2"),
+            (["--digit-max", "-5"], "--digit-max must be >= 3"),
+        ],
+    )
+    def test_bad_bound_is_usage_error_before_any_scan(self, capsys, argv, flag):
+        code = main(["--format", "machine", "kurepa", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag}\n"
+
 
 class TestSequences:
     def test_lists(self, capsys):

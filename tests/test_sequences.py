@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import oracles
 import padicsum.sequences as sequences
 from padicsum import (
     Prime,
@@ -18,6 +19,7 @@ from oracles import (
     bell_numbers,
     compute_U_by_recurrence,
     compute_V_by_recurrence,
+    kurepa_gcd_scan_bigint,
     left_factorial,
 )
 
@@ -57,8 +59,8 @@ class TestKurepaGcd:
                 forced = fail_at and b == math.factorial(fail_at)
                 return 4 if forced else math.gcd(a, b)
 
-            monkeypatch.setattr(sequences, "math", SimpleNamespace(gcd=gcd))
-            return kurepa_gcd_scan(30), seen
+            monkeypatch.setattr(oracles, "math", SimpleNamespace(gcd=gcd))
+            return kurepa_gcd_scan_bigint(30), seen
 
         def pairs(m):
             return [(left_factorial(n), math.factorial(n)) for n in range(2, m + 1)]
@@ -69,6 +71,10 @@ class TestKurepaGcd:
         report, seen = scan(fail_at=17)
         assert seen == pairs(17)
         assert report.first_failure == 17 and report.gcd_ok_up_to == 16
+
+    def test_scan_matches_the_bigint_oracle(self):
+        for n in [*range(2, 301), 2000]:
+            assert kurepa_gcd_scan(n) == kurepa_gcd_scan_bigint(n), n
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
@@ -87,6 +93,27 @@ class TestKurepaDigit:
             base = kurepa_digit(Prime(q))
             extended = sum(math.factorial(j) for j in range(q + 10)) % q
             assert base == extended
+
+    def test_tree_matches_the_one_prime_digit(self):
+        odd_primes = [q for q in range(3, 2000, 2) if is_prime(q)]
+        for primes in (odd_primes, [], [3], [3, 5], [7919]):
+            want = [kurepa_digit(Prime(q)) for q in primes]
+            assert sequences.kurepa_digits(primes) == want
+
+    def test_forced_failure_at_17(self, monkeypatch):
+        tree = sequences.kurepa_digits
+
+        def forced(primes):
+            # the true digits, except a zero at p = 17
+            digits = tree(primes)
+            assert digits == [kurepa_digit(Prime(q)) for q in primes]
+            return [0 if q == 17 else d for q, d in zip(primes, digits)]
+
+        monkeypatch.setattr(sequences, "kurepa_digits", forced)
+        report = kurepa_gcd_scan(100)
+        assert report.first_failure == 17 and report.gcd_ok_up_to == 16
+        report = kurepa_digit_scan(100)
+        assert report.first_failure == 17 and report.digit_checked_primes == 6
 
     def test_digit_scan(self):
         report = kurepa_digit_scan(500)
