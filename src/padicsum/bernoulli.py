@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import islice
+from math import factorial
 
 from .padic import Prime, factorial_norm_exponent
 from .poly import Poly, binomial
@@ -26,15 +27,20 @@ def work_limit() -> int:
 
 
 def bernoulli_numbers(nmax: int) -> tuple[Fraction, ...]:
-    """B_0..B_nmax via the defining recurrence sum_{j<n} C(n,j) B_j = 0;
-    index n holds B_n."""
+    """B_0..B_nmax (index n holds B_n) from the tangent numbers T_1..T_h,
+    h = nmax // 2, built in place in integers (Brent and Harvey, "Fast
+    computation of Bernoulli, tangent and secant numbers", 2013), then
+    B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); odd B_n vanish for n >= 3."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    B = [Fraction(1)]
-    for m in range(1, nmax + 1):
-        # isolate B_m in sum_{j=0}^{m} C(m+1, j) B_j = 0
-        acc = sum(binomial(m + 1, j) * B[j] for j in range(m))
-        B.append(Fraction(-acc, m + 1))
+    h = nmax // 2
+    T = [0] + [factorial(k) for k in range(h)]  # T[k] = (k-1)! before the sweeps
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    B = [Fraction(1), Fraction(-1, 2)][: nmax + 1] + [Fraction(0)] * (nmax - 1)
+    for m in range(1, h + 1):
+        B[2 * m] = Fraction((-1) ** (m - 1) * 2 * m * T[m], 4**m * (4**m - 1))
     return tuple(B)
 
 

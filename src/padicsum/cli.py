@@ -76,6 +76,14 @@ def parse_set(text: str, kind=int) -> list:
     return out
 
 
+def require_at_least(bounds: dict) -> None:
+    """Usage error for the first flag whose value is below its least; bounds
+    maps each flag to (value, least), with value None when not given."""
+    for flag, (value, least) in bounds.items():
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be >= {least}")
+
+
 class Emitter:
     def __init__(self, command: str, machine: bool):
         self.command = command
@@ -95,8 +103,7 @@ class Emitter:
 
 
 def cmd_triples(args, machine: bool) -> int:
-    if args.kmax < 1:
-        raise ValueError("--kmax must be >= 1")
+    require_at_least({"--kmax": (args.kmax, 1)})
     em = Emitter("triples", machine)
     for k in range(1, args.kmax + 1):
         trip = build_triple(k)
@@ -116,10 +123,7 @@ def cmd_verify(args, machine: bool) -> int:
     ks = sorted(parse_set(args.k))
     xs = parse_set(args.x_set, Fraction)
     primes = [Prime(p) for p in parse_set(args.p_list)] if args.p_list else []
-    if ks[0] < 1:
-        raise ValueError("k must be >= 1")
-    if args.n_max < 1:
-        raise ValueError("--n-max must be >= 1")
+    require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     all_ok = True
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order
@@ -215,6 +219,9 @@ def cmd_padic(args, machine: bool) -> int:
 
 
 def cmd_bernoulli(args, machine: bool) -> int:
+    p_raw, m = args.level or (None, None)
+    require_at_least({"--nmax": (args.nmax, 0), "--identity": (args.identity, 1),
+                      "--N": (args.N, 1), "--level M": (m, 1)})
     em = Emitter("bernoulli", machine)
     if args.identity is not None:
         if args.N is None:
@@ -231,7 +238,6 @@ def cmd_bernoulli(args, machine: bool) -> int:
         )
         return EXIT_OK if ok else EXIT_FAIL
     if args.level:
-        p_raw, m = args.level
         p = Prime(p_raw)
         coeffs = parse_set(args.poly) if args.poly else [0, 1]
         P = int_poly(coeffs)
@@ -245,13 +251,12 @@ def cmd_bernoulli(args, machine: bool) -> int:
         return EXIT_OK
     if args.nmax is None:
         raise ValueError("one of --nmax, --identity, --level required")
-    table = bernoulli_numbers(args.nmax)
-    for n in range(args.nmax + 1):
+    for n, b in enumerate(bernoulli_numbers(args.nmax)):
         em.emit(
             {"n": n},
-            {"numerator": table[n].numerator, "denominator": table[n].denominator},
+            {"numerator": b.numerator, "denominator": b.denominator},
             True,
-            f"B_{n} = {fmt_q(table[n])}",
+            f"B_{n} = {fmt_q(b)}",
         )
     return EXIT_OK
 
@@ -260,9 +265,7 @@ def cmd_kurepa(args, machine: bool) -> int:
     bounds = {"--gcd-max": (args.gcd_max, 2), "--digit-max": (args.digit_max, 3)}
     if all(bound is None for bound, _ in bounds.values()):
         raise ValueError("need --gcd-max and/or --digit-max")
-    for flag, (bound, least) in bounds.items():
-        if bound is not None and bound < least:
-            raise ValueError(f"{flag} must be >= {least}")
+    require_at_least(bounds)
     em = Emitter("kurepa", machine)
     all_ok = True
     if args.gcd_max is not None:
@@ -296,8 +299,7 @@ def cmd_kurepa(args, machine: bool) -> int:
 
 
 def cmd_sequences(args, machine: bool) -> int:
-    if args.kmax < 1:
-        raise ValueError("--kmax must be >= 1")
+    require_at_least({"--kmax": (args.kmax, 1)})
     em = Emitter("sequences", machine)
     seqs = paper_sequences(args.kmax)
     labels = {
@@ -381,11 +383,18 @@ def main(argv: list[str] | None = None) -> int:
         "kurepa": cmd_kurepa,
         "sequences": cmd_sequences,
     }
+    # exact output prints integers of any length, past CPython's cap on
+    # decimal conversion (from 3.10.7; B_n passes it at n = 2064)
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_cap(0)
     try:
         return handlers[args.cmd](args, machine)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_cap(cap)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,13 @@
 
 They take paths the library does not: U_k and V_k from the whole A-family
 or from their own recurrences, Bell numbers from their recurrence, left
-factorials as one factorial-series sum each, and the Kurepa gcd scan from
-bigint gcds of !n and n!.
+factorials as one factorial-series sum each, the Kurepa gcd scan from
+bigint gcds of !n and n!, and Bernoulli numbers from their defining
+recurrence.
 """
 
 import math
+from fractions import Fraction
 from itertools import islice
 
 from padicsum import (
@@ -100,3 +102,16 @@ def kurepa_gcd_scan_bigint(nmax: int) -> KurepaReport:
             break
         ok_up_to = n
     return KurepaReport(nmax, ok_up_to, 0, first_failure)
+
+
+def bernoulli_by_recurrence(nmax: int) -> tuple[Fraction, ...]:
+    """B_0..B_nmax via the defining recurrence sum_{j<n} C(n,j) B_j = 0;
+    index n holds B_n."""
+    if nmax < 0:
+        raise ValueError("nmax must be nonnegative")
+    B = [Fraction(1)]
+    for m in range(1, nmax + 1):
+        # isolate B_m in sum_{j=0}^{m} C(m+1, j) B_j = 0
+        acc = sum(binomial(m + 1, j) * B[j] for j in range(m))
+        B.append(Fraction(-acc, m + 1))
+    return tuple(B)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import padicsum.bernoulli as bernoulli
 from padicsum import (
     Prime,
@@ -65,6 +66,30 @@ class TestBernoulliNumbers:
         # the defining recurrence starts at n = 2 (n = 1 would force B_0 = 0)
         for n in range(2, 62):
             assert sum(binomial(n, j) * TABLE[j] for j in range(n)) == 0
+
+    def test_matches_recurrence_oracle(self):
+        # the recurrence builds B_0..B_n in order, so each n reads a prefix
+        recurrence = oracles.bernoulli_by_recurrence(301)
+        for n in (0, 1, 2, 3, 4, 41, 300, 301):
+            assert bernoulli_numbers(n) == recurrence[: n + 1], n
+
+    def test_length(self):
+        for n in range(6):
+            assert len(bernoulli_numbers(n)) == n + 1
+
+    def test_von_staudt_clausen(self):
+        # B_n + sum of 1/p over the primes p with (p - 1) | n is an integer
+        table = bernoulli_numbers(600)
+        primes = [p for p in range(2, 602) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for n in range(2, 601, 2):
+            frac = table[n] + sum(Fraction(1, p) for p in primes if n % (p - 1) == 0)
+            assert frac.denominator == 1, n
+
+    def test_signs_and_odd_zeros(self):
+        table = bernoulli_numbers(601)
+        for m in range(1, 301):
+            assert (-1) ** (m - 1) * table[2 * m] > 0, m
+        assert all(table[n] == 0 for n in range(3, 602, 2))
 
     def test_padic_norm_bound(self):
         # |B_n|_p <= p, i.e. v_p(B_n) >= -1

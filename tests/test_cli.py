@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 import padicsum.cli as cli
-from padicsum import Prime, truncated_padic_sum, verify_identity
+from padicsum import Prime, bernoulli_numbers, truncated_padic_sum, verify_identity
 from padicsum.cli import fmt_exp, fmt_q, main, parse_set
 
 
@@ -175,7 +176,7 @@ class TestVerify:
             (("--k", "1", "--n-max", "3", "--x-set=2..1"), "empty range '2..1'"),
             (("--k", "1", "--n-max", "0", "--x-set", "1"), "--n-max must be >= 1"),
             (("--k", "1..2..3", "--n-max", "3", "--x-set", "1"), "malformed range '1..2..3'"),
-            (("--k", "0..2", "--n-max", "3", "--x-set", "1"), "k must be >= 1"),
+            (("--k", "0..2", "--n-max", "3", "--x-set", "1"), "--k must be >= 1"),
         ],
     )
     def test_range_errors_are_usage_errors(self, capsys, flags, message):
@@ -262,13 +263,46 @@ class TestBernoulli:
         rec = machine_records(out)[0]
         assert rec["result"]["value"] == 12  # (25 - 1)/2
 
-    @pytest.mark.parametrize("k, N", [("2", "-5"), ("0", "3")])
-    def test_bad_identity_is_usage_error(self, capsys, k, N):
+    @pytest.mark.parametrize(
+        "k, N, flag", [("2", "-5", "--N"), ("0", "3", "--identity")], ids=["2--5", "0-3"]
+    )
+    def test_bad_identity_is_usage_error(self, capsys, k, N, flag):
         code = main(["bernoulli", "--identity", k, "--N", N])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: k and N must be >= 1\n"
+        assert captured.err == f"error: {flag} must be >= 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--nmax", "-1"], "--nmax must be >= 0"),
+            (["--level", "3", "0"], "--level M must be >= 1"),
+        ],
+    )
+    def test_bad_bound_is_usage_error_before_any_work(self, capsys, argv, message):
+        code = main(["--format", "machine", "bernoulli", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap"
+    )
+    def test_table_past_the_int_digit_cap(self, capsys):
+        # CPython caps int <-> decimal str conversion; B_450's numerator has
+        # 649 digits, past the least cap of 640, and still prints exactly
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["--format", "machine", "bernoulli", "--nmax", "450"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert code == 0
+        last = machine_records(capsys.readouterr().out)[-1]["result"]
+        assert Fraction(last["numerator"], last["denominator"]) == bernoulli_numbers(450)[450]
 
 
 class TestKurepa:
