@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .bernoulli import (
@@ -36,13 +37,14 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# json.dumps with its defaults, without the per-call argument checks
+encode_json = json.JSONEncoder().encode
 
-def fmt_q(q) -> int | str:
+
+def fmt_q(q: Fraction | int) -> int | str:
     """Exact rendering: plain int or 'num/den'."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
     if q.denominator == 1:
-        return int(q)
+        return q.numerator
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -89,7 +91,8 @@ class Emitter:
         self.command = command
         self.machine = machine
 
-    def emit(self, params: dict, result: dict, ok: bool, human: str) -> None:
+    def emit(self, params: dict, result: dict, ok: bool, human: Callable[[], str]) -> None:
+        """One JSON line in machine mode, else the line `human()` builds, called here."""
         if self.machine:
             record = {
                 "command": self.command,
@@ -97,9 +100,9 @@ class Emitter:
                 "result": result,
                 "ok": ok,
             }
-            print(json.dumps(record))
+            print(encode_json(record))
         else:
-            print(human)
+            print(human())
 
 
 def cmd_triples(args, machine: bool) -> int:
@@ -113,15 +116,18 @@ def cmd_triples(args, machine: bool) -> int:
             "V": [int(c) for c in trip.V.coeffs],
             "A": [[int(c) for c in layer.coeffs] for layer in trip.A.layers],
         }
-        human = f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}"
-        em.emit({"k": k}, result, True, human)
+        em.emit({"k": k}, result, True,
+                lambda: f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}")
     return EXIT_OK
 
 
 def cmd_verify(args, machine: bool) -> int:
     em = Emitter("verify", machine)
     ks = sorted(parse_set(args.k))
-    xs = parse_set(args.x_set, Fraction)
+    try:
+        xs = parse_set(args.x_set, Fraction)
+    except ZeroDivisionError:
+        raise ValueError(f"--x-set has a zero denominator: {args.x_set!r}") from None
     primes = [Prime(p) for p in parse_set(args.p_list)] if args.p_list else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     all_ok = True
@@ -137,7 +143,7 @@ def cmd_verify(args, machine: bool) -> int:
                     params,
                     {"lhs": lhs, "rhs": rhs, "tail": fmt_q(check.tail)},
                     ok,
-                    f"identity k={k} N={N} x={xq}: lhs={lhs} rhs={rhs} "
+                    lambda: f"identity k={k} N={N} x={xq}: lhs={lhs} rhs={rhs} "
                     f"{'ok' if ok else 'FAIL'}",
                 )
                 for p in primes:
@@ -147,7 +153,7 @@ def cmd_verify(args, machine: bool) -> int:
                             params_p,
                             {"rejected": True, "reason": f"x not in Z_{int(p)}"},
                             True,
-                            f"certificate k={k} N={N} x={xq} p={int(p)}: "
+                            lambda: f"certificate k={k} N={N} x={xq} p={int(p)}: "
                             f"rejected (x not in Z_{int(p)})",
                         )
                         continue
@@ -169,7 +175,7 @@ def cmd_verify(args, machine: bool) -> int:
                         params_p,
                         result_p,
                         cert_ok,
-                        f"certificate k={k} N={N} x={xq} p={int(p)}: "
+                        lambda: f"certificate k={k} N={N} x={xq} p={int(p)}: "
                         f"partial={partial} target={target} achieved={achieved} "
                         f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}",
                     )
@@ -177,6 +183,7 @@ def cmd_verify(args, machine: bool) -> int:
 
 
 def cmd_sum(args, machine: bool) -> int:
+    require_at_least({"--k": (args.k, 1)})
     em = Emitter("sum", machine)
     x = Fraction(args.x)
     if x.denominator != 1:
@@ -193,11 +200,12 @@ def cmd_sum(args, machine: bool) -> int:
     else:
         value = invariant_sum(args.k, int(x))
         params = {"k": args.k, "x": fmt_q(x)}
-    em.emit(params, {"sum": fmt_q(value)}, True, f"sum = {fmt_q(value)}")
+    em.emit(params, {"sum": fmt_q(value)}, True, lambda: f"sum = {fmt_q(value)}")
     return EXIT_OK
 
 
 def cmd_padic(args, machine: bool) -> int:
+    require_at_least({"--digits": (args.digits, 1)})
     em = Emitter("padic", machine)
     q = Fraction(args.value)
     p = Prime(args.p)
@@ -213,7 +221,7 @@ def cmd_padic(args, machine: bool) -> int:
         {"value": fmt_q(q), "p": int(p), "digits": args.digits},
         result,
         True,
-        f"{fmt_q(q)} = {exp}{note}",
+        lambda: f"{fmt_q(q)} = {exp}{note}",
     )
     return EXIT_OK
 
@@ -233,7 +241,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
             {"k": k, "N": N},
             {"lhs": fmt_q(lhs), "rhs": fmt_q(rhs)},
             ok,
-            f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} rhs={fmt_q(rhs)} "
+            lambda: f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} rhs={fmt_q(rhs)} "
             f"{'ok' if ok else 'FAIL'}",
         )
         return EXIT_OK if ok else EXIT_FAIL
@@ -246,7 +254,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
             {"p": int(p), "m": m, "poly": coeffs},
             {"value": fmt_q(value)},
             True,
-            f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}",
+            lambda: f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}",
         )
         return EXIT_OK
     if args.nmax is None:
@@ -256,7 +264,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
             {"n": n},
             {"numerator": b.numerator, "denominator": b.denominator},
             True,
-            f"B_{n} = {fmt_q(b)}",
+            lambda: f"B_{n} = {fmt_q(b)}",
         )
     return EXIT_OK
 
@@ -278,7 +286,7 @@ def cmd_kurepa(args, machine: bool) -> int:
                 "first_failure": report.first_failure,
             },
             report.ok,
-            f"gcd(!n, n!) = 2 verified for 2 <= n <= {report.gcd_ok_up_to}"
+            lambda: f"gcd(!n, n!) = 2 verified for 2 <= n <= {report.gcd_ok_up_to}"
             + ("" if report.ok else f"; FAILURE at n = {report.first_failure}"),
         )
     if args.digit_max is not None:
@@ -291,7 +299,7 @@ def cmd_kurepa(args, machine: bool) -> int:
                 "first_failure": report.first_failure,
             },
             report.ok,
-            f"0th digit nonzero for all {report.digit_checked_primes} odd primes "
+            lambda: f"0th digit nonzero for all {report.digit_checked_primes} odd primes "
             f"<= {args.digit_max}"
             + ("" if report.ok else f"; FAILURE at p = {report.first_failure}"),
         )
@@ -313,7 +321,7 @@ def cmd_sequences(args, machine: bool) -> int:
             {"kmax": args.kmax, "sequence": name},
             {"values": values},
             True,
-            f"{labels[name]}: {', '.join(str(v) for v in values)}",
+            lambda: f"{labels[name]}: {', '.join(str(v) for v in values)}",
         )
     return EXIT_OK
 

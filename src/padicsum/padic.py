@@ -136,7 +136,8 @@ def _int_valuation(n: int, pp: int) -> int:
 
 def vp(q: Fraction | int, p: Prime) -> ValExponent:
     """p-adic valuation of a rational; v_p(0) is infinite."""
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q == 0:
         return ValExponent.infinite()
     pp = int(p)

@@ -19,13 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 
-from .padic import (
-    Prime,
-    ValExponent,
-    factorial_norm_exponent,
-    padic_distance_exponent,
-    vp,
-)
+from .padic import Prime, ValExponent, factorial_norm_exponent, vp
 from .poly import Poly
 from .recurrences import build_triple
 
@@ -52,30 +46,33 @@ class SumCertificate:
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
     partial - target = tail holds exactly, and the p-adic distance from the
     partial sum to the target is at most p^(-bound_exponent).  The achieved
-    distance exponent is computed from partial - target, and `ok` checks
-    both from the certificate's own fields, so a forged one fails.
+    distance exponent and `ok` both read one difference partial - target,
+    computed from the certificate's own fields, so a forged one fails.
+    A field is an int where its value is integral and a Fraction otherwise.
     """
 
     k: int
     N: int
     x: Fraction
     p: Prime
-    partial: Fraction
-    target: Fraction
-    tail: Fraction
+    partial: Fraction | int
+    target: Fraction | int
+    tail: Fraction | int
     bound_exponent: int
+
+    @cached_property
+    def difference(self) -> Fraction | int:
+        """partial - target."""
+        return self.partial - self.target
 
     @cached_property
     def distance_exponent(self) -> ValExponent:
         """v_p(partial - target)."""
-        return padic_distance_exponent(self.partial, self.target, self.p)
+        return vp(self.difference, self.p)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.partial - self.target == self.tail
-            and self.distance_exponent >= self.bound_exponent
-        )
+        return self.difference == self.tail and self.distance_exponent >= self.bound_exponent
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,11 @@ class IdentityCheck:
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
+
+    @cached_property
+    def target(self) -> Fraction:
+        """rhs - tail = V_k(x), the p-adic sum for integer x in every Q_p."""
+        return self.rhs - self.tail
 
 
 def factorial_series(
@@ -155,7 +157,9 @@ def identity_checks(k: int, x: Fraction | int, n_max: int) -> Iterator[IdentityC
     for N, fa, L in islice(series, n_max):
         T = fa * Ab(N)
         R = Vb * bpow + T
-        yield IdentityCheck(k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
+        # integer x keeps D = 1, where Fraction(v) takes no gcd
+        exact = (Fraction(v, D) if D > 1 else Fraction(v) for v in (L, R, T))
+        yield IdentityCheck(k, N, x, *exact)
         bpow *= b
         D *= b
 
@@ -174,14 +178,15 @@ def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
     """The p-adic certificate read off an identity check at a nonzero integer x.
 
     The target rhs - tail = V_k(x) is the same in every Q_p, so `ok` fails
-    whenever lhs != rhs; only the two exponents depend on p.
+    whenever lhs != rhs; only the exponents depend on p.  Integral values are ints.
     """
     x, N = check.x, check.N
     if x.denominator != 1 or x == 0:
         raise ValueError("x must be a nonzero integer")
-    target = check.rhs - check.tail
     bound = factorial_norm_exponent(N, p) + N * vp(x, p).value
-    return SumCertificate(check.k, N, x, p, check.lhs, target, check.tail, bound)
+    fields = (check.lhs, check.target, check.tail)
+    partial, target, tail = (q.numerator if q.denominator == 1 else q for q in fields)
+    return SumCertificate(check.k, N, x, p, partial, target, tail, bound)
 
 
 def invariant_sum(k: int, x: int) -> Fraction:

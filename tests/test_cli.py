@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padicsum.cli as cli
 from padicsum import Prime, bernoulli_numbers, truncated_padic_sum, verify_identity
@@ -177,6 +182,8 @@ class TestVerify:
             (("--k", "1", "--n-max", "0", "--x-set", "1"), "--n-max must be >= 1"),
             (("--k", "1..2..3", "--n-max", "3", "--x-set", "1"), "malformed range '1..2..3'"),
             (("--k", "0..2", "--n-max", "3", "--x-set", "1"), "--k must be >= 1"),
+            (("--k", "1", "--n-max", "1", "--x-set=1/0"),
+             "--x-set has a zero denominator: '1/0'"),
         ],
     )
     def test_range_errors_are_usage_errors(self, capsys, flags, message):
@@ -205,6 +212,11 @@ class TestSum:
     def test_rejects_rational_x(self, capsys):
         code, _ = run(capsys, "sum", "--k", "1", "--x", "1/2")
         assert code == 2
+
+    def test_k_below_one_names_the_flag(self, capsys):
+        code = main(["sum", "--k", "0", "--x", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: --k must be >= 1\n")
 
 
 class TestPadic:
@@ -236,6 +248,11 @@ class TestPadic:
     def test_composite_p_is_usage_error(self, capsys):
         code, _ = run(capsys, "padic", "--value", "1", "--p", "4")
         assert code == 2
+
+    def test_digits_below_one_names_the_flag(self, capsys):
+        code = main(["padic", "--value", "1", "--p", "3", "--digits", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: --digits must be >= 1\n")
 
 
 class TestBernoulli:
@@ -348,6 +365,34 @@ class TestSequences:
         assert recs["neg_ubar"] == [2, 5, 15, 52, 203, 877]
 
 
+class TestHumanOutput:
+    # digests of human-mode stdout; the verify grid holds ok, rejected and
+    # x = 0 lines (192 in all)
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("verify", "--k", "1..3", "--n-max", "4", "--x-set=-2..2,3/2",
+              "--p-list", "2,3"),
+             "deda188ea2a623f57c7850bcfaf8be83d4fd0766537bd3dbe0411474ea974371"),
+            (("triples", "--kmax", "6"),
+             "654206528b2e41cd3d1beb5343b64c010d24af3a2b0dd819e383ee6ec1c5fe44"),
+            (("sequences", "--kmax", "6"),
+             "f4be2bbf9d3ca4e047d8b9dbd78319659834b2e9bb64d220b96242699638ce81"),
+            (("kurepa", "--gcd-max", "50", "--digit-max", "50"),
+             "e750788157fbe0f949e00321557deed2ae047e94b6ae036747340de276eeb996"),
+            (("bernoulli", "--nmax", "12"),
+             "65b47f717ba41b8ff30a1fefec07fad2dff49e01a5141c2aa713fd2f78da59ea"),
+        ],
+        ids=["verify", "triples", "sequences", "kurepa", "bernoulli"],
+    )
+    def test_pinned_digest(self, capsys, argv, digest):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if argv[0] == "verify":
+            assert out.count("\n") == 192
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -360,3 +405,63 @@ class TestUsageErrors:
         _, machine = run(capsys, "--format", "machine", "sum", "--k", "3", "--x", "-1")
         value = machine_records(machine)[0]["result"]["sum"]
         assert str(value) in human
+
+
+def flag(name, values):
+    """[name, value] with a value drawn from `values`, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+SMALL = st.integers(-2, 6)
+# every subcommand with small, bounded flag values, valid or not
+ARGV = st.one_of(
+    st.tuples(st.just(["triples"]), flag("--kmax", SMALL)),
+    st.tuples(
+        st.just(["verify"]),
+        flag("--k", st.sampled_from(["1", "0..2", "1..3", "3,1", "2..1", "x"])),
+        flag("--n-max", SMALL),
+        flag("--x-set", st.sampled_from(["1", "-2..2", "3/2,0", "1/0", "5..1", "y"])),
+        flag("--p-list", st.sampled_from(["2,3", "5", "4", "", "1..3"])),
+    ),
+    st.tuples(
+        st.just(["sum"]),
+        flag("--k", SMALL),
+        flag("--x", st.sampled_from(["1", "-2", "0", "1/2", "1/0", "z"])),
+        flag("--C", st.sampled_from(["1", "1,1", "2,-1,3", "a"])),
+    ),
+    st.tuples(
+        st.just(["padic"]),
+        flag("--value", st.sampled_from(["1", "-1", "0", "1/5", "-7/12", "1/0", "v"])),
+        flag("--p", st.integers(-1, 12)),
+        flag("--digits", SMALL),
+    ),
+    st.tuples(
+        st.just(["bernoulli"]),
+        flag("--nmax", st.integers(-1, 20)),
+        flag("--identity", SMALL),
+        flag("--N", SMALL),
+        st.one_of(st.just([]), st.tuples(st.integers(-1, 7), st.integers(-1, 3)).map(
+            lambda pm: ["--level", str(pm[0]), str(pm[1])])),
+        flag("--poly", st.sampled_from(["0,1", "1,0,2", "", "q"])),
+    ),
+    st.tuples(
+        st.just(["kurepa"]),
+        flag("--gcd-max", st.integers(-1, 60)),
+        flag("--digit-max", st.integers(-1, 60)),
+    ),
+    st.tuples(st.just(["sequences"]), flag("--kmax", SMALL)),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+@given(argv=ARGV, machine=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_main_fuzz(argv, machine):
+    argv = (["--format", "machine"] if machine else []) + argv
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if machine:
+        for line in out.getvalue().splitlines():
+            assert isinstance(json.loads(line), dict), argv

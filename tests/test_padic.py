@@ -118,6 +118,31 @@ class TestVp:
         assert vp(720, Prime(3)).value == factorial_norm_exponent(6, Prime(3))
 
     @given(
+        a=st.integers(-10**6, 10**6),
+        d=st.sampled_from([1, 4, 9, 25]),
+        pi=st.sampled_from([2, 3, 5, 7]),
+    )
+    @settings(max_examples=200)
+    def test_same_for_int_fraction_and_str(self, a, d, pi):
+        # an int or a Fraction is taken as it is, anything else through Fraction
+        p = Prime(pi)
+        q = Fraction(a, d)
+        forms = [q, str(q), -q, str(-q)]
+        if q.denominator == 1:
+            forms += [q.numerator, -q.numerator]
+        expect = vp(q, p)
+        assert all(vp(form, p) == expect for form in forms)
+        if q == 0:
+            assert not expect.finite
+        else:
+            v, num, den = 0, q.numerator, q.denominator
+            while num % pi == 0:
+                num, v = num // pi, v + 1
+            while den % pi == 0:
+                den, v = den // pi, v - 1
+            assert expect == v
+
+    @given(
         a=st.integers(-1000, 1000),
         b=st.integers(-1000, 1000),
         c=st.integers(1, 1000),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import padicsum
 from padicsum import (
+    IdentityCheck,
     Prime,
     SeriesSpec,
     SumCertificate,
@@ -278,6 +279,37 @@ class TestCertificates:
         assert not SumCertificate(
             1, 10, Fraction(1), Prime(5), good.partial, good.target, good.tail, 3
         ).ok
+
+    def test_forged_int_certificates_fail(self):
+        # the forgeries above with int fields, as certificate_from_check stores them
+        assert not SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99).ok
+        good = truncated_padic_sum(1, 1, Prime(5), 10)
+        assert (type(good.partial), type(good.target), type(good.tail)) == (int, int, int)
+        assert not dataclasses.replace(good, bound_exponent=3).ok
+        assert not dataclasses.replace(good, tail=good.tail + 5**3).ok
+        assert not dataclasses.replace(good, partial=good.partial + 5**3).ok
+
+    def test_from_check_keeps_a_denominator(self):
+        c = verify_identity(2, 5, 3)
+        forged = IdentityCheck(c.k, c.N, c.x, c.lhs + Fraction(1, 3), c.rhs, c.tail)
+        cert = certificate_from_check(forged, Prime(3))
+        assert cert.partial == c.lhs + Fraction(1, 3)
+        assert type(cert.partial) is Fraction and cert.partial.denominator == 3
+        assert cert.distance_exponent == -1
+        assert not cert.ok
+
+    def test_every_prime_shares_the_check_target(self):
+        for k in (1, 4):
+            for x in (-3, -1, 2):
+                for c in identity_checks(k, x, 10):
+                    assert type(c.lhs) is type(c.rhs) is type(c.tail) is Fraction
+                    for pi in (2, 3, 5, 7, 11):
+                        p = Prime(pi)
+                        cert = certificate_from_check(c, p)
+                        assert cert.target == c.rhs - c.tail == c.target
+                        assert type(cert.target) is type(cert.tail) is int
+                        assert cert.distance_exponent == vp(cert.tail, p)
+                        assert cert.ok
 
     def test_distance_is_computed_not_stored(self):
         # partial - target == tail == 1, so the distance exponent is v_5(1) = 0
