@@ -78,6 +78,14 @@ def parse_set(text: str, kind=int) -> list:
     return out
 
 
+def parse_exact(flag: str, text: str, parse: Callable = Fraction):
+    """`parse(text)`, with a zero denominator reported as a usage error of `flag`."""
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+
+
 def require_at_least(bounds: dict) -> None:
     """Usage error for the first flag whose value is below its least; bounds
     maps each flag to (value, least), with value None when not given."""
@@ -124,10 +132,7 @@ def cmd_triples(args, machine: bool) -> int:
 def cmd_verify(args, machine: bool) -> int:
     em = Emitter("verify", machine)
     ks = sorted(parse_set(args.k))
-    try:
-        xs = parse_set(args.x_set, Fraction)
-    except ZeroDivisionError:
-        raise ValueError(f"--x-set has a zero denominator: {args.x_set!r}") from None
+    xs = parse_exact("--x-set", args.x_set, lambda text: parse_set(text, Fraction))
     primes = [Prime(p) for p in parse_set(args.p_list)] if args.p_list else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     all_ok = True
@@ -185,7 +190,7 @@ def cmd_verify(args, machine: bool) -> int:
 def cmd_sum(args, machine: bool) -> int:
     require_at_least({"--k": (args.k, 1)})
     em = Emitter("sum", machine)
-    x = Fraction(args.x)
+    x = parse_exact("--x", args.x)
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
     if args.C:
@@ -207,7 +212,7 @@ def cmd_sum(args, machine: bool) -> int:
 def cmd_padic(args, machine: bool) -> int:
     require_at_least({"--digits": (args.digits, 1)})
     em = Emitter("padic", machine)
-    q = Fraction(args.value)
+    q = parse_exact("--value", args.value)
     p = Prime(args.p)
     exp = padic_expand(q, p, args.digits)
     v = vp(q, p)

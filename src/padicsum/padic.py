@@ -7,9 +7,46 @@ exact.  The valuation of 0 is represented by an explicit infinite value
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+
+
+class _Record:
+    """Base of the immutable value classes.
+
+    The fields are the parameters of the subclass's `__init__`, which stores
+    them in one `self.__dict__.update` call (the dict that `cached_property`
+    and `vars()` use too).  Equality, hash and repr go by the fields, and
+    assigning or deleting an attribute raises AttributeError.  These are
+    plain classes, not dataclasses: importing `dataclasses` (and with it
+    `inspect`) and generating its methods took a third of the time to
+    import the CLI.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def is_prime(n: int) -> bool:
@@ -45,31 +82,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+class Prime(_Record):
     """A verified prime p >= 2; construction of a composite raises."""
 
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.__dict__.update(p=p)
 
     def __int__(self) -> int:
         return self.p
 
 
 @total_ordering
-@dataclass(frozen=True)
-class ValExponent:
+class ValExponent(_Record):
     """A valuation exponent: a finite integer or +infinity (for v_p(0))."""
 
-    finite: bool
-    value: int = 0
-
-    def __post_init__(self):
-        if not self.finite and self.value != 0:
+    def __init__(self, finite: bool, value: int = 0):
+        if not finite and value != 0:
             raise ValueError("infinite exponent carries no value")
+        self.__dict__.update(finite=finite, value=value)
 
     @classmethod
     def of(cls, value: int) -> "ValExponent":
@@ -81,7 +113,7 @@ class ValExponent:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = ValExponent.of(other)
+            return self.finite and self.value == other
         if not isinstance(other, ValExponent):
             return NotImplemented
         return (self.finite, self.value if self.finite else 0) == (
@@ -91,12 +123,10 @@ class ValExponent:
 
     def __lt__(self, other) -> bool:
         if isinstance(other, int):
-            other = ValExponent.of(other)
-        if not self.finite:
-            return False
-        if not other.finite:
-            return True
-        return self.value < other.value
+            return self.finite and self.value < other
+        if not isinstance(other, ValExponent):
+            return NotImplemented
+        return self.finite and (not other.finite or self.value < other.value)
 
     def __hash__(self):
         return hash((self.finite, self.value))
@@ -154,26 +184,21 @@ def padic_distance_exponent(a: Fraction | int, b: Fraction | int, p: Prime) -> V
     return vp(Fraction(a) - Fraction(b), p)
 
 
-@dataclass(frozen=True)
-class PadicExpansion:
+class PadicExpansion(_Record):
     """Canonical truncated p-adic expansion: p^valuation * sum(digits[i] p^i).
 
     digits[0] is nonzero unless the value is 0; len(digits) == precision.
     """
 
-    p: Prime
-    valuation: int
-    digits: tuple[int, ...]
-    precision: int
-
-    def __post_init__(self):
-        pp = int(self.p)
-        if len(self.digits) != self.precision:
+    def __init__(self, p: Prime, valuation: int, digits: tuple[int, ...], precision: int):
+        pp = int(p)
+        if len(digits) != precision:
             raise ValueError("digit count must equal precision")
-        if any(d < 0 or d >= pp for d in self.digits):
+        if any(d < 0 or d >= pp for d in digits):
             raise ValueError("digits out of range")
-        if any(self.digits) and self.digits[0] == 0:
+        if any(digits) and digits[0] == 0:
             raise ValueError("not canonical: unit part must start with a nonzero digit")
+        self.__dict__.update(p=p, valuation=valuation, digits=digits, precision=precision)
 
     @property
     def is_zero(self) -> bool:

@@ -9,7 +9,8 @@ shape of the tail-polynomial family A_k(n; x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .padic import _Record
 
 
 def binomial(n: int, k: int) -> int:
@@ -19,12 +20,11 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """Dense univariate polynomial; coeffs[i] multiplies var**i."""
 
-    coeffs: tuple
-    var: str = "x"
+    def __init__(self, coeffs: tuple, var: str = "x"):
+        self.__dict__.update(coeffs=coeffs, var=var)
 
     @classmethod
     def make(cls, coeffs, var: str = "x") -> "Poly":
@@ -126,11 +126,11 @@ def render_poly(P: Poly) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class BivarPoly:
+class BivarPoly(_Record):
     """Polynomial in x whose x^l coefficient is a polynomial in n (layer l)."""
 
-    layers: tuple[Poly, ...]
+    def __init__(self, layers: tuple[Poly, ...]):
+        self.__dict__.update(layers=layers)
 
     @classmethod
     def make(cls, layers) -> "BivarPoly":

@@ -13,8 +13,7 @@ recurrence over the whole A-family, kept for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .padic import _Record
 from .poly import BivarPoly, Poly, binomial, int_poly
 
 
@@ -54,14 +53,11 @@ def family_residual(family: list[BivarPoly], k: int) -> BivarPoly:
     return acc - nk_xk
 
 
-@dataclass(frozen=True)
-class SummationTriple:
+class SummationTriple(_Record):
     """The triple (U_k, V_k, A_{k-1}) for one degree k."""
 
-    k: int
-    U: Poly
-    V: Poly
-    A: BivarPoly
+    def __init__(self, k: int, U: Poly, V: Poly, A: BivarPoly):
+        self.__dict__.update(k=k, U=U, V=V, A=A)
 
 
 def solve_triple(k: int) -> SummationTriple:

@@ -8,20 +8,19 @@ structured data (first_failure) instead of raising.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .padic import Prime, is_prime
+from .padic import Prime, _Record, is_prime
 from .recurrences import build_triple
 
 
-@dataclass(frozen=True)
-class KurepaReport:
+class KurepaReport(_Record):
     """Outcome of a gcd scan and/or digit scan."""
 
-    bound: int
-    gcd_ok_up_to: int
-    digit_checked_primes: int
-    first_failure: int | None = None
+    def __init__(self, bound: int, gcd_ok_up_to: int, digit_checked_primes: int,
+                 first_failure: int | None = None):
+        self.__dict__.update(bound=bound, gcd_ok_up_to=gcd_ok_up_to,
+                             digit_checked_primes=digit_checked_primes,
+                             first_failure=first_failure)
 
     @property
     def ok(self) -> bool:

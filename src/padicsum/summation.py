@@ -14,33 +14,27 @@ v_p(N!) + N*v_p(x).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
 
-from .padic import Prime, ValExponent, factorial_norm_exponent, vp
+from .padic import Prime, ValExponent, _Record, factorial_norm_exponent, vp
 from .poly import Poly
 from .recurrences import build_triple
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(_Record):
     """A Theorem-2 style linear combination: coefficients C_1..C_k and point x."""
 
-    k: int
-    C: tuple[int, ...]
-    x: Fraction
-
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, C: tuple[int, ...], x: Fraction):
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if len(self.C) != self.k:
+        if len(C) != k:
             raise ValueError("need exactly k coefficients C_1..C_k")
+        self.__dict__.update(k=k, C=C, x=x)
 
 
-@dataclass(frozen=True)
-class SumCertificate:
+class SumCertificate(_Record):
     """Exact witness for one truncated p-adic summation.
 
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
@@ -51,14 +45,10 @@ class SumCertificate:
     A field is an int where its value is integral and a Fraction otherwise.
     """
 
-    k: int
-    N: int
-    x: Fraction
-    p: Prime
-    partial: Fraction | int
-    target: Fraction | int
-    tail: Fraction | int
-    bound_exponent: int
+    def __init__(self, k: int, N: int, x: Fraction, p: Prime, partial: Fraction | int,
+                 target: Fraction | int, tail: Fraction | int, bound_exponent: int):
+        self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
+                             tail=tail, bound_exponent=bound_exponent)
 
     @cached_property
     def difference(self) -> Fraction | int:
@@ -75,16 +65,12 @@ class SumCertificate:
         return self.difference == self.tail and self.distance_exponent >= self.bound_exponent
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     """Both sides of the finite identity at (k, N, x); lhs == rhs always."""
 
-    k: int
-    N: int
-    x: Fraction
-    lhs: Fraction
-    rhs: Fraction
-    tail: Fraction
+    def __init__(self, k: int, N: int, x: Fraction, lhs: Fraction, rhs: Fraction,
+                 tail: Fraction):
+        self.__dict__.update(k=k, N=N, x=x, lhs=lhs, rhs=rhs, tail=tail)
 
     @property
     def ok(self) -> bool:

@@ -1,17 +1,20 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicsum.cli as cli
-from padicsum import Prime, bernoulli_numbers, truncated_padic_sum, verify_identity
+from padicsum import (
+    Prime, SumCertificate, bernoulli_numbers, truncated_padic_sum, verify_identity,
+)
 from padicsum.cli import fmt_exp, fmt_q, main, parse_set
 
 
@@ -160,8 +163,8 @@ class TestVerify:
         real = cli.certificate_from_check
 
         def forged(check, p):
-            cert = real(check, p)
-            return dataclasses.replace(cert, bound_exponent=99)
+            c = real(check, p)
+            return SumCertificate(c.k, c.N, c.x, c.p, c.partial, c.target, c.tail, 99)
 
         monkeypatch.setattr(cli, "certificate_from_check", forged)
         argv = ("verify", "--k", "1", "--n-max", "2", "--x-set", "1", "--p-list", "2")
@@ -218,6 +221,12 @@ class TestSum:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", "error: --k must be >= 1\n")
 
+    def test_zero_denominator_names_the_flag(self, capsys):
+        code = main(["sum", "--k", "1", "--x", "1/0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: --x has a zero denominator: '1/0'\n")
+
 
 class TestPadic:
     def test_minus_one(self, capsys):
@@ -253,6 +262,12 @@ class TestPadic:
         code = main(["padic", "--value", "1", "--p", "3", "--digits", "-1"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", "error: --digits must be >= 1\n")
+
+    def test_zero_denominator_names_the_flag(self, capsys):
+        code = main(["padic", "--value", "1/0", "--p", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: --value has a zero denominator: '1/0'\n")
 
 
 class TestBernoulli:
@@ -465,3 +480,15 @@ def test_main_fuzz(argv, machine):
     if machine:
         for line in out.getvalue().splitlines():
             assert isinstance(json.loads(line), dict), argv
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # importing them took a third of the time to import the CLI; -S keeps
+    # site-packages .pth files, which may import either, out of the check
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import padicsum.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,27 @@ from padicsum import (
 )
 
 PRIMES = [Prime(p) for p in (2, 3, 5, 7, 11)]
+
+
+def check_record(cls, **fields):
+    """cls(**fields) is an immutable value: keyword and positional
+    construction agree, equal fields give equal objects with equal hashes,
+    the repr names the class and each field, and setting or deleting an
+    attribute raises AttributeError.  Returns the keyword-built record."""
+    a, b = cls(**fields), cls(*fields.values())
+    assert a is not b and a == b and hash(a) == hash(b)
+    body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(a) == f"{cls.__name__}({body})"
+    for name, value in fields.items():
+        assert getattr(a, name) is value
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and not hasattr(a, "extra")
+    return a
 
 
 def brute_force_factorial_valuation(n, p):
@@ -249,3 +271,54 @@ class TestPadicExpand:
     def test_canonical_form_rejected(self):
         with pytest.raises(ValueError):
             PadicExpansion(Prime(3), 0, (0, 5), 2)
+
+
+def old_order_key(e):
+    """Independent oracle for the ValExponent order: an int n sorts as the
+    finite exponent n, and the infinite exponent above every finite one."""
+    if isinstance(e, int):
+        return (0, e)
+    return (0, e.value) if e.finite else (1, 0)
+
+
+class TestValExponent:
+    def test_six_operators_against_ints_and_exponents(self):
+        ops = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+        exps = [ValExponent.infinite()] + [ValExponent.of(v) for v in (-2, 0, 3)]
+        for a in exps:
+            for b in exps + [-3, -2, 0, 3, 4]:
+                for op in ops:
+                    assert op(a, b) == op(old_order_key(a), old_order_key(b)), (op, a, b)
+                    assert op(b, a) == op(old_order_key(b), old_order_key(a)), (op, b, a)
+
+    def test_int_comparison_builds_no_exponent(self, monkeypatch):
+        e, inf = ValExponent.of(3), ValExponent.infinite()
+
+        def no_construction(*args, **kwargs):
+            raise AssertionError("a comparison built a ValExponent")
+
+        monkeypatch.setattr(ValExponent, "__init__", no_construction)
+        assert e >= 2 and e == 3 and 2 < e and e != 4 and not e < 3
+        assert inf > 10**9 and inf != 0 and not inf <= 0
+
+    def test_record(self):
+        check_record(ValExponent, finite=True, value=-2)
+        check_record(ValExponent, finite=False, value=0)
+        assert ValExponent(True) == ValExponent(finite=True, value=0) == 0
+        assert ValExponent(True, 1) != ValExponent(True, 2)
+        with pytest.raises(ValueError):
+            ValExponent(False, 3)
+
+
+class TestRecords:
+    def test_prime(self):
+        check_record(Prime, p=7)
+        assert Prime(7) != Prime(5)
+        with pytest.raises(ValueError):
+            Prime(p=9)
+
+    def test_padic_expansion(self):
+        check_record(PadicExpansion, p=Prime(5), valuation=-1, digits=(4, 0, 2), precision=3)
+        for digits, precision in [((1, 2), 3), ((1, 5, 0), 3), ((0, 1, 0), 3)]:
+            with pytest.raises(ValueError):
+                PadicExpansion(Prime(5), 0, digits, precision)

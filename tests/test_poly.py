@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicsum import BivarPoly, Poly, binomial, int_poly, n_poly, render_poly
+from test_padic import check_record
 
 small_polys = st.lists(st.integers(-9, 9), max_size=5).map(int_poly)
 
@@ -93,3 +94,10 @@ def test_rendering():
     assert render_poly(int_poly([-1])) == "-1"
     assert render_poly(int_poly([])) == "0"
     assert str(BivarPoly.make([n_poly([1]), n_poly([-2, 1])])) == "(n - 2)*x + 1"
+
+
+def test_records():
+    P = check_record(Poly, coeffs=(1, -2), var="n")
+    assert Poly((1, -2)) == Poly(coeffs=(1, -2), var="x") == int_poly([1, -2]) != P
+    check_record(BivarPoly, layers=(n_poly([1]), n_poly([0, 1])))
+    assert BivarPoly((n_poly([1]),)) != BivarPoly((n_poly([2]),))

@@ -4,6 +4,7 @@ import padicsum.recurrences as recurrences
 from padicsum import (
     BivarPoly,
     Poly,
+    SummationTriple,
     TripleFamily,
     build_triple,
     compute_A_family,
@@ -20,6 +21,7 @@ from oracles import (
     compute_V,
     compute_V_by_recurrence,
 )
+from test_padic import check_record
 
 # Published tables for k = 1..6, little-endian power order.
 U_TABLE = {
@@ -213,3 +215,9 @@ class TestSolveTriple:
 
 def test_compute_A_family_base_case():
     assert compute_A_family(0) == [BivarPoly.const(1)]
+
+
+def test_summation_triple_record():
+    t = build_triple(2)
+    check_record(SummationTriple, k=2, U=t.U, V=t.V, A=t.A)
+    assert t == solve_triple(2) != build_triple(3)

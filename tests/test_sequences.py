@@ -6,6 +6,7 @@ import pytest
 import oracles
 import padicsum.sequences as sequences
 from padicsum import (
+    KurepaReport,
     Prime,
     binomial,
     compute_A_family,
@@ -22,6 +23,7 @@ from oracles import (
     kurepa_gcd_scan_bigint,
     left_factorial,
 )
+from test_padic import check_record
 
 
 class TestLeftFactorial:
@@ -166,3 +168,10 @@ def test_bell_recurrence_definition():
     bells = bell_numbers(10)
     for n in range(10):
         assert bells[n + 1] == sum(binomial(n, i) * bells[i] for i in range(n + 1))
+
+
+def test_kurepa_report_record():
+    report = check_record(KurepaReport, bound=50, gcd_ok_up_to=50,
+                          digit_checked_primes=0, first_failure=None)
+    assert KurepaReport(50, 50, 0) == report == kurepa_gcd_scan(50) and report.ok
+    assert not KurepaReport(50, 10, 0, first_failure=11).ok

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -30,7 +29,7 @@ from padicsum import (
     verify_identity,
     vp,
 )
-from test_padic import legendre_valuation
+from test_padic import check_record, legendre_valuation
 
 
 def brute_Sk(k, N, x):
@@ -267,7 +266,8 @@ class TestCertificates:
     def test_from_check_fails_when_identity_fails(self):
         # the target comes from the right-hand side, not from lhs - tail
         c = verify_identity(3, 8, 2)
-        cert = certificate_from_check(dataclasses.replace(c, lhs=c.lhs + 1), Prime(5))
+        forged = IdentityCheck(c.k, c.N, c.x, c.lhs + 1, c.rhs, c.tail)
+        cert = certificate_from_check(forged, Prime(5))
         assert cert.target == invariant_sum(3, 2) == -3
         assert not cert.ok
 
@@ -285,9 +285,11 @@ class TestCertificates:
         assert not SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99).ok
         good = truncated_padic_sum(1, 1, Prime(5), 10)
         assert (type(good.partial), type(good.target), type(good.tail)) == (int, int, int)
-        assert not dataclasses.replace(good, bound_exponent=3).ok
-        assert not dataclasses.replace(good, tail=good.tail + 5**3).ok
-        assert not dataclasses.replace(good, partial=good.partial + 5**3).ok
+        head = (good.k, good.N, good.x, good.p)
+        partial, target, tail, bound = good.partial, good.target, good.tail, good.bound_exponent
+        assert not SumCertificate(*head, partial, target, tail, 3).ok
+        assert not SumCertificate(*head, partial, target, tail + 5**3, bound).ok
+        assert not SumCertificate(*head, partial + 5**3, target, tail, bound).ok
 
     def test_from_check_keeps_a_denominator(self):
         c = verify_identity(2, 5, 3)
@@ -401,3 +403,30 @@ class TestTheorem2:
 
 def test_convergence_domain_reexport():
     assert in_convergence_domain(3, Prime(2))
+
+
+class TestRecords:
+    def test_series_spec(self):
+        check_record(SeriesSpec, k=2, C=(1, -1), x=Fraction(3))
+        for k, C in [(0, ()), (2, (1,))]:
+            with pytest.raises(ValueError):
+                SeriesSpec(k, C, Fraction(1))
+
+    def test_identity_check(self):
+        c = verify_identity(2, 4, 3)
+        fields = dict(k=2, N=4, x=Fraction(3), lhs=c.lhs, rhs=c.rhs, tail=c.tail)
+        check = check_record(IdentityCheck, **fields)
+        assert vars(check) == fields
+        # the cached target lives in the instance dict and leaves equality alone
+        assert check.target == invariant_sum(2, 3) and vars(check)["target"] == check.target
+        assert check == IdentityCheck(**fields) != IdentityCheck(**dict(fields, N=5))
+
+    def test_sum_certificate(self):
+        good = truncated_padic_sum(1, 1, Prime(5), 10)
+        fields = dict(k=1, N=10, x=good.x, p=good.p, partial=good.partial,
+                      target=good.target, tail=good.tail, bound_exponent=2)
+        cert = check_record(SumCertificate, **fields)
+        assert vars(cert) == fields
+        assert cert.ok and vars(cert)["difference"] == cert.tail
+        assert "distance_exponent" in vars(cert)
+        assert cert == good != SumCertificate(**dict(fields, bound_exponent=3))
