@@ -52,6 +52,11 @@ def fmt_exp(e: ValExponent) -> int | str:
     return e.value if e.finite else "inf"
 
 
+def json_q(q: Fraction | int) -> str:
+    """fmt_q(q) as JSON text: 123 or "num/den"."""
+    return str(q.numerator) if q.denominator == 1 else f'"{q.numerator}/{q.denominator}"'
+
+
 def parse_range(part: str) -> range:
     """Inclusive integer span 'a..b'; empty and malformed spans are errors."""
     try:
@@ -78,12 +83,15 @@ def parse_set(text: str, kind=int) -> list:
     return out
 
 
-def parse_exact(flag: str, text: str, parse: Callable = Fraction):
-    """`parse(text)`, with a zero denominator reported as a usage error of `flag`."""
+def parse_exact(flag: str, text, parse: Callable = Fraction):
+    """`parse(text)`, with a malformed value or a zero denominator reported
+    as a usage error of `flag`."""
     try:
         return parse(text)
     except ZeroDivisionError:
         raise ValueError(f"{flag} has a zero denominator: {text!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def require_at_least(bounds: dict) -> None:
@@ -99,18 +107,14 @@ class Emitter:
         self.command = command
         self.machine = machine
 
-    def emit(self, params: dict, result: dict, ok: bool, human: Callable[[], str]) -> None:
+    def record(self, params: dict, result: dict, ok: bool, human: Callable[[], str]) -> None:
         """One JSON line in machine mode, else the line `human()` builds, called here."""
-        if self.machine:
-            record = {
-                "command": self.command,
-                "params": params,
-                "result": result,
-                "ok": ok,
-            }
-            print(encode_json(record))
-        else:
-            print(human())
+        record = {"command": self.command, "params": params, "result": result, "ok": ok}
+        self.emit(encode_json(record) if self.machine else human())
+
+    def emit(self, line: str) -> None:
+        """Write one record's line; every record passes here once, unbuffered."""
+        sys.stdout.write(line + "\n")
 
 
 def cmd_triples(args, machine: bool) -> int:
@@ -124,66 +128,59 @@ def cmd_triples(args, machine: bool) -> int:
             "V": [int(c) for c in trip.V.coeffs],
             "A": [[int(c) for c in layer.coeffs] for layer in trip.A.layers],
         }
-        em.emit({"k": k}, result, True,
-                lambda: f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}")
+        em.record({"k": k}, result, True,
+                  lambda: f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}")
     return EXIT_OK
 
 
 def cmd_verify(args, machine: bool) -> int:
     em = Emitter("verify", machine)
-    ks = sorted(parse_set(args.k))
+    ks = sorted(parse_exact("--k", args.k, parse_set))
     xs = parse_exact("--x-set", args.x_set, lambda text: parse_set(text, Fraction))
-    primes = [Prime(p) for p in parse_set(args.p_list)] if args.p_list else []
+    primes = parse_exact(
+        "--p-list", args.p_list, lambda text: [(Prime(p), p) for p in parse_set(text)]
+    ) if args.p_list else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     all_ok = True
+    # a machine line is json.dumps of {command, params, result, ok}, spliced
+    # from fields formatted once; a check's records share `head`
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order
         for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
             for check in checks:
                 x, N, ok = check.x, check.N, check.ok
                 all_ok = all_ok and ok
-                xq, lhs, rhs = fmt_q(x), fmt_q(check.lhs), fmt_q(check.rhs)
-                params = {"k": k, "N": N, "x": xq}
+                head = ('{"command": "verify", "params": '
+                        f'{{"k": {k}, "N": {N}, "x": {json_q(x)}')
                 em.emit(
-                    params,
-                    {"lhs": lhs, "rhs": rhs, "tail": fmt_q(check.tail)},
-                    ok,
-                    lambda: f"identity k={k} N={N} x={xq}: lhs={lhs} rhs={rhs} "
-                    f"{'ok' if ok else 'FAIL'}",
-                )
-                for p in primes:
-                    params_p = dict(params, p=int(p))
+                    f'{head}}}, "result": {{"lhs": {json_q(check.lhs)}, "rhs": '
+                    f'{json_q(check.rhs)}, "tail": {json_q(check.tail)}}}, "ok": '
+                    f'{"true" if ok else "false"}}}' if machine else
+                    f"identity k={k} N={N} x={x}: lhs={check.lhs} rhs={check.rhs} "
+                    f"{'ok' if ok else 'FAIL'}")
+                for p, pi in primes:
                     if x.denominator != 1:
                         em.emit(
-                            params_p,
-                            {"rejected": True, "reason": f"x not in Z_{int(p)}"},
-                            True,
-                            lambda: f"certificate k={k} N={N} x={xq} p={int(p)}: "
-                            f"rejected (x not in Z_{int(p)})",
-                        )
+                            f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
+                            f'"x not in Z_{pi}"}}, "ok": true}}' if machine else
+                            f"certificate k={k} N={N} x={x} p={pi}: "
+                            f"rejected (x not in Z_{pi})")
                         continue
                     if x == 0:
                         continue
                     cert = certificate_from_check(check, p)
                     cert_ok = cert.ok
                     all_ok = all_ok and cert_ok
-                    partial, target = fmt_q(cert.partial), fmt_q(cert.target)
-                    achieved = fmt_exp(cert.distance_exponent)
-                    result_p = {
-                        "partial": partial,
-                        "target": target,
-                        "tail": fmt_q(cert.tail),
-                        "achieved_exponent": achieved,
-                        "bound_exponent": cert.bound_exponent,
-                    }
+                    e = cert.distance_exponent
+                    achieved = e.value if e.finite else '"inf"'
                     em.emit(
-                        params_p,
-                        result_p,
-                        cert_ok,
-                        lambda: f"certificate k={k} N={N} x={xq} p={int(p)}: "
-                        f"partial={partial} target={target} achieved={achieved} "
-                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}",
-                    )
+                        f'{head}, "p": {pi}}}, "result": {{"partial": {json_q(cert.partial)}, '
+                        f'"target": {json_q(cert.target)}, "tail": {json_q(cert.tail)}, '
+                        f'"achieved_exponent": {achieved}, "bound_exponent": '
+                        f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
+                        if machine else f"certificate k={k} N={N} x={x} p={pi}: "
+                        f"partial={cert.partial} target={cert.target} achieved={e} "
+                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -194,7 +191,7 @@ def cmd_sum(args, machine: bool) -> int:
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
     if args.C:
-        C = parse_set(args.C)
+        C = parse_exact("--C", args.C, parse_set)
         if len(C) != args.k:
             raise ValueError("--C must list exactly k coefficients")
         value = sum(
@@ -205,7 +202,7 @@ def cmd_sum(args, machine: bool) -> int:
     else:
         value = invariant_sum(args.k, int(x))
         params = {"k": args.k, "x": fmt_q(x)}
-    em.emit(params, {"sum": fmt_q(value)}, True, lambda: f"sum = {fmt_q(value)}")
+    em.record(params, {"sum": fmt_q(value)}, True, lambda: f"sum = {fmt_q(value)}")
     return EXIT_OK
 
 
@@ -213,7 +210,7 @@ def cmd_padic(args, machine: bool) -> int:
     require_at_least({"--digits": (args.digits, 1)})
     em = Emitter("padic", machine)
     q = parse_exact("--value", args.value)
-    p = Prime(args.p)
+    p = parse_exact("--p", args.p, Prime)
     exp = padic_expand(q, p, args.digits)
     v = vp(q, p)
     result = {
@@ -222,7 +219,7 @@ def cmd_padic(args, machine: bool) -> int:
         "in_Zp": in_convergence_domain(q, p),
     }
     note = "" if in_convergence_domain(q, p) else "  [outside Z_p: negative valuation]"
-    em.emit(
+    em.record(
         {"value": fmt_q(q), "p": int(p), "digits": args.digits},
         result,
         True,
@@ -242,7 +239,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
         k, N = args.identity, args.N
         lhs, rhs = bernoulli_identity_partial(k, N)
         ok = lhs == rhs
-        em.emit(
+        em.record(
             {"k": k, "N": N},
             {"lhs": fmt_q(lhs), "rhs": fmt_q(rhs)},
             ok,
@@ -251,11 +248,11 @@ def cmd_bernoulli(args, machine: bool) -> int:
         )
         return EXIT_OK if ok else EXIT_FAIL
     if args.level:
-        p = Prime(p_raw)
-        coeffs = parse_set(args.poly) if args.poly else [0, 1]
+        p = parse_exact("--level P", p_raw, Prime)
+        coeffs = parse_exact("--poly", args.poly, parse_set) if args.poly else [0, 1]
         P = int_poly(coeffs)
         value = volkenborn_level(P, p, m)
-        em.emit(
+        em.record(
             {"p": int(p), "m": m, "poly": coeffs},
             {"value": fmt_q(value)},
             True,
@@ -265,7 +262,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
     if args.nmax is None:
         raise ValueError("one of --nmax, --identity, --level required")
     for n, b in enumerate(bernoulli_numbers(args.nmax)):
-        em.emit(
+        em.record(
             {"n": n},
             {"numerator": b.numerator, "denominator": b.denominator},
             True,
@@ -284,7 +281,7 @@ def cmd_kurepa(args, machine: bool) -> int:
     if args.gcd_max is not None:
         report = kurepa_gcd_scan(args.gcd_max)
         all_ok = all_ok and report.ok
-        em.emit(
+        em.record(
             {"gcd_max": args.gcd_max},
             {
                 "gcd_ok_up_to": report.gcd_ok_up_to,
@@ -297,7 +294,7 @@ def cmd_kurepa(args, machine: bool) -> int:
     if args.digit_max is not None:
         report = kurepa_digit_scan(args.digit_max)
         all_ok = all_ok and report.ok
-        em.emit(
+        em.record(
             {"digit_max": args.digit_max},
             {
                 "primes_checked": report.digit_checked_primes,
@@ -322,7 +319,7 @@ def cmd_sequences(args, machine: bool) -> int:
         "neg_ubar": "-U_k(-1)",
     }
     for name, values in seqs.items():
-        em.emit(
+        em.record(
             {"kmax": args.kmax, "sequence": name},
             {"values": values},
             True,

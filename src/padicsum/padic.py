@@ -15,8 +15,8 @@ class _Record:
     """Base of the immutable value classes.
 
     The fields are the parameters of the subclass's `__init__`, which stores
-    them in one `self.__dict__.update` call (the dict that `cached_property`
-    and `vars()` use too).  Equality, hash and repr go by the fields, and
+    them in one `self.__dict__.update` call (the dict that `_cached` and
+    `vars()` use too).  Equality, hash and repr go by the fields, and
     assigning or deleting an attribute raises AttributeError.  These are
     plain classes, not dataclasses: importing `dataclasses` (and with it
     `inspect`) and generating its methods took a third of the time to
@@ -47,6 +47,22 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _cached:
+    """`functools.cached_property` without the lock it takes before CPython
+    3.12: the first read stores the value in the instance `__dict__`, where
+    later reads find it before this non-data descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
 
 
 def is_prime(n: int) -> bool:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from functools import cached_property
 from itertools import count, islice
 
-from .padic import Prime, ValExponent, _Record, factorial_norm_exponent, vp
+from .padic import (
+    Prime, ValExponent, _cached, _int_valuation, _Record, factorial_norm_exponent, vp,
+)
 from .poly import Poly
 from .recurrences import build_triple
 
@@ -50,12 +51,12 @@ class SumCertificate(_Record):
         self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
                              tail=tail, bound_exponent=bound_exponent)
 
-    @cached_property
+    @_cached
     def difference(self) -> Fraction | int:
         """partial - target."""
         return self.partial - self.target
 
-    @cached_property
+    @_cached
     def distance_exponent(self) -> ValExponent:
         """v_p(partial - target)."""
         return vp(self.difference, self.p)
@@ -76,7 +77,7 @@ class IdentityCheck(_Record):
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
-    @cached_property
+    @_cached
     def target(self) -> Fraction:
         """rhs - tail = V_k(x), the p-adic sum for integer x in every Q_p."""
         return self.rhs - self.tail
@@ -169,7 +170,7 @@ def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
     x, N = check.x, check.N
     if x.denominator != 1 or x == 0:
         raise ValueError("x must be a nonzero integer")
-    bound = factorial_norm_exponent(N, p) + N * vp(x, p).value
+    bound = factorial_norm_exponent(N, p) + N * _int_valuation(x.numerator, int(p))
     fields = (check.lhs, check.target, check.tail)
     partial, target, tail = (q.numerator if q.denominator == 1 else q for q in fields)
     return SumCertificate(check.k, N, x, p, partial, target, tail, bound)

@@ -177,6 +177,55 @@ class TestVerify:
         assert code == 1
         assert out.count("bound=99 FAIL") == 2
 
+    def test_spliced_lines_are_json_dumps(self, capsys, monkeypatch):
+        real = cli.certificate_from_check
+
+        def forged(check, p):
+            c = real(check, p)
+            if int(p) == 2:  # partial - target != tail: ok false
+                return SumCertificate(c.k, c.N, c.x, c.p, c.partial + 1, c.target, c.tail,
+                                      c.bound_exponent)
+            if int(p) == 3:  # partial == target and tail 0: achieved exponent inf
+                return SumCertificate(c.k, c.N, c.x, c.p, c.target, c.target, 0, c.bound_exponent)
+            return c
+
+        monkeypatch.setattr(cli, "certificate_from_check", forged)
+        code, out = run(
+            capsys, "--format", "machine", "verify", "--k", "1..2", "--n-max", "3",
+            "--x-set=-2..1,3/2,-5/4", "--p-list", "2,3,5",
+        )
+        assert code == 1
+        lines = out.splitlines()
+        # k 2 * N 3 * (6 identities + 3 primes * (3 nonzero integers + 2 rejected))
+        assert len(lines) == 6 * (6 + 3 * 5)
+        for line in lines:
+            assert json.dumps(json.loads(line)) == line
+        recs = machine_records(out)
+        assert {r["params"]["x"] for r in recs} == {-2, -1, 0, 1, "3/2", "-5/4"}
+        certs = {p: [r for r in recs if r["params"].get("p") == p
+                     and "partial" in r["result"]] for p in (2, 3, 5)}
+        assert not any(r["ok"] for r in certs[2])
+        assert all(r["ok"] and r["result"]["achieved_exponent"] == "inf"
+                   and r["result"]["tail"] == 0 for r in certs[3])
+        assert all(r["ok"] for r in certs[5])
+        assert any(isinstance(r["result"].get("lhs"), str) for r in recs)
+        assert all(r["result"] == {"rejected": True, "reason": f"x not in Z_{r['params']['p']}"}
+                   for r in recs if r["params"]["x"] in ("3/2", "-5/4") and "p" in r["params"])
+
+    def test_machine_mode_builds_lines_without_encode_json(self, capsys, monkeypatch):
+        def refuse(record):
+            raise RuntimeError("encode_json called")
+
+        monkeypatch.setattr(cli, "encode_json", refuse)
+        with pytest.raises(RuntimeError):  # the patch reaches the other commands
+            main(["--format", "machine", "sum", "--k", "1", "--x", "1"])
+        code, out = run(
+            capsys, "--format", "machine", "verify", "--k", "1..2", "--n-max", "3",
+            "--x-set=-1..1,1/2", "--p-list", "2,3",
+        )
+        assert code == 0
+        assert len(machine_records(out)) == 6 * (4 + 2 * 3)
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -414,6 +463,34 @@ class TestUsageErrors:
 
     def test_bad_flag(self, capsys):
         assert main(["triples", "--bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("verify", "--k", "abc", "--n-max", "1", "--x-set", "1"),
+             "--k: invalid literal for int() with base 10: 'abc'"),
+            (("verify", "--k", "1,,2", "--n-max", "1", "--x-set", "1"),
+             "--k: invalid literal for int() with base 10: ''"),
+            (("verify", "--k", "1", "--n-max", "1", "--x-set=abc"),
+             "--x-set: Invalid literal for Fraction: 'abc'"),
+            (("verify", "--k", "1", "--n-max", "1", "--x-set", "1", "--p-list", "4"),
+             "--p-list: 4 is not prime"),
+            (("sum", "--k", "2", "--C", "1,a", "--x", "1"),
+             "--C: invalid literal for int() with base 10: 'a'"),
+            (("sum", "--k", "1", "--x", "abc"), "--x: Invalid literal for Fraction: 'abc'"),
+            (("padic", "--value", "abc", "--p", "3"),
+             "--value: Invalid literal for Fraction: 'abc'"),
+            (("padic", "--value", "1", "--p", "4"), "--p: 4 is not prime"),
+            (("bernoulli", "--level", "5", "1", "--poly", "0,q"),
+             "--poly: invalid literal for int() with base 10: 'q'"),
+            (("bernoulli", "--level", "4", "1"), "--level P: 4 is not prime"),
+        ],
+    )
+    def test_malformed_value_names_the_flag(self, capsys, argv, err):
+        for fmt in ("human", "machine"):
+            code = main(["--format", fmt, *argv])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
 
     def test_human_and_machine_same_numbers(self, capsys):
         _, human = run(capsys, "sum", "--k", "3", "--x", "-1")

@@ -29,6 +29,7 @@ from padicsum import (
     verify_identity,
     vp,
 )
+from padicsum.padic import _cached, _Record
 from test_padic import check_record, legendre_valuation
 
 
@@ -326,7 +327,7 @@ class TestCertificates:
             "from fractions import Fraction as F\n"
             "from padicsum import Prime, SumCertificate\n"
             "c = SumCertificate(1, 1, F(1), Prime(2), F(7), F(1), F(2), 99)\n"
-            "print(c.ok is False)\n"
+            "print(c.ok is False, c.ok is False, vars(c)['difference'])\n"
         )
         src = str(Path(padicsum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -335,7 +336,7 @@ class TestCertificates:
             env=env, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout == "True\n"
+        assert out.stdout == "True True 6\n"
 
 
 
@@ -430,3 +431,30 @@ class TestRecords:
         assert cert.ok and vars(cert)["difference"] == cert.tail
         assert "distance_exponent" in vars(cert)
         assert cert == good != SumCertificate(**dict(fields, bound_exponent=3))
+
+    def test_cached_runs_once_per_instance(self):
+        calls = []
+
+        class Probe(_Record):
+            def __init__(self, a):
+                self.__dict__.update(a=a)
+
+            @_cached
+            def double(self):
+                """Twice a."""
+                calls.append(self.a)
+                return 2 * self.a
+
+        one, two = Probe(3), Probe(4)
+        assert (one.double, one.double, two.double, one.double) == (6, 6, 8, 6)
+        assert calls == [3, 4]
+        assert vars(one) == {"a": 3, "double": 6} and vars(two) == {"a": 4, "double": 8}
+        # read on the class, it is the descriptor itself
+        assert isinstance(Probe.double, _cached) and Probe.double.__doc__ == "Twice a."
+        for cls, name in [(SumCertificate, "difference"),
+                          (SumCertificate, "distance_exponent"), (IdentityCheck, "target")]:
+            assert isinstance(getattr(cls, name), _cached)
+        # the cached reads leave a forged certificate failing, read after read
+        forged = SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99)
+        assert (forged.ok, forged.ok) == (False, False)
+        assert vars(forged)["difference"] == 6 and forged.distance_exponent == 1
