@@ -9,7 +9,6 @@ Volkenborn and left-factorial (Kurepa) side results.
 from .padic import (
     PadicExpansion,
     Prime,
-    ValExponent,
     digit_sum,
     factorial_norm_exponent,
     in_convergence_domain,
@@ -29,7 +28,6 @@ from .recurrences import (
 )
 from .summation import (
     IdentityCheck,
-    SeriesSpec,
     SumCertificate,
     certificate_from_check,
     factorial_series,
@@ -58,7 +56,6 @@ from .sequences import (
 __all__ = [
     "PadicExpansion",
     "Prime",
-    "ValExponent",
     "digit_sum",
     "factorial_norm_exponent",
     "in_convergence_domain",
@@ -79,7 +76,6 @@ __all__ = [
     "family_residual",
     "solve_triple",
     "IdentityCheck",
-    "SeriesSpec",
     "SumCertificate",
     "certificate_from_check",
     "factorial_series",

@@ -19,7 +19,7 @@ from .bernoulli import (
     bernoulli_numbers,
     volkenborn_level,
 )
-from .padic import Prime, ValExponent, in_convergence_domain, padic_expand, vp
+from .padic import Prime, in_convergence_domain, padic_expand
 from .poly import int_poly
 from .recurrences import build_triple
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
@@ -48,8 +48,9 @@ def fmt_q(q: Fraction | int) -> int | str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def fmt_exp(e: ValExponent) -> int | str:
-    return e.value if e.finite else "inf"
+def fmt_exp(e: int | None) -> int | str:
+    """A valuation exponent: the int, or 'inf' for None (v_p(0))."""
+    return "inf" if e is None else e
 
 
 def json_q(q: Fraction | int) -> str:
@@ -135,10 +136,13 @@ def cmd_triples(args, machine: bool) -> int:
 
 def cmd_verify(args, machine: bool) -> int:
     em = Emitter("verify", machine)
-    ks = sorted(parse_exact("--k", args.k, parse_set))
-    xs = parse_exact("--x-set", args.x_set, lambda text: parse_set(text, Fraction))
+    # each grid value once: k ascending, x and p in first-seen order
+    ks = sorted(set(parse_exact("--k", args.k, parse_set)))
+    xs = list(dict.fromkeys(parse_exact("--x-set", args.x_set,
+                                        lambda text: parse_set(text, Fraction))))
     primes = parse_exact(
-        "--p-list", args.p_list, lambda text: [(Prime(p), p) for p in parse_set(text)]
+        "--p-list", args.p_list,
+        lambda text: [(Prime(p), p) for p in dict.fromkeys(parse_set(text))]
     ) if args.p_list else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     all_ok = True
@@ -172,14 +176,14 @@ def cmd_verify(args, machine: bool) -> int:
                     cert_ok = cert.ok
                     all_ok = all_ok and cert_ok
                     e = cert.distance_exponent
-                    achieved = e.value if e.finite else '"inf"'
+                    achieved = '"inf"' if e is None else e
                     em.emit(
                         f'{head}, "p": {pi}}}, "result": {{"partial": {json_q(cert.partial)}, '
                         f'"target": {json_q(cert.target)}, "tail": {json_q(cert.tail)}, '
                         f'"achieved_exponent": {achieved}, "bound_exponent": '
                         f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
                         if machine else f"certificate k={k} N={N} x={x} p={pi}: "
-                        f"partial={cert.partial} target={cert.target} achieved={e} "
+                        f"partial={cert.partial} target={cert.target} achieved={fmt_exp(e)} "
                         f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -212,13 +216,13 @@ def cmd_padic(args, machine: bool) -> int:
     q = parse_exact("--value", args.value)
     p = parse_exact("--p", args.p, Prime)
     exp = padic_expand(q, p, args.digits)
-    v = vp(q, p)
+    in_Zp = in_convergence_domain(q, p)
     result = {
-        "valuation": fmt_exp(v) if q == 0 else exp.valuation,
+        "valuation": "inf" if q == 0 else exp.valuation,
         "digits": list(exp.digits),
-        "in_Zp": in_convergence_domain(q, p),
+        "in_Zp": in_Zp,
     }
-    note = "" if in_convergence_domain(q, p) else "  [outside Z_p: negative valuation]"
+    note = "" if in_Zp else "  [outside Z_p: negative valuation]"
     em.record(
         {"value": fmt_q(q), "p": int(p), "digits": args.digits},
         result,

@@ -1,14 +1,13 @@
 """Exact p-adic valuations, norms, digit expansions and the convergence test.
 
 Everything here works on plain ints and fractions.Fraction; all results are
-exact.  The valuation of 0 is represented by an explicit infinite value
-(ValExponent) rather than a sentinel integer.
+exact.  A valuation is an int; v_p(0) = +infinity is None, not a sentinel
+int, so a comparison that forgets the case raises instead of passing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 
 
 class _Record:
@@ -110,47 +109,6 @@ class Prime(_Record):
         return self.p
 
 
-@total_ordering
-class ValExponent(_Record):
-    """A valuation exponent: a finite integer or +infinity (for v_p(0))."""
-
-    def __init__(self, finite: bool, value: int = 0):
-        if not finite and value != 0:
-            raise ValueError("infinite exponent carries no value")
-        self.__dict__.update(finite=finite, value=value)
-
-    @classmethod
-    def of(cls, value: int) -> "ValExponent":
-        return cls(True, value)
-
-    @classmethod
-    def infinite(cls) -> "ValExponent":
-        return cls(False)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.finite and self.value == other
-        if not isinstance(other, ValExponent):
-            return NotImplemented
-        return (self.finite, self.value if self.finite else 0) == (
-            other.finite,
-            other.value if other.finite else 0,
-        )
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.finite and self.value < other
-        if not isinstance(other, ValExponent):
-            return NotImplemented
-        return self.finite and (not other.finite or self.value < other.value)
-
-    def __hash__(self):
-        return hash((self.finite, self.value))
-
-    def __str__(self) -> str:
-        return str(self.value) if self.finite else "inf"
-
-
 def digit_sum(n: int, p: Prime) -> int:
     """Sum of base-p digits of n >= 0."""
     if n < 0:
@@ -180,23 +138,23 @@ def _int_valuation(n: int, pp: int) -> int:
     return v
 
 
-def vp(q: Fraction | int, p: Prime) -> ValExponent:
-    """p-adic valuation of a rational; v_p(0) is infinite."""
+def vp(q: Fraction | int, p: Prime) -> int | None:
+    """p-adic valuation of a rational; None for v_p(0) = +infinity."""
     if not isinstance(q, (int, Fraction)):
         q = Fraction(q)
     if q == 0:
-        return ValExponent.infinite()
+        return None
     pp = int(p)
-    return ValExponent.of(_int_valuation(q.numerator, pp) - _int_valuation(q.denominator, pp))
+    return _int_valuation(q.numerator, pp) - _int_valuation(q.denominator, pp)
 
 
 def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:
-    """True iff |x|_p <= 1, i.e. x lies in Z_p."""
-    return vp(x, p) >= 0
+    """True iff |x|_p <= 1, i.e. x lies in Z_p; 0 (valuation None) does."""
+    return (vp(x, p) or 0) >= 0
 
 
-def padic_distance_exponent(a: Fraction | int, b: Fraction | int, p: Prime) -> ValExponent:
-    """v_p(a - b); infinite iff a = b."""
+def padic_distance_exponent(a: Fraction | int, b: Fraction | int, p: Prime) -> int | None:
+    """v_p(a - b); None (infinite) iff a = b."""
     return vp(Fraction(a) - Fraction(b), p)
 
 
@@ -246,7 +204,7 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
     pp = int(p)
     if q == 0:
         return PadicExpansion(p, 0, (0,) * precision, precision)
-    v = vp(q, p).value
+    v = vp(q, p)
     unit = q / Fraction(pp) ** v
     modulus = pp**precision
     num = unit.numerator % modulus

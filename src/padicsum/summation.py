@@ -17,22 +17,9 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import count, islice
 
-from .padic import (
-    Prime, ValExponent, _cached, _int_valuation, _Record, factorial_norm_exponent, vp,
-)
+from .padic import Prime, _cached, _int_valuation, _Record, factorial_norm_exponent, vp
 from .poly import Poly
 from .recurrences import build_triple
-
-
-class SeriesSpec(_Record):
-    """A Theorem-2 style linear combination: coefficients C_1..C_k and point x."""
-
-    def __init__(self, k: int, C: tuple[int, ...], x: Fraction):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if len(C) != k:
-            raise ValueError("need exactly k coefficients C_1..C_k")
-        self.__dict__.update(k=k, C=C, x=x)
 
 
 class SumCertificate(_Record):
@@ -41,8 +28,9 @@ class SumCertificate(_Record):
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
     partial - target = tail holds exactly, and the p-adic distance from the
     partial sum to the target is at most p^(-bound_exponent).  The achieved
-    distance exponent and `ok` both read one difference partial - target,
-    computed from the certificate's own fields, so a forged one fails.
+    distance exponent (None when partial = target) and `ok` both read one
+    difference partial - target, computed from the certificate's own
+    fields, so a forged one fails.
     A field is an int where its value is integral and a Fraction otherwise.
     """
 
@@ -57,13 +45,14 @@ class SumCertificate(_Record):
         return self.partial - self.target
 
     @_cached
-    def distance_exponent(self) -> ValExponent:
-        """v_p(partial - target)."""
+    def distance_exponent(self) -> int | None:
+        """v_p(partial - target), None if infinite."""
         return vp(self.difference, self.p)
 
     @property
     def ok(self) -> bool:
-        return self.difference == self.tail and self.distance_exponent >= self.bound_exponent
+        e = self.distance_exponent
+        return self.difference == self.tail and (e is None or e >= self.bound_exponent)
 
 
 class IdentityCheck(_Record):
@@ -192,18 +181,22 @@ def truncated_padic_sum(k: int, x: int, p: Prime, N: int) -> SumCertificate:
     return certificate_from_check(verify_identity(k, N, x), p)
 
 
-def truncated_combo_sum(spec: SeriesSpec, p: Prime, N: int) -> SumCertificate:
+def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
+                        N: int) -> SumCertificate:
     """Certificate that the N-term partial sum of the Theorem-2 combination
-    sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n is p-adically close to
-    sum_j C_j V_j(x).
+    sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n, j = 1..k = len(C), is
+    p-adically close to sum_j C_j V_j(x).
 
     Its identity at N is the C-weighted sum of the per-j identities.
     """
+    if not C:
+        raise ValueError("need at least one coefficient C_1")
+    x = Fraction(x)
     lhs = rhs = tail = Fraction(0)
-    for j, c in enumerate(spec.C, start=1):
+    for j, c in enumerate(C, start=1):
         if c:
-            check = verify_identity(j, N, spec.x)
+            check = verify_identity(j, N, x)
             lhs += c * check.lhs
             rhs += c * check.rhs
             tail += c * check.tail
-    return certificate_from_check(IdentityCheck(spec.k, N, spec.x, lhs, rhs, tail), p)
+    return certificate_from_check(IdentityCheck(len(C), N, x, lhs, rhs, tail), p)

@@ -211,6 +211,34 @@ class TestVerify:
         assert any(isinstance(r["result"].get("lhs"), str) for r in recs)
         assert all(r["result"] == {"rejected": True, "reason": f"x not in Z_{r['params']['p']}"}
                    for r in recs if r["params"]["x"] in ("3/2", "-5/4") and "p" in r["params"])
+        # the same forgeries in human mode
+        code, out = run(
+            capsys, "verify", "--k", "1..2", "--n-max", "3", "--x-set=-2..1,3/2,-5/4",
+            "--p-list", "2,3,5",
+        )
+        assert code == 1
+        human = {p: [line for line in out.splitlines() if f" p={p}: partial=" in line]
+                 for p in (2, 3, 5)}
+        assert len(human[2]) == len(human[3]) == len(human[5]) == 6 * 3
+        assert all(line.endswith(" FAIL") for line in human[2])
+        assert all(" achieved=inf " in line and line.endswith(" ok") for line in human[3])
+        assert all(line.endswith(" ok") for line in human[5])
+
+    def test_repeated_grid_values_are_read_once(self, capsys):
+        # k, x (by value) and p each once: a repeat adds no record
+        code, once = run(capsys, "--format", "machine", "verify", "--k", "1", "--n-max", "1",
+                         "--x-set", "2", "--p-list", "3")
+        assert code == 0 and len(once.splitlines()) == 2
+        code, out = run(capsys, "--format", "machine", "verify", "--k", "1,1", "--n-max", "1",
+                        "--x-set", "2,2,4/2", "--p-list", "3,3")
+        assert code == 0 and out == once
+        # k ascending, x and p in first-seen order
+        code, out = run(capsys, "--format", "machine", "verify", "--k", "2,1,2", "--n-max", "1",
+                        "--x-set", "3,1,6/2,1", "--p-list", "5,2,5")
+        assert code == 0
+        heads = [(r["params"]["k"], r["params"]["x"], r["params"].get("p"))
+                 for r in machine_records(out)]
+        assert heads == [(k, x, p) for k in (1, 2) for x in (3, 1) for p in (None, 5, 2)]
 
     def test_machine_mode_builds_lines_without_encode_json(self, capsys, monkeypatch):
         def refuse(record):
@@ -302,6 +330,14 @@ class TestPadic:
         rec = machine_records(out)[0]
         assert rec["result"]["valuation"] == -1
         assert rec["result"]["in_Zp"] is False
+
+    def test_zero(self, capsys):
+        code, out = run(capsys, "--format", "machine", "padic", "--value", "0", "--p", "3")
+        assert code == 0
+        rec = machine_records(out)[0]
+        assert rec["result"] == {"valuation": "inf", "digits": [0] * 10, "in_Zp": True}
+        code, out = run(capsys, "padic", "--value", "0", "--p", "3")
+        assert (code, out) == (0, "0 = (0,0,0,0,0,0,0,0,0,0)*3^0\n")
 
     def test_composite_p_is_usage_error(self, capsys):
         code, _ = run(capsys, "padic", "--value", "1", "--p", "4")

@@ -1,4 +1,4 @@
-import operator
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from padicsum import (
     PadicExpansion,
     Prime,
-    ValExponent,
     digit_sum,
     factorial_norm_exponent,
     in_convergence_domain,
@@ -118,7 +117,7 @@ class TestLegendreValuation:
             for n in range(1, 300):
                 cur = factorial_norm_exponent(n, p)
                 assert cur >= prev
-                assert cur - prev == vp(n, p).value
+                assert cur - prev == vp(n, p)
                 prev = cur
 
     def test_large_scale_digit_formula(self):
@@ -130,14 +129,14 @@ class TestLegendreValuation:
 
 class TestVp:
     def test_zero_is_infinite(self):
-        e = vp(0, Prime(3))
-        assert not e.finite
-        assert e == ValExponent.infinite()
+        assert vp(0, Prime(3)) is None
+        assert vp(Fraction(0, 7), Prime(3)) is None and vp("0", Prime(3)) is None
 
     def test_examples(self):
         assert vp(Fraction(1, 6), Prime(3)) == -1
         assert vp(720, Prime(3)) == 2
-        assert vp(720, Prime(3)).value == factorial_norm_exponent(6, Prime(3))
+        assert vp(720, Prime(3)) == factorial_norm_exponent(6, Prime(3))
+        assert type(vp(720, Prime(3))) is int and type(vp(Fraction(1, 6), Prime(3))) is int
 
     @given(
         a=st.integers(-10**6, 10**6),
@@ -155,7 +154,7 @@ class TestVp:
         expect = vp(q, p)
         assert all(vp(form, p) == expect for form in forms)
         if q == 0:
-            assert not expect.finite
+            assert expect is None
         else:
             v, num, den = 0, q.numerator, q.denominator
             while num % pi == 0:
@@ -175,7 +174,9 @@ class TestVp:
     def test_ultrametric_inequality(self, a, b, c, d, pi):
         p = Prime(pi)
         x, y = Fraction(a, c), Fraction(b, d)
-        vx, vy, vsum = vp(x, p), vp(y, p), vp(x + y, p)
+        # v_p(0) = +infinity sorts above every finite exponent
+        vx, vy, vsum = (math.inf if v is None else v
+                        for v in (vp(x, p), vp(y, p), vp(x + y, p)))
         assert vsum >= min(vx, vy)
         if vx != vy:
             assert vsum == min(vx, vy)
@@ -189,9 +190,9 @@ class TestVp:
     def test_multiplicativity(self, a, b, pi):
         p = Prime(pi)
         if a == 0 or b == 0:
-            assert not vp(a * b, p).finite or vp(a * b, p) == vp(a, p)
+            assert vp(a * b, p) is None
             return
-        assert vp(a * b, p).value == vp(a, p).value + vp(b, p).value
+        assert vp(a * b, p) == vp(a, p) + vp(b, p)
 
 
 class TestFactorialNormExponent:
@@ -210,18 +211,19 @@ class TestConvergenceDomain:
     def test_rationals(self):
         assert not in_convergence_domain(Fraction(1, 2), Prime(2))
         assert in_convergence_domain(Fraction(1, 2), Prime(3))
+        # zero in any form vp takes, and a str as vp reads it
+        assert all(in_convergence_domain(z, Prime(3)) for z in (0, Fraction(0), "0", "0/5"))
+        assert not in_convergence_domain("1/3", Prime(3))
 
 
 class TestDistance:
     def test_identity_infinite(self):
-        assert not padic_distance_exponent(Fraction(5, 3), Fraction(5, 3), Prime(7)).finite
+        assert padic_distance_exponent(Fraction(5, 3), Fraction(5, 3), Prime(7)) is None
 
     def test_examples(self):
         assert padic_distance_exponent(7, 2, Prime(5)) == 1
 
     def test_factorial_gap(self):
-        import math
-
         for p in PRIMES:
             for N in (4, 7, 12):
                 got = padic_distance_exponent(math.factorial(N) - 1, -1, p)
@@ -266,48 +268,12 @@ class TestPadicExpand:
         if q == 0:
             assert e.is_zero
             return
-        assert vp(diff, p) >= v.value + prec
+        vdiff = vp(diff, p)
+        assert vdiff is None or vdiff >= v + prec
 
     def test_canonical_form_rejected(self):
         with pytest.raises(ValueError):
             PadicExpansion(Prime(3), 0, (0, 5), 2)
-
-
-def old_order_key(e):
-    """Independent oracle for the ValExponent order: an int n sorts as the
-    finite exponent n, and the infinite exponent above every finite one."""
-    if isinstance(e, int):
-        return (0, e)
-    return (0, e.value) if e.finite else (1, 0)
-
-
-class TestValExponent:
-    def test_six_operators_against_ints_and_exponents(self):
-        ops = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
-        exps = [ValExponent.infinite()] + [ValExponent.of(v) for v in (-2, 0, 3)]
-        for a in exps:
-            for b in exps + [-3, -2, 0, 3, 4]:
-                for op in ops:
-                    assert op(a, b) == op(old_order_key(a), old_order_key(b)), (op, a, b)
-                    assert op(b, a) == op(old_order_key(b), old_order_key(a)), (op, b, a)
-
-    def test_int_comparison_builds_no_exponent(self, monkeypatch):
-        e, inf = ValExponent.of(3), ValExponent.infinite()
-
-        def no_construction(*args, **kwargs):
-            raise AssertionError("a comparison built a ValExponent")
-
-        monkeypatch.setattr(ValExponent, "__init__", no_construction)
-        assert e >= 2 and e == 3 and 2 < e and e != 4 and not e < 3
-        assert inf > 10**9 and inf != 0 and not inf <= 0
-
-    def test_record(self):
-        check_record(ValExponent, finite=True, value=-2)
-        check_record(ValExponent, finite=False, value=0)
-        assert ValExponent(True) == ValExponent(finite=True, value=0) == 0
-        assert ValExponent(True, 1) != ValExponent(True, 2)
-        with pytest.raises(ValueError):
-            ValExponent(False, 3)
 
 
 class TestRecords:

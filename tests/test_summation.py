@@ -14,9 +14,7 @@ import padicsum
 from padicsum import (
     IdentityCheck,
     Prime,
-    SeriesSpec,
     SumCertificate,
-    ValExponent,
     build_triple,
     certificate_from_check,
     factorial_series,
@@ -224,7 +222,9 @@ class TestCertificates:
                     for N in (1, 5, 12):
                         cert = truncated_padic_sum(k, x, Prime(pi), N)
                         assert cert.partial - cert.target == cert.tail
-                        assert cert.distance_exponent >= cert.bound_exponent
+                        # None (infinite) at k = 2, x = 1, N = 1, where the tail is 0
+                        e = cert.distance_exponent
+                        assert e is None or e >= cert.bound_exponent
 
     def test_p_invariance_of_target(self):
         for k in (1, 2, 4):
@@ -254,7 +254,7 @@ class TestCertificates:
                         assert (cert.partial, cert.tail) == (lhs, tail)
                         assert cert.target == invariant_sum(k, x)
                         assert cert.bound_exponent == (
-                            legendre_valuation(c.N, p) + c.N * vp(x, p).value
+                            legendre_valuation(c.N, p) + c.N * vp(x, p)
                         )
                         assert cert.distance_exponent == vp(tail, p)
                         assert cert.ok
@@ -319,8 +319,16 @@ class TestCertificates:
         cert = SumCertificate(
             1, 1, Fraction(1), Prime(5), Fraction(0), Fraction(-1), Fraction(1), 99
         )
-        assert cert.distance_exponent == ValExponent.of(0)
+        assert cert.distance_exponent == 0 and type(cert.distance_exponent) is int
         assert not cert.ok
+
+    def test_infinite_distance(self):
+        # partial == target: v_p(0) is None, which meets every bound, and
+        # `ok` then rests on tail == 0 alone
+        exact = SumCertificate(1, 1, Fraction(1), Prime(5), -1, -1, 0, 99)
+        assert exact.distance_exponent is None and exact.ok
+        forged = SumCertificate(1, 1, Fraction(1), Prime(5), -1, -1, 1, 99)
+        assert forged.distance_exponent is None and not forged.ok
 
     def test_forged_certificate_fails_under_O(self):
         code = (
@@ -361,37 +369,36 @@ class TestTheorem2:
             for N in (1, 4, 9):
                 partial, target = brute_combo(C, N, x)
                 for pi in (2, 3, 5):
-                    cert = truncated_combo_sum(
-                        SeriesSpec(len(C), C, Fraction(x)), Prime(pi), N
-                    )
+                    cert = truncated_combo_sum(C, x, Prime(pi), N)
                     assert (cert.partial, cert.target) == (partial, target)
                     assert cert.ok
 
     def test_combo_certificates(self):
-        cert = truncated_combo_sum(SeriesSpec(1, (1,), Fraction(1)), Prime(7), 7)
+        cert = truncated_combo_sum((1,), 1, Prime(7), 7)
         assert cert.distance_exponent >= 1  # v_7(7!) = 1
         assert cert.ok
 
-        cert = truncated_combo_sum(SeriesSpec(3, (0, 0, 1), Fraction(1)), Prime(2), 4)
+        cert = truncated_combo_sum((0, 0, 1), 1, Prime(2), 4)
         assert cert.target == 1 and cert.ok
 
-        zero = truncated_combo_sum(SeriesSpec(2, (0, 0), Fraction(5)), Prime(3), 6)
+        zero = truncated_combo_sum((0, 0), 5, Prime(3), 6)
         assert zero.partial == 0 and zero.target == 0 and zero.ok
+        assert (zero.k, zero.x) == (2, Fraction(5))  # k = len(C)
 
     def test_combo_linearity(self):
         p, N, x = Prime(5), 8, Fraction(2)
-        full = truncated_combo_sum(SeriesSpec(3, (2, -1, 3), x), p, N)
+        full = truncated_combo_sum((2, -1, 3), x, p, N)
         parts = Fraction(0)
         for j, c in enumerate((2, -1, 3), start=1):
             C = tuple(c if i == j else 0 for i in range(1, 4))
-            parts += truncated_combo_sum(SeriesSpec(3, C, x), p, N).partial
+            parts += truncated_combo_sum(C, x, p, N).partial
         assert full.partial == parts
 
     def test_combo_matches_single_route(self):
         # C = e_k reduces to the plain series
         for k in (1, 2, 3):
             C = tuple(1 if i == k else 0 for i in range(1, k + 1))
-            a = truncated_combo_sum(SeriesSpec(k, C, Fraction(-2)), Prime(3), 10)
+            a = truncated_combo_sum(C, -2, Prime(3), 10)
             b = truncated_padic_sum(k, -2, Prime(3), 10)
             assert (a.partial, a.target) == (b.partial, b.target)
             assert a.ok and b.ok
@@ -399,7 +406,12 @@ class TestTheorem2:
     def test_rejects_rational_x(self):
         for x in (Fraction(1, 2), Fraction(0)):
             with pytest.raises(ValueError):
-                truncated_combo_sum(SeriesSpec(1, (1,), x), Prime(3), 4)
+                truncated_combo_sum((1,), x, Prime(3), 4)
+
+    def test_rejects_empty_combination(self):
+        # k = len(C) must be >= 1
+        with pytest.raises(ValueError):
+            truncated_combo_sum((), 1, Prime(3), 4)
 
 
 def test_convergence_domain_reexport():
@@ -407,12 +419,6 @@ def test_convergence_domain_reexport():
 
 
 class TestRecords:
-    def test_series_spec(self):
-        check_record(SeriesSpec, k=2, C=(1, -1), x=Fraction(3))
-        for k, C in [(0, ()), (2, (1,))]:
-            with pytest.raises(ValueError):
-                SeriesSpec(k, C, Fraction(1))
-
     def test_identity_check(self):
         c = verify_identity(2, 4, 3)
         fields = dict(k=2, N=4, x=Fraction(3), lhs=c.lhs, rhs=c.rhs, tail=c.tail)
