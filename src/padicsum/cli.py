@@ -305,9 +305,14 @@ def cmd_kurepa(args, machine: bool) -> int:
                 "first_failure": report.first_failure,
             },
             report.ok,
-            lambda: f"0th digit nonzero for all {report.digit_checked_primes} odd primes "
-            f"<= {args.digit_max}"
-            + ("" if report.ok else f"; FAILURE at p = {report.first_failure}"),
+            lambda: (
+                f"0th digit nonzero for all {report.digit_checked_primes} odd primes "
+                f"<= {args.digit_max}"
+                if report.ok
+                # digit_checked_primes counts the failing prime too
+                else f"0th digit nonzero for the {report.digit_checked_primes - 1} odd "
+                f"primes below {report.first_failure}; FAILURE at p = {report.first_failure}"
+            ),
         )
     return EXIT_OK if all_ok else EXIT_FAIL
 

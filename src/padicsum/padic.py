@@ -64,27 +64,51 @@ class _cached:
         return value
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed base set).
+# the trial divisors, and the Miller-Rabin bases in this order
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
+# primes as bases, so those t bases decide every n < psi_t (Jaeschke, Math.
+# Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017, for t = 12, 13)
+_MILLER_RABIN_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
-    The base set {2,3,5,7,11,13,17,19,23,29,31,37} is known to be
-    deterministic for all n < 3.317e24, far beyond anything this library
-    handles.  Larger inputs are rejected.
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3.3e24; larger n raise ValueError.
+
+    Trial division by the primes up to 41 decides every n < 43^2; above
+    that, Miller-Rabin runs only as many of those primes as bases as are
+    proven to decide n's size class (_MILLER_RABIN_TIERS): one below 2,047,
+    two below 1,373,653, all thirteen at the top.
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
-    if n >= 3_317_044_064_679_887_385_961_981:
+    if n < 1_849:
+        return True
+    for bound, t in _MILLER_RABIN_TIERS:
+        if n < bound:
+            break
+    else:
         raise ValueError("primality test only deterministic below 3.3e24")
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in small:
+    for a in _SMALL_PRIMES[:t]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -32,10 +32,13 @@ def kurepa_digits(primes: list[int]) -> list[int]:
 
     (!n, n!) advances by [[1, 1], [0, n+1]]; a span's product [[1, b], [0, d]]
     is carried as (b, d).  walk() takes (!n, n!) at n = primes[lo - 1] (n = 0 at
-    lo = 0) down a remainder tree (Costa, Gerbicz, Harvey 2014) depth first."""
+    lo = 0) down a remainder tree (Costa, Gerbicz, Harvey 2014) depth first,
+    and returns the span's product from there to primes[hi - 1] if `span`.
+    Nothing reads the spans of the root and of the nodes down its right
+    edge, the largest products in the tree, so they are never built."""
     digits = [0] * len(primes)
 
-    def walk(lo: int, hi: int, lf: int, fact: int) -> tuple[int, int]:
+    def walk(lo: int, hi: int, lf: int, fact: int, span: bool) -> tuple[int, int] | None:
         m = math.prod(primes[lo:hi])
         lf, fact = lf % m, fact % m
         if hi - lo == 1:
@@ -45,12 +48,15 @@ def kurepa_digits(primes: list[int]) -> list[int]:
             digits[lo] = (lf + b * fact) % m
             return b, d
         mid = (lo + hi) // 2
-        bl, dl = walk(lo, mid, lf, fact)
-        br, dr = walk(mid, hi, lf + bl * fact, dl * fact)
-        return bl + br * dl, dl * dr
+        bl, dl = walk(lo, mid, lf, fact, True)
+        right = walk(mid, hi, lf + bl * fact, dl * fact, span)
+        if span:
+            br, dr = right
+            return bl + br * dl, dl * dr
+        return None
 
     if primes:
-        walk(0, len(primes), 0, 1)
+        walk(0, len(primes), 0, 1, False)
     return digits
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padicsum.cli as cli
+import padicsum.sequences as sequences
 from padicsum import (
     Prime, SumCertificate, bernoulli_numbers, truncated_padic_sum, verify_identity,
 )
@@ -433,6 +434,18 @@ class TestKurepa:
         assert recs[0]["result"]["gcd_ok_up_to"] == 50
         assert recs[1]["result"]["first_failure"] is None
 
+    def test_forced_failure_human(self, capsys, monkeypatch):
+        # the true digits, except a zero at p = 17, the 6th odd prime
+        tree = sequences.kurepa_digits
+        monkeypatch.setattr(sequences, "kurepa_digits", lambda primes: [
+            0 if q == 17 else d for q, d in zip(primes, tree(primes))])
+        code, out = run(capsys, "kurepa", "--digit-max", "100")
+        assert (code, out) == (
+            1, "0th digit nonzero for the 5 odd primes below 17; FAILURE at p = 17\n")
+        code, out = run(capsys, "--format", "machine", "kurepa", "--digit-max", "100")
+        assert code == 1
+        assert machine_records(out)[0]["result"] == {"primes_checked": 6, "first_failure": 17}
+
     def test_no_flags_is_usage_error(self, capsys):
         code, _ = run(capsys, "kurepa")
         assert code == 2
@@ -520,6 +533,10 @@ class TestUsageErrors:
             (("bernoulli", "--level", "5", "1", "--poly", "0,q"),
              "--poly: invalid literal for int() with base 10: 'q'"),
             (("bernoulli", "--level", "4", "1"), "--level P: 4 is not prime"),
+            # 399,165,290,221 * 798,330,580,441, a strong pseudoprime to
+            # the twelve prime bases 2..37
+            (("padic", "--value", "1", "--p", "318665857834031151167461"),
+             "--p: 318665857834031151167461 is not prime"),
         ],
     )
     def test_malformed_value_names_the_flag(self, capsys, argv, err):

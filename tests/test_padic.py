@@ -73,13 +73,35 @@ class TestPrime:
             Prime(q)
 
     def test_is_prime_matches_sieve(self):
-        sieve = [True] * 1000
+        # past 43^2 = 1,849 trial division stops deciding and the first
+        # two Miller-Rabin tiers (1 base below 2,047, then 2) take over
+        bound = 200_000
+        sieve = [True] * bound
         sieve[0] = sieve[1] = False
-        for i in range(2, 32):
+        for i in range(2, math.isqrt(bound) + 1):
             if sieve[i]:
-                for j in range(i * i, 1000, i):
+                for j in range(i * i, bound, i):
                     sieve[j] = False
-        assert [is_prime(n) for n in range(1000)] == sieve
+        assert [is_prime(n) for n in range(bound)] == sieve
+
+    # psi_t, the least strong pseudoprime to the first t prime bases, for
+    # t = 1..7, 9 and 12; each is composite and lies in the next tier
+    @pytest.mark.parametrize("psi", [
+        2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+        3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+        318_665_857_834_031_151_167_461,
+    ])
+    def test_rejects_strong_pseudoprimes(self, psi):
+        assert not is_prime(psi)
+
+    def test_mersenne_numbers(self):
+        assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+        assert 2**67 - 1 == 193_707_721 * 761_838_257_287
+        assert not is_prime(2**67 - 1)
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="3.3e24"):
+            is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestDigitSum:

@@ -98,7 +98,10 @@ class TestKurepaDigit:
 
     def test_tree_matches_the_one_prime_digit(self):
         odd_primes = [q for q in range(3, 2000, 2) if is_prime(q)]
-        for primes in (odd_primes, [], [3], [3, 5], [7919]):
+        # the tree's shape depends only on the number of primes: lengths
+        # 0..64 give every shape up to 64 leaves
+        prefixes = [odd_primes[:n] for n in range(65)]
+        for primes in (*prefixes, odd_primes, [7919]):
             want = [kurepa_digit(Prime(q)) for q in primes]
             assert sequences.kurepa_digits(primes) == want
 
