@@ -59,14 +59,15 @@ def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
     """Finite-level Volkenborn sum p^(-m) * sum_{j=0}^{p^m - 1} P(j), exact.
 
     Uses the Bernoulli closed form for the power sums, so the cost is
-    independent of p^m; the work limit still guards absurd exponents.
+    independent of p^m; the work limit still guards absurd exponents.  It is
+    checked before p^m is built: p >= 2, so p^m > L whenever m > L.bit_length().
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    pp = int(p)
-    M = pp**m
-    if M > work_limit():
-        raise ValueError(f"p^m = {M} exceeds work limit {work_limit()}")
+    limit = work_limit()
+    if m > limit.bit_length() or int(p) ** m > limit:
+        raise ValueError(f"p^m exceeds work limit {limit} (p = {int(p)}, m = {m})")
+    M = int(p) ** m
     B = bernoulli_numbers(max(P.degree, 0))
     total = Fraction(0)
     for n, c in enumerate(P.coeffs):

@@ -125,9 +125,9 @@ def cmd_triples(args, machine: bool) -> int:
         trip = build_triple(k)
         result = {
             "k": k,
-            "U": [int(c) for c in trip.U.coeffs],
-            "V": [int(c) for c in trip.V.coeffs],
-            "A": [[int(c) for c in layer.coeffs] for layer in trip.A.layers],
+            "U": trip.U.coeffs,
+            "V": trip.V.coeffs,
+            "A": [layer.coeffs for layer in trip.A.layers],
         }
         em.record({"k": k}, result, True,
                   lambda: f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}")
@@ -233,6 +233,10 @@ def cmd_padic(args, machine: bool) -> int:
 
 
 def cmd_bernoulli(args, machine: bool) -> int:
+    if args.N is not None and args.identity is None:
+        raise ValueError("--N needs --identity")
+    if args.poly is not None and args.level is None:
+        raise ValueError("--poly needs --level")
     p_raw, m = args.level or (None, None)
     require_at_least({"--nmax": (args.nmax, 0), "--identity": (args.identity, 1),
                       "--N": (args.N, 1), "--level M": (m, 1)})
@@ -263,8 +267,6 @@ def cmd_bernoulli(args, machine: bool) -> int:
             lambda: f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}",
         )
         return EXIT_OK
-    if args.nmax is None:
-        raise ValueError("one of --nmax, --identity, --level required")
     for n, b in enumerate(bernoulli_numbers(args.nmax)):
         em.record(
             {"n": n},
@@ -370,11 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=10)
 
     p = sub.add_parser("bernoulli", help="Bernoulli table / identity / level sums")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--identity", type=int, metavar="K")
-    p.add_argument("--N", type=int)
-    p.add_argument("--level", type=int, nargs=2, metavar=("P", "M"))
-    p.add_argument("--poly", help="integer coefficients, ascending powers")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--nmax", type=int)
+    mode.add_argument("--identity", type=int, metavar="K")
+    mode.add_argument("--level", type=int, nargs=2, metavar=("P", "M"))
+    p.add_argument("--N", type=int, help="with --identity")
+    p.add_argument("--poly", help="with --level: integer coefficients, ascending powers")
 
     p = sub.add_parser("kurepa", help="left-factorial hypothesis scans")
     p.add_argument("--gcd-max", type=int)

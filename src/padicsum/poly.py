@@ -102,28 +102,41 @@ class Poly(_Record):
         return render_poly(self)
 
 
+def _power(var: str, i: int) -> str:
+    """var**i as text: '' for i = 0, then 'x', 'x^2', ..."""
+    if i == 0:
+        return ""
+    return var if i == 1 else f"{var}^{i}"
+
+
+def _term(c, power: str) -> tuple[bool, str]:
+    """(negative, body) of the nonzero c at `power`: '3', 'x' or '3*x'."""
+    if not power:
+        return c < 0, str(abs(c))
+    return c < 0, power if abs(c) == 1 else f"{abs(c)}*{power}"
+
+
+def _terms(P: Poly) -> list[tuple[bool, str]]:
+    """The terms of P's nonzero coefficients, highest power first."""
+    return [_term(P.coeffs[i], _power(P.var, i))
+            for i in range(P.degree, -1, -1) if P.coeffs[i]]
+
+
+def _join(terms: list[tuple[bool, str]]) -> str:
+    """Terms as 'a - b + c', a leading '-' on a negative first; '0' for none."""
+    if not terms:
+        return "0"
+    negative, text = terms[0]
+    if negative:
+        text = "-" + text
+    for negative, body in terms[1:]:
+        text += (" - " if negative else " + ") + body
+    return text
+
+
 def render_poly(P: Poly) -> str:
     """Canonical text: descending powers, explicit signs, e.g. 'x^3 - 7*x^2 + 6*x - 1'."""
-    if P.is_zero:
-        return "0"
-    parts = []
-    for i in range(P.degree, -1, -1):
-        c = P.coeff(i)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            v = P.var if i == 1 else f"{P.var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    return _join(_terms(P))
 
 
 class BivarPoly(_Record):
@@ -183,35 +196,15 @@ class BivarPoly(_Record):
         return self.eval_n(n0)(x0)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for l in range(self.degree_x, -1, -1):
-            lay = self.layer(l)
-            if lay.is_zero:
-                continue
-            if l == 0:
-                body = str(lay)
-            else:
-                xv = "x" if l == 1 else f"x^{l}"
-                if lay.degree == 0:
-                    c = lay.coeff(0)
-                    if c == 1:
-                        body = xv
-                    elif c == -1:
-                        body = f"-{xv}"
-                    else:
-                        body = f"{c}*{xv}"
-                else:
-                    body = f"({lay})*{xv}"
-            parts.append(body)
-        text = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                text += f" - {body[1:]}"
-            else:
-                text += f" + {body}"
-        return text
+        """Layer l >= 1 as c*x^l or (layer)*x^l, then layer 0's own terms."""
+        terms = []
+        for l in range(self.degree_x, 0, -1):
+            lay = self.layers[l]
+            if lay.degree == 0:
+                terms.append(_term(lay.coeffs[0], _power("x", l)))
+            elif lay.degree > 0:
+                terms.append((False, f"({lay})*{_power('x', l)}"))
+        return _join(terms + _terms(self.layer(0)))
 
 
 def int_poly(coeffs) -> Poly:

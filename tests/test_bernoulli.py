@@ -153,6 +153,17 @@ class TestVolkenbornLevel:
         with pytest.raises(ValueError):
             volkenborn_level(int_poly([0, 1]), Prime(5), 4)
 
+    @pytest.mark.parametrize("p, m, limit", [(5, 3, 125), (2, 6, 64), (2, 7, 128)])
+    def test_work_limit_is_inclusive(self, monkeypatch, p, m, limit):
+        # p^m == limit is allowed; one less refuses it, also where m is the
+        # limit's bit length (2^7 against 127)
+        P = int_poly([0, 1])
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", str(limit))
+        assert volkenborn_level(P, Prime(p), m) == Fraction(p**m - 1, 2)
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", str(limit - 1))
+        with pytest.raises(ValueError, match=rf"work limit {limit - 1}\b"):
+            volkenborn_level(P, Prime(p), m)
+
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             volkenborn_level(int_poly([1]), Prime(3), 0)

@@ -396,14 +396,37 @@ class TestBernoulli:
         [
             (["--nmax", "-1"], "--nmax must be >= 0"),
             (["--level", "3", "0"], "--level M must be >= 1"),
+            # refused before 3^2000000 is built, without its digits
+            (["--level", "3", "2000000"],
+             "p^m exceeds work limit 1000000000 (p = 3, m = 2000000)"),
         ],
     )
-    def test_bad_bound_is_usage_error_before_any_work(self, capsys, argv, message):
+    def test_bad_bound_is_usage_error_before_any_work(
+        self, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
         code = main(["--format", "machine", "bernoulli", *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nmax", "3", "--identity", "2", "--N", "3"],
+            ["--identity", "2", "--N", "3", "--level", "5", "1"],
+            ["--nmax", "3", "--level", "5", "1"],
+            [],
+        ],
+        ids=["nmax-identity", "identity-level", "nmax-level", "none"],
+    )
+    def test_exactly_one_mode(self, capsys, argv):
+        for fmt in ("human", "machine"):
+            code = main(["--format", fmt, "bernoulli", *argv])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert "error: " in captured.err
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap"
@@ -537,6 +560,12 @@ class TestUsageErrors:
             # the twelve prime bases 2..37
             (("padic", "--value", "1", "--p", "318665857834031151167461"),
              "--p: 318665857834031151167461 is not prime"),
+            # a modifier without its mode
+            (("bernoulli", "--nmax", "3", "--N", "4"), "--N needs --identity"),
+            (("bernoulli", "--level", "5", "1", "--N", "2"), "--N needs --identity"),
+            (("bernoulli", "--nmax", "3", "--poly", "1,2"), "--poly needs --level"),
+            (("bernoulli", "--identity", "2", "--N", "3", "--poly", "0,1"),
+             "--poly needs --level"),
         ],
     )
     def test_malformed_value_names_the_flag(self, capsys, argv, err):

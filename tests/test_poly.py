@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,40 @@ def test_rendering():
     assert render_poly(int_poly([-1])) == "-1"
     assert render_poly(int_poly([])) == "0"
     assert str(BivarPoly.make([n_poly([1]), n_poly([-2, 1])])) == "(n - 2)*x + 1"
+
+
+@pytest.mark.parametrize(
+    "layers, text",
+    [
+        # a constant layer at x^l, l >= 1: coefficient 1, -1, -3
+        ([[], [], [1]], "x^2"),
+        ([[5], [-1]], "-x + 5"),
+        ([[0, 2], [-3]], "-3*x + 2*n"),
+        ([[], [-3]], "-3*x"),
+        # a nonconstant layer 0 whose own text starts with '-'
+        ([[1, -1], [2]], "2*x - n + 1"),
+        ([[1, -1], [-1, 1]], "(n - 1)*x - n + 1"),
+        ([[1, 0, -1], [0, 1]], "(n)*x - n^2 + 1"),
+        # zero layers between nonzero ones
+        ([[-1], [], [], [4, 0, 1]], "(n^2 + 4)*x^3 - 1"),
+        ([[2], [0], [-1, 1]], "(n - 1)*x^2 + 2"),
+        # the zero polynomial and layer 0 alone
+        ([], "0"),
+        ([[-3, 0, 1]], "n^2 - 3"),
+        ([[0, -1]], "-n"),
+        ([[-1]], "-1"),
+    ],
+)
+def test_bivar_rendering_edge_cases(layers, text):
+    assert str(BivarPoly.make(layers)) == text
+
+
+@pytest.mark.parametrize(
+    "coeffs, text",
+    [([1, 0, -2], "-2*n^2 + 1"), ([0, -1], "-n"), ([-4, 0, 0, -1], "-n^3 - 4")],
+)
+def test_n_poly_negative_leading_rendering(coeffs, text):
+    assert render_poly(n_poly(coeffs)) == text == str(n_poly(coeffs))
 
 
 def test_records():
