@@ -25,6 +25,7 @@ from .recurrences import (
     compute_A_family,
     family_residual,
     solve_triple,
+    telescope,
 )
 from .summation import (
     IdentityCheck,
@@ -75,6 +76,7 @@ __all__ = [
     "compute_A_family",
     "family_residual",
     "solve_triple",
+    "telescope",
     "IdentityCheck",
     "SumCertificate",
     "certificate_from_check",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 
 from .padic import Prime, factorial_norm_exponent
 from .poly import Poly, binomial
@@ -88,19 +88,22 @@ def bernoulli_identity_partial(k: int, N: int) -> tuple[Fraction, Fraction]:
     rhs = sum_l V_kl B_l + N! sum_l A_{k-1,l}(N) B_{N+l}
 
     These are exactly equal for every k, N (image of a polynomial identity).
+    lhs is summed in integers, B_j times the lcm L of their denominators.
     """
     if k < 1 or N < 1:
         raise ValueError("k and N must be >= 1")
     B = bernoulli_numbers(N + k - 1)
     trip = build_triple(k)
+    L = lcm(*(q.denominator for q in B))
+    BL = [q.numerator * (L // q.denominator) for q in B]
 
-    def c(n: int) -> Fraction:
-        return n**k * B[n + k] + _volkenborn(trip.U.coeffs, B, n)
+    def c(n: int) -> int:
+        return n**k * BL[n + k] + sum(u * BL[n + l] for l, u in enumerate(trip.U.coeffs))
 
-    _, fact, lhs = next(islice(factorial_series(c), N - 1, None))  # fact == N!
+    _, fact, S = next(islice(factorial_series(c), N - 1, None))  # fact == N!
     A_at_N = trip.A.eval_n(N)  # polynomial in x, coeff l = A_{k-1,l}(N)
     rhs = _volkenborn(trip.V.coeffs, B) + fact * _volkenborn(A_at_N.coeffs, B, N)
-    return lhs, rhs
+    return Fraction(S, L), rhs
 
 
 def bernoulli_series_certificate(k: int, p: Prime, N: int) -> SumCertificate:

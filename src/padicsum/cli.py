@@ -194,18 +194,13 @@ def cmd_sum(args, machine: bool) -> int:
     x = parse_exact("--x", args.x)
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
-    if args.C:
+    C, params = None, {"k": args.k, "x": fmt_q(x)}
+    if args.C is not None:
         C = parse_exact("--C", args.C, parse_set)
         if len(C) != args.k:
             raise ValueError("--C must list exactly k coefficients")
-        value = sum(
-            (c * invariant_sum(j, int(x)) for j, c in enumerate(C, start=1)),
-            Fraction(0),
-        )
         params = {"k": args.k, "C": C, "x": fmt_q(x)}
-    else:
-        value = invariant_sum(args.k, int(x))
-        params = {"k": args.k, "x": fmt_q(x)}
+    value = invariant_sum(args.k, int(x), C)
     em.record(params, {"sum": fmt_q(value)}, True, lambda: f"sum = {fmt_q(value)}")
     return EXIT_OK
 
@@ -257,7 +252,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
         return EXIT_OK if ok else EXIT_FAIL
     if args.level:
         p = parse_exact("--level P", p_raw, Prime)
-        coeffs = parse_exact("--poly", args.poly, parse_set) if args.poly else [0, 1]
+        coeffs = [0, 1] if args.poly is None else parse_exact("--poly", args.poly, parse_set)
         P = int_poly(coeffs)
         value = volkenborn_level(P, p, m)
         em.record(
@@ -396,22 +391,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     machine = args.format == "machine"
-    handlers = {
-        "triples": cmd_triples,
-        "verify": cmd_verify,
-        "sum": cmd_sum,
-        "padic": cmd_padic,
-        "bernoulli": cmd_bernoulli,
-        "kurepa": cmd_kurepa,
-        "sequences": cmd_sequences,
-    }
     # exact output prints integers of any length, past CPython's cap on
     # decimal conversion (from 3.10.7; B_n passes it at n = 2064)
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_cap(0)
     try:
-        return handlers[args.cmd](args, machine)
+        return globals()[f"cmd_{args.cmd}"](args, machine)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

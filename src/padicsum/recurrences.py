@@ -6,12 +6,17 @@ N! x^N A_{k-1}(N; x) telescopes: it holds for every N exactly when
     (n+1) x A_{k-1}(n+1; x) - A_{k-1}(n; x) = n^k x^k + U_k(x),
 
 whose polynomial solution A_{k-1} in n is unique (the polynomial-solution
-step of Gosper's algorithm).  `solve_triple` solves it for one k in integer
-arithmetic; `compute_A_family` is the slow reference route, the paper's
-recurrence over the whole A-family, kept for the tests.
+step of Gosper's algorithm).  `telescope` solves it for any P(n) at one
+point x, as every numeric path does; `solve_triple` in polynomials in x.
+`compute_A_family` is the slow reference route, the paper's recurrence over
+the whole A-family, kept for the tests.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from math import comb
+from operator import mul
 
 from .padic import _Record
 from .poly import BivarPoly, Poly, binomial, int_poly
@@ -60,18 +65,50 @@ class SummationTriple(_Record):
         self.__dict__.update(k=k, U=U, V=V, A=A)
 
 
-def solve_triple(k: int) -> SummationTriple:
-    """(U_k, V_k, A_{k-1}) from the telescoping equation.
-
-    With A_{k-1} = sum_{m<k} a_m(x) n^m, comparing the n^m coefficients gives,
-    from the top down, a_{k-1} = x^(k-1) and, for m = k-1 .. 1,
-
-        a_{m-1} = a_m / x - sum_{j=m}^{k-1} C(j+1, m) a_j;
-
-    the n^0 coefficient then gives U_k = x A_{k-1}(1; x) - A_{k-1}(0; x),
-    and V_k = -A_{k-1}(0; x).  a_m has no x-power below x^m, so dividing by
-    x is an exact shift and every coefficient stays an integer.
+def telescope(P: list[int], a: int, b: int = 1) -> tuple[int, list[int]]:
+    """u and the polynomial A solving (n+1) x A(n+1) - A(n) = P(n) - u at
+    x = a/b != 0, so that sum_{n<N} n! (P(n) - u) x^n = -A(0) + N! x^N A(N),
+    in O(d^2) integer operations, d = deg P: a_{d-1} = p_d / x, then
+    a_{m-1} = (p_m + a_m) / x - sum_{j=m}^{d-1} C(j+1, m) a_j for m = d-1 .. 1
+    and u = p_0 - (x A(1) - A(0)), from the n^m coefficients.  P lists s b p_0,
+    .., s b p_d for a scale s that makes every division by a exact: s = b^(d-1)
+    for P = sum_j C_j x^j n^j with integer C_j (a_m has no x-power below x^m),
+    s = a^d for any integer P.  Returns s b u and s a_0, .., s a_{d-1}.
     """
+    d = len(P) - 1
+    A = [0] * (d + 1)  # A[d] = 0 starts the recurrence
+    for m in range(d, 0, -1):
+        q, r = divmod(P[m] + b * A[m], a)
+        if r:
+            raise ValueError("the scale of P leaves a division by a inexact")
+        # sum_{j=m}^{d-1} C(j+1, m) a_j
+        A[m - 1] = q - sum(map(mul, map(comb, range(m + 1, d + 1), repeat(m)), A[m:d]))
+    return P[0] - a * sum(A) + b * A[0], A[:d]
+
+
+def telescope_combo(C: tuple[int, ...], a: int, b: int = 1) -> tuple[int, list[int]]:
+    """U(x) b^k and the coefficients in n of A(n; x) b^(k-1), x = a/b, for the
+    Theorem-2 combination C = (C_1, .., C_k): U = sum_j C_j U_j, A = sum_j C_j
+    A_{j-1}, V = sum_j C_j V_j = -A(0), from one telescope of sum_j C_j x^j n^j.
+    At x = 0, which leaves A open, it takes U_j(0) = -1 and A_{j-1}(n; 0) = 1."""
+    k = len(C)
+    if k < 1:
+        raise ValueError("need k = len(C) >= 1")
+    if a == 0:
+        return -sum(C), [sum(C)]
+    u, A = telescope([0] + [c * a**j * b ** (k - j) for j, c in enumerate(C, 1)], a, b)
+    return -u, A
+
+
+def unit_combo(k: int) -> tuple[int, ...]:
+    """(0, .., 0, 1), the combination of n^k x^k + U_k(x) alone; () for k < 1."""
+    return tuple(int(j == k) for j in range(1, k + 1))
+
+
+def solve_triple(k: int) -> SummationTriple:
+    """(U_k, V_k, A_{k-1}), the solve of `telescope` for P = n^k x^k in
+    polynomials in x: U_k = -u, V_k = -A_{k-1}(0; x).  a_m has no x-power
+    below x^m, so dividing by x is an exact shift of integer lists."""
     if k < 1:
         raise ValueError("k must be positive")
     # a[m][i]: coefficient of n^m x^i, zero unless m <= i < k
@@ -99,7 +136,8 @@ class TripleFamily:
         self._triples: dict[int, SummationTriple] = {}
 
     def triple(self, k: int) -> SummationTriple:
-        """(U_k, V_k, A_{k-1}); the library reads U_k and V_k only from here."""
+        """(U_k, V_k, A_{k-1}) as polynomials in x, for `triples` and the
+        Bernoulli image; the numeric paths solve at their point by `telescope`."""
         trip = self._triples.get(k)
         if trip is None:
             trip = self._triples.setdefault(k, solve_triple(k))

@@ -1,5 +1,5 @@
 """Left factorials, Kurepa-hypothesis scans, and the integer sequences
-obtained from U_k, V_k at x = +-1.
+obtained from U_k, V_k at x = +-1, each solved at the point by `telescope`.
 
 A Kurepa counterexample is an open-problem finding, so scans report it as
 structured data (first_failure) instead of raising.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .padic import Prime, _Record, is_prime
-from .recurrences import build_triple
+from .recurrences import telescope_combo, unit_combo
 
 
 class KurepaReport(_Record):
@@ -108,12 +108,8 @@ def paper_sequences(kmax: int) -> dict[str, list[int]]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    neg_v, neg_vbar, u, neg_ubar = [], [], [], []
-    for k in range(1, kmax + 1):
-        trip = build_triple(k)
-        U, V = trip.U, trip.V
-        neg_v.append(-V(1))
-        neg_vbar.append(-V(-1))
-        u.append(U(1))
-        neg_ubar.append(-U(-1))
-    return {"neg_v": neg_v, "neg_vbar": neg_vbar, "u": u, "neg_ubar": neg_ubar}
+    # (U_k(x), A_{k-1}(n; x)) for k = 1..kmax, at x = 1 and at x = -1
+    plus, minus = ([telescope_combo(unit_combo(k), x) for k in range(1, kmax + 1)]
+                   for x in (1, -1))
+    return {"neg_v": [A[0] for _, A in plus], "neg_vbar": [A[0] for _, A in minus],
+            "u": [U for U, _ in plus], "neg_ubar": [-U for U, _ in minus]}

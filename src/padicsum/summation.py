@@ -19,7 +19,7 @@ from itertools import count, islice
 
 from .padic import Prime, _cached, _int_valuation, _Record, factorial_norm_exponent, vp
 from .poly import Poly
-from .recurrences import build_triple
+from .recurrences import telescope_combo, unit_combo
 
 
 class SumCertificate(_Record):
@@ -102,33 +102,27 @@ def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
     return Fraction(S, b ** (N - 1))
 
 
-def identity_checks(k: int, x: Fraction | int, n_max: int) -> Iterator[IdentityCheck]:
-    """Both sides of the finite identity at (k, N, x) for N = 1..n_max, in one pass.
+def identity_checks(k: int, x: Fraction | int, n_max: int,
+                    C: tuple[int, ...] | None = None) -> Iterator[IdentityCheck]:
+    """Both sides of the finite identity at (k, N, x) for N = 1..n_max, in one
+    pass from one telescope at x = a/b; with C, those of the Theorem-2
+    combination sum_j C_j [n^j x^j + U_j(x)], k = len(C).  Step N scales every
+    value to an integer by D_N = b^(N-1+k), so no running sum takes a gcd:
 
-    With x = a/b, step N keeps every quantity as an integer scaled by
-    D_N = b^(N-1+k), so the running sums take no gcd:
+        L_N = b^(N-1) sum_{n<N} n! (sum_j C_j n^j a^j b^(k-j) + U(x) b^k) (a/b)^n
+        T_N = N! a^N * A(N; x) b^(k-1),  R_N = V(x) b^(k-1) * b^N + T_N
 
-        L_N = b^(N-1) sum_{n<N} n! (n^k a^k + U_k(x) b^k) (a/b)^n
-        T_N = N! a^N * A_{k-1}(N; x) b^(k-1)
-        R_N = V_k(x) b^(k-1) * b^N + T_N
-
-    L_N is the factorial_series sum; L_N, R_N and T_N are lhs, rhs and
-    tail times D_N, and Fraction is built only for the returned fields.
+    are lhs, rhs and tail times D_N; L_N does not read A, so a wrong solve fails.
     """
-    if k < 1 or n_max < 1:
-        raise ValueError("k and N must be >= 1")
+    C = unit_combo(k) if C is None else C
+    if n_max < 1:
+        raise ValueError("N must be >= 1")
     x = Fraction(x)
-    a, b = x.numerator, x.denominator
-    trip = build_triple(k)
-    Ub = int(trip.U(x) * b**k)
-    Vb = int(trip.V(x) * b ** (k - 1))
-    # A_{k-1}(n; x) b^(k-1) as an integer polynomial in n
-    Ab = sum(
-        (lay.scale(a**l * b ** (k - 1 - l)) for l, lay in enumerate(trip.A.layers)),
-        Poly.make([], "n"),
-    )
-    ak = a**k
-    series = factorial_series(lambda n: n**k * ak + Ub, a, b)
+    a, b, k = x.numerator, x.denominator, len(C)
+    Ub, A = telescope_combo(C, a, b)
+    Vb, Ab = -A[0], Poly.make(A, "n")
+    terms = [(j, c * a**j * b ** (k - j)) for j, c in enumerate(C, 1) if c]
+    series = factorial_series(lambda n: sum(c * n**j for j, c in terms) + Ub, a, b)
     bpow, D = b, b**k  # b^N, D_N at N = 1
     for N, fa, L in islice(series, n_max):
         T = fa * Ab(N)
@@ -165,13 +159,12 @@ def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
     return SumCertificate(check.k, N, x, p, partial, target, tail, bound)
 
 
-def invariant_sum(k: int, x: int) -> Fraction:
-    """The common p-adic value V_k(x) of the infinite series, for integer x."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def invariant_sum(k: int, x: int, C: tuple[int, ...] | None = None) -> Fraction:
+    """The common p-adic value V_k(x) of the infinite series, for integer x;
+    with C, sum_j C_j V_j(x), that of the combination, k = len(C)."""
     if not isinstance(x, int):
         raise TypeError("p-adic invariance holds for integer x only")
-    return Fraction(build_triple(k).V(x))
+    return Fraction(-telescope_combo(unit_combo(k) if C is None else C, x)[1][0])
 
 
 def truncated_padic_sum(k: int, x: int, p: Prime, N: int) -> SumCertificate:
@@ -185,18 +178,7 @@ def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
                         N: int) -> SumCertificate:
     """Certificate that the N-term partial sum of the Theorem-2 combination
     sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n, j = 1..k = len(C), is
-    p-adically close to sum_j C_j V_j(x).
-
-    Its identity at N is the C-weighted sum of the per-j identities.
-    """
-    if not C:
-        raise ValueError("need at least one coefficient C_1")
-    x = Fraction(x)
-    lhs = rhs = tail = Fraction(0)
-    for j, c in enumerate(C, start=1):
-        if c:
-            check = verify_identity(j, N, x)
-            lhs += c * check.lhs
-            rhs += c * check.rhs
-            tail += c * check.tail
-    return certificate_from_check(IdentityCheck(len(C), N, x, lhs, rhs, tail), p)
+    p-adically close to sum_j C_j V_j(x), from one telescope of
+    P = sum_j C_j x^j n^j."""
+    *_, check = identity_checks(len(C), x, N, C)
+    return certificate_from_check(check, p)

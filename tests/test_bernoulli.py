@@ -195,6 +195,19 @@ class TestBernoulliIdentity:
                 rhs = oracle_volkenborn(t.V.coeffs) + tail
                 assert bernoulli_identity_partial(k, N) == (lhs, rhs), (k, N)
 
+    def test_integer_lhs_at_table_size(self):
+        # lhs is summed in integers scaled by the lcm of the B_j denominators;
+        # here it is held to the plain Fraction sum at the size of the tables
+        # benchmark, k + N = 300
+        B = bernoulli_numbers(299)
+        for k in (1, 3, 4, 5):
+            N, U = 300 - k, build_triple(k).U.coeffs
+            lhs = sum(
+                math.factorial(n) * (n**k * B[n + k] + sum(u * B[n + l] for l, u in enumerate(U)))
+                for n in range(N)
+            )
+            assert bernoulli_identity_partial(k, N) == (lhs, lhs), k
+
 
 class TestBernoulliCertificates:
     def test_k1_p5_N10(self):

@@ -566,6 +566,11 @@ class TestUsageErrors:
             (("bernoulli", "--nmax", "3", "--poly", "1,2"), "--poly needs --level"),
             (("bernoulli", "--identity", "2", "--N", "3", "--poly", "0,1"),
              "--poly needs --level"),
+            # an empty value is malformed, not absent
+            (("bernoulli", "--level", "5", "1", "--poly", ""),
+             "--poly: invalid literal for int() with base 10: ''"),
+            (("sum", "--k", "1", "--C", "", "--x", "1"),
+             "--C: invalid literal for int() with base 10: ''"),
         ],
     )
     def test_malformed_value_names_the_flag(self, capsys, argv, err):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import padicsum.recurrences as recurrences
@@ -13,8 +15,10 @@ from padicsum import (
     n_poly,
     paper_sequences,
     solve_triple,
+    telescope,
 )
 from padicsum.cli import main
+from padicsum.recurrences import telescope_combo, unit_combo
 from oracles import (
     compute_U,
     compute_U_by_recurrence,
@@ -211,6 +215,51 @@ class TestSolveTriple:
             assert t.A == family[k - 1], k
             assert t.U == compute_U(k, family) == us[k - 1], k
             assert t.V == compute_V(k, family) == vs[k - 1], k
+
+
+TELESCOPE_XS = [Fraction(v) for v in range(-3, 4)] + [
+    Fraction(-5, 4), Fraction(6, 5), Fraction(7, 4)
+]
+
+
+class TestTelescope:
+    def test_matches_solve_triple(self):
+        # U_k(x) b^k, V_k(x) b^(k-1) and A_{k-1}(n; x) b^(k-1), coefficient by
+        # coefficient in n, at x = a/b; x = 0 takes the family's values
+        for k in range(1, 31):
+            t = solve_triple(k)
+            for x in TELESCOPE_XS:
+                a, b = x.numerator, x.denominator
+                Ub, A = telescope_combo(unit_combo(k), a, b)
+                assert Ub == t.U(x) * b**k, (k, x)
+                assert -A[0] == t.V(x) * b ** (k - 1), (k, x)
+                want = [sum(lay.coeff(m) * x**l for l, lay in enumerate(t.A.layers))
+                        for m in range(k)]
+                assert n_poly(A) == n_poly([w * b ** (k - 1) for w in want]), (k, x)
+                for N in (0, 1, 5, 12):
+                    assert n_poly(A)(N) == t.A.eval(N, x) * b ** (k - 1), (k, x, N)
+
+    def test_x_zero_values(self):
+        for k in range(1, 31):
+            t = solve_triple(k)
+            assert t.U(0) == t.V(0) == -1 and t.A.eval_n(7)(0) == 1
+            assert telescope_combo(unit_combo(k), 0) == (-1, [1])
+        assert telescope_combo((2, 0, -5), 0) == (3, [-3])
+
+    def test_degree_zero_and_scale(self):
+        # P = 7: A = 0 and u = 7.  P = n at x = 2 has A = 1/2 and u = -1/2,
+        # so it needs the scale s = a^d = 2: P lists s p_m, and the result is
+        # s u = -1 and s A = 1
+        assert telescope([7], 3) == (7, [])
+        with pytest.raises(ValueError, match="inexact"):
+            telescope([0, 1], 2)
+        assert telescope([0, 2], 2) == (-1, [1])
+
+    def test_unit_combo(self):
+        assert unit_combo(1) == (1,) and unit_combo(4) == (0, 0, 0, 1)
+        assert unit_combo(0) == ()
+        with pytest.raises(ValueError):
+            telescope_combo(unit_combo(0), 1)
 
 
 def test_compute_A_family_base_case():

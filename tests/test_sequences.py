@@ -1,4 +1,5 @@
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from padicsum import (
     kurepa_digit_scan,
     kurepa_gcd_scan,
     paper_sequences,
+    telescope,
 )
 from oracles import (
     bell_numbers,
@@ -143,6 +145,11 @@ class TestPaperSequences:
         for k in range(1, 16):
             assert seqs["neg_ubar"][k - 1] == bells[k + 1], k
 
+    def test_bell_numbers_to_60(self):
+        # -U_k(-1) from one telescope at x = -1 per k
+        bells = bell_numbers(61)
+        assert paper_sequences(60)["neg_ubar"] == bells[2:]
+
     def test_cross_module_recurrence_path(self):
         # independent route: U/V via their own recurrences, evaluated at +-1
         kmax = 10
@@ -165,6 +172,26 @@ class TestPaperSequences:
             assert seqs["neg_vbar"][k - 1] == Akm1.eval(0, -1)
             assert seqs["u"][k - 1] == Akm1.eval(1, 1) - Akm1.eval(0, 1)
             assert seqs["neg_ubar"][k - 1] == Akm1.eval(1, -1) + Akm1.eval(0, -1)
+
+
+def test_telescope_meets_the_kurepa_digits():
+    # at x = 1 the telescope of an integer P has integer u and A, and N = p
+    # in sum_{n<N} n! (P(n) - u) = -A(0) + N! A(N) gives
+    # sum_{n<p} n! P(n) = u !p - A(0) (mod p): the solve against the
+    # remainder tree's !p mod p, for the odd primes below 500
+    primes = [q for q in range(3, 500, 2) if is_prime(q)]
+    digits = sequences.kurepa_digits(primes)
+    rng = random.Random(1975)
+    for _ in range(12):
+        P = [rng.randint(-50, 50) for _ in range(rng.randint(1, 7))]
+        u, A = telescope(P, 1)
+        A0 = A[0] if A else 0
+        for q, digit in zip(primes, digits):
+            total, fact = 0, 1
+            for n in range(q):
+                total = (total + fact * sum(c * n**m for m, c in enumerate(P))) % q
+                fact = fact * (n + 1) % q
+            assert total == (u * digit - A0) % q, (P, q)
 
 
 def test_bell_recurrence_definition():

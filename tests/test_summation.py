@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,13 +22,17 @@ from padicsum import (
     identity_checks,
     in_convergence_domain,
     invariant_sum,
+    paper_sequences,
     partial_sum_Sk,
+    telescope,
     truncated_combo_sum,
     truncated_padic_sum,
     verify_identity,
     vp,
 )
+import padicsum.recurrences as recurrences
 from padicsum.padic import _cached, _Record
+from padicsum.recurrences import telescope_combo, unit_combo
 from test_padic import check_record, legendre_valuation
 
 
@@ -412,6 +417,65 @@ class TestTheorem2:
         # k = len(C) must be >= 1
         with pytest.raises(ValueError):
             truncated_combo_sum((), 1, Prime(3), 4)
+
+
+def ev(poly, n):
+    """The polynomial with these ascending coefficients at n."""
+    return sum(c * n**m for m, c in enumerate(poly))
+
+
+class TestTelescope:
+    def test_identity_against_brute_force(self):
+        # sum_{n<N} n! (P(n) - u) x^n = -A(0) + N! x^N A(N) for random integer
+        # P and rational x = a/b, solved with the scale s = a^d
+        rng = random.Random(20140101)
+        for _ in range(200):
+            P = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+            a, b = rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5)
+            x, s = Fraction(a, b), a ** (len(P) - 1)
+            us, As = telescope([s * b * p for p in P], a, b)
+            u, A = Fraction(us, s * b), [Fraction(c, s) for c in As]
+            lhs = Fraction(0)
+            for N in range(1, 12):
+                n = N - 1
+                lhs += math.factorial(n) * (ev(P, n) - u) * x**n
+                assert lhs == -ev(A, 0) + math.factorial(N) * x**N * ev(A, N), (P, x, N)
+
+    @pytest.mark.parametrize("C", [(0, 0), (1,), (0, 1), (2, -1, 3), (1, 0, -2, 0, 0, 5),
+                                   (0, 0, 0, 0)])
+    def test_combination_is_the_weighted_sum(self, C):
+        # one solve of sum_j C_j x^j n^j against sum_j C_j times the per-j
+        # solves, all brought to the scale b^k of the combination
+        k = len(C)
+        for x in (-3, -1, 0, 2, Fraction(-5, 4), Fraction(7, 3)):
+            x = Fraction(x)
+            a, b = x.numerator, x.denominator
+            U, A = 0, [0] * k
+            for j, c in enumerate(C, 1):
+                Uj, Aj = telescope_combo(unit_combo(j), a, b)
+                U += c * Uj * b ** (k - j)
+                for m, coeff in enumerate(Aj):
+                    A[m] += c * coeff * b ** (k - j)
+            got_U, got_A = telescope_combo(C, a, b)
+            assert got_U == U and got_A + [0] * (k - len(got_A)) == A, (C, x)
+            if x.denominator == 1:
+                assert invariant_sum(k, int(x), C) == sum(
+                    c * invariant_sum(j, int(x)) for j, c in enumerate(C, 1))
+
+    def test_no_triple_on_the_numeric_paths(self, monkeypatch):
+        # identity checks, certificates, combinations, invariant sums and the
+        # sequences solve at the point; none of them builds a bivariate triple
+        def refuse(k):
+            raise AssertionError(f"triple {k} built")
+
+        monkeypatch.setattr(recurrences, "_shared", recurrences.TripleFamily())
+        monkeypatch.setattr(recurrences, "solve_triple", refuse)
+        assert paper_sequences(8)["neg_ubar"][:3] == [2, 5, 15]
+        assert all(c.ok for c in identity_checks(6, Fraction(-5, 4), 12))
+        assert truncated_padic_sum(4, 2, Prime(3), 9).ok
+        assert truncated_combo_sum((2, -1, 3), 3, Prime(5), 8).ok
+        # V_1(3), V_2(3), V_3(3) = -1, 5, -13
+        assert invariant_sum(3, 3, (2, -1, 3)) == 2 * -1 - 5 + 3 * -13 == -46
 
 
 def test_convergence_domain_reexport():
