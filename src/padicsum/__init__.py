@@ -31,6 +31,7 @@ from .summation import (
     IdentityCheck,
     SumCertificate,
     certificate_from_check,
+    certificates_from_check,
     factorial_series,
     identity_checks,
     invariant_sum,
@@ -80,6 +81,7 @@ __all__ = [
     "IdentityCheck",
     "SumCertificate",
     "certificate_from_check",
+    "certificates_from_check",
     "factorial_series",
     "identity_checks",
     "invariant_sum",

@@ -26,7 +26,7 @@ from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
 # verify_identity and truncated_padic_sum are not called here; they stay
 # importable from this module, where perfbench/spans.py traces them
 from .summation import (  # noqa: F401
-    certificate_from_check,
+    certificates_from_check,
     identity_checks,
     invariant_sum,
     truncated_padic_sum,
@@ -140,10 +140,8 @@ def cmd_verify(args, machine: bool) -> int:
     ks = sorted(set(parse_exact("--k", args.k, parse_set)))
     xs = list(dict.fromkeys(parse_exact("--x-set", args.x_set,
                                         lambda text: parse_set(text, Fraction))))
-    primes = parse_exact(
-        "--p-list", args.p_list,
-        lambda text: [(Prime(p), p) for p in dict.fromkeys(parse_set(text))]
-    ) if args.p_list else []
+    primes = parse_exact("--p-list", args.p_list, lambda text: [
+        Prime(p) for p in dict.fromkeys(parse_set(text))]) if args.p_list else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     all_ok = True
     # a machine line is json.dumps of {command, params, result, ok}, spliced
@@ -162,18 +160,16 @@ def cmd_verify(args, machine: bool) -> int:
                     f'{"true" if ok else "false"}}}' if machine else
                     f"identity k={k} N={N} x={x}: lhs={check.lhs} rhs={check.rhs} "
                     f"{'ok' if ok else 'FAIL'}")
-                for p, pi in primes:
-                    if x.denominator != 1:
+                if x.denominator != 1:
+                    for pi in map(int, primes):
                         em.emit(
                             f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
                             f'"x not in Z_{pi}"}}, "ok": true}}' if machine else
                             f"certificate k={k} N={N} x={x} p={pi}: "
                             f"rejected (x not in Z_{pi})")
-                        continue
-                    if x == 0:
-                        continue
-                    cert = certificate_from_check(check, p)
-                    cert_ok = cert.ok
+                    continue
+                for cert in certificates_from_check(check, primes) if primes and x else ():
+                    pi, cert_ok = int(cert.p), cert.ok
                     all_ok = all_ok and cert_ok
                     e = cert.distance_exponent
                     achieved = '"inf"' if e is None else e

@@ -153,19 +153,26 @@ def factorial_norm_exponent(n: int, p: Prime) -> int:
 
 
 def _int_valuation(n: int, pp: int) -> int:
-    # n != 0
+    # n != 0; n & -n is the lowest set bit of n, also for n < 0
+    if pp == 2:
+        return (n & -n).bit_length() - 1
     v = 0
-    n = abs(n)
     while n % pp == 0:
         n //= pp
         v += 1
     return v
 
 
+def _rational(q) -> Fraction | int:
+    """An int or a Fraction as it is, a float refused, anything else through Fraction."""
+    if isinstance(q, float):
+        raise TypeError(f"float {q!r} is inexact: pass an int, a Fraction or a string")
+    return q if isinstance(q, (int, Fraction)) else Fraction(q)
+
+
 def vp(q: Fraction | int, p: Prime) -> int | None:
     """p-adic valuation of a rational; None for v_p(0) = +infinity."""
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
+    q = _rational(q)
     if q == 0:
         return None
     pp = int(p)
@@ -179,7 +186,7 @@ def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:
 
 def padic_distance_exponent(a: Fraction | int, b: Fraction | int, p: Prime) -> int | None:
     """v_p(a - b); None (infinite) iff a = b."""
-    return vp(Fraction(a) - Fraction(b), p)
+    return vp(_rational(a) - _rational(b), p)
 
 
 class PadicExpansion(_Record):
@@ -224,7 +231,7 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
     """
     if precision <= 0:
         raise ValueError("precision must be positive")
-    q = Fraction(q)
+    q = _rational(q)
     pp = int(p)
     if q == 0:
         return PadicExpansion(p, 0, (0,) * precision, precision)

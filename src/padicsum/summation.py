@@ -17,7 +17,8 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import count, islice
 
-from .padic import Prime, _cached, _int_valuation, _Record, factorial_norm_exponent, vp
+from .padic import (Prime, _cached, _int_valuation, _rational, _Record,
+                    factorial_norm_exponent, vp)
 from .poly import Poly
 from .recurrences import telescope_combo, unit_combo
 
@@ -56,10 +57,10 @@ class SumCertificate(_Record):
 
 
 class IdentityCheck(_Record):
-    """Both sides of the finite identity at (k, N, x); lhs == rhs always."""
+    """Both sides of the finite identity at (k, N, x), ints for an integer x; lhs == rhs."""
 
-    def __init__(self, k: int, N: int, x: Fraction, lhs: Fraction, rhs: Fraction,
-                 tail: Fraction):
+    def __init__(self, k: int, N: int, x: Fraction | int, lhs: Fraction | int,
+                 rhs: Fraction | int, tail: Fraction | int):
         self.__dict__.update(k=k, N=N, x=x, lhs=lhs, rhs=rhs, tail=tail)
 
     @property
@@ -67,7 +68,7 @@ class IdentityCheck(_Record):
         return self.lhs == self.rhs
 
     @_cached
-    def target(self) -> Fraction:
+    def target(self) -> Fraction | int:
         """rhs - tail = V_k(x), the p-adic sum for integer x in every Q_p."""
         return self.rhs - self.tail
 
@@ -95,7 +96,7 @@ def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
     """Exact S_k(N; x) = sum_{n=0}^{N-1} n! n^k x^n, with 0^0 = 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    x = Fraction(x)
+    x = _rational(x)
     b = x.denominator
     series = factorial_series(lambda n: n**k, x.numerator, b)
     _, _, S = next(islice(series, N - 1, None))
@@ -117,7 +118,7 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
     C = unit_combo(k) if C is None else C
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    x = Fraction(x)
+    x = _rational(x)
     a, b, k = x.numerator, x.denominator, len(C)
     Ub, A = telescope_combo(C, a, b)
     Vb, Ab = -A[0], Poly.make(A, "n")
@@ -127,9 +128,8 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
     for N, fa, L in islice(series, n_max):
         T = fa * Ab(N)
         R = Vb * bpow + T
-        # integer x keeps D = 1, where Fraction(v) takes no gcd
-        exact = (Fraction(v, D) if D > 1 else Fraction(v) for v in (L, R, T))
-        yield IdentityCheck(k, N, x, *exact)
+        yield IdentityCheck(k, N, x, L, R, T) if D == 1 else IdentityCheck(
+            k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
         bpow *= b
         D *= b
 
@@ -144,19 +144,29 @@ def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:
     return check
 
 
-def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
-    """The p-adic certificate read off an identity check at a nonzero integer x.
-
-    The target rhs - tail = V_k(x) is the same in every Q_p, so `ok` fails
-    whenever lhs != rhs; only the exponents depend on p.  Integral values are ints.
-    """
-    x, N = check.x, check.N
+def _nonzero_integer(x: Fraction | int) -> int:
+    """x as an int; ValueError unless it is a nonzero integer."""
+    x = _rational(x)
     if x.denominator != 1 or x == 0:
         raise ValueError("x must be a nonzero integer")
-    bound = factorial_norm_exponent(N, p) + N * _int_valuation(x.numerator, int(p))
+    return x.numerator
+
+
+def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[SumCertificate]:
+    """One certificate per prime, read off an identity check at a nonzero integer
+    x: partial, target rhs - tail = V_k(x) and tail are the same in every Q_p, so
+    `ok` fails whenever lhs != rhs and only the bound is per prime.  Ints where integral."""
+    N, n = check.N, _nonzero_integer(check.x)
     fields = (check.lhs, check.target, check.tail)
     partial, target, tail = (q.numerator if q.denominator == 1 else q for q in fields)
-    return SumCertificate(check.k, N, x, p, partial, target, tail, bound)
+    return [SumCertificate(check.k, N, check.x, p, partial, target, tail,
+                           factorial_norm_exponent(N, p) + N * _int_valuation(n, int(p)))
+            for p in primes]
+
+
+def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
+    """The certificate of `certificates_from_check` for the one prime p."""
+    return certificates_from_check(check, [p])[0]
 
 
 def invariant_sum(k: int, x: int, C: tuple[int, ...] | None = None) -> Fraction:
@@ -171,7 +181,7 @@ def truncated_padic_sum(k: int, x: int, p: Prime, N: int) -> SumCertificate:
     """Certificate that the N-term partial sum is p-adically close to V_k(x)."""
     if not isinstance(x, int):
         raise ValueError("x must be a nonzero integer")
-    return certificate_from_check(verify_identity(k, N, x), p)
+    return truncated_combo_sum(unit_combo(k), x, p, N)
 
 
 def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
@@ -180,5 +190,5 @@ def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
     sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n, j = 1..k = len(C), is
     p-adically close to sum_j C_j V_j(x), from one telescope of
     P = sum_j C_j x^j n^j."""
-    *_, check = identity_checks(len(C), x, N, C)
+    *_, check = identity_checks(len(C), _nonzero_integer(x), N, C)  # x checked first
     return certificate_from_check(check, p)

@@ -161,13 +161,13 @@ class TestVerify:
         assert machine_records(out) == expected
 
     def test_failed_certificate_is_reported(self, capsys, monkeypatch):
-        real = cli.certificate_from_check
+        real = cli.certificates_from_check
 
-        def forged(check, p):
-            c = real(check, p)
-            return SumCertificate(c.k, c.N, c.x, c.p, c.partial, c.target, c.tail, 99)
+        def forged(check, primes):
+            return [SumCertificate(c.k, c.N, c.x, c.p, c.partial, c.target, c.tail, 99)
+                    for c in real(check, primes)]
 
-        monkeypatch.setattr(cli, "certificate_from_check", forged)
+        monkeypatch.setattr(cli, "certificates_from_check", forged)
         argv = ("verify", "--k", "1", "--n-max", "2", "--x-set", "1", "--p-list", "2")
         code, out = run(capsys, "--format", "machine", *argv)
         assert code == 1
@@ -179,18 +179,19 @@ class TestVerify:
         assert out.count("bound=99 FAIL") == 2
 
     def test_spliced_lines_are_json_dumps(self, capsys, monkeypatch):
-        real = cli.certificate_from_check
+        real = cli.certificates_from_check
 
-        def forged(check, p):
-            c = real(check, p)
-            if int(p) == 2:  # partial - target != tail: ok false
+        def forge(c):
+            if int(c.p) == 2:  # partial - target != tail: ok false
                 return SumCertificate(c.k, c.N, c.x, c.p, c.partial + 1, c.target, c.tail,
                                       c.bound_exponent)
-            if int(p) == 3:  # partial == target and tail 0: achieved exponent inf
+            if int(c.p) == 3:  # partial == target and tail 0: achieved exponent inf
                 return SumCertificate(c.k, c.N, c.x, c.p, c.target, c.target, 0, c.bound_exponent)
             return c
 
-        monkeypatch.setattr(cli, "certificate_from_check", forged)
+        # one prime's forgery shows in that prime's record alone
+        monkeypatch.setattr(cli, "certificates_from_check",
+                            lambda check, primes: [forge(c) for c in real(check, primes)])
         code, out = run(
             capsys, "--format", "machine", "verify", "--k", "1..2", "--n-max", "3",
             "--x-set=-2..1,3/2,-5/4", "--p-list", "2,3,5",

@@ -16,6 +16,7 @@ from padicsum import (
     padic_expand,
     vp,
 )
+from padicsum.padic import _int_valuation
 
 PRIMES = [Prime(p) for p in (2, 3, 5, 7, 11)]
 
@@ -49,6 +50,14 @@ def brute_force_factorial_valuation(n, p):
             count += 1
             m //= p
     return count
+
+
+def loop_valuation(n, p):
+    """Independent oracle: v_p(n) for an int n != 0 by dividing out p."""
+    pp, v = int(p), 0
+    while n % pp == 0:
+        n, v = n // pp, v + 1
+    return v
 
 
 def legendre_valuation(n, p):
@@ -215,6 +224,36 @@ class TestVp:
             assert vp(a * b, p) is None
             return
         assert vp(a * b, p) == vp(a, p) + vp(b, p)
+
+    @given(m=st.integers(1, 2**80), e=st.integers(0, 150))
+    @settings(max_examples=300)
+    def test_two_adic_shortcut_matches_the_loop(self, m, e):
+        # the lowest set bit reads v_2 in O(1), also for negatives and past 2^64
+        for n in (m << e, -(m << e), m, -m):
+            assert _int_valuation(n, 2) == loop_valuation(n, 2)
+        assert _int_valuation(1 << 200, 2) == 200 and _int_valuation(-(3 << 70), 2) == 70
+
+    def test_negative_ints_for_odd_primes(self):
+        for pi in (3, 5, 7):
+            for n in range(1, 400):
+                assert _int_valuation(-n, pi) == _int_valuation(n, pi) == loop_valuation(n, pi)
+
+
+class TestFloatsAreRefused:
+    # 0.1 is the binary value 3602879701896397/2^55, not 1/10: read through
+    # Fraction it gives v_2 = -55 and puts 1/10 in Z_5
+    def test_padic_functions(self):
+        for call in (lambda: vp(0.1, Prime(2)), lambda: vp(2.0, Prime(2)),
+                     lambda: in_convergence_domain(0.1, Prime(5)),
+                     lambda: padic_distance_exponent(0.5, 1, Prime(2)),
+                     lambda: padic_distance_exponent(1, 0.5, Prime(2)),
+                     lambda: padic_expand(0.25, Prime(3), 4)):
+            with pytest.raises(TypeError, match="float"):
+                call()
+
+    def test_exact_forms_still_pass(self):
+        assert vp("1/10", Prime(2)) == -1 and not in_convergence_domain("1/10", Prime(5))
+        assert padic_expand("1/2", Prime(3), 3) == padic_expand(Fraction(1, 2), Prime(3), 3)
 
 
 class TestFactorialNormExponent:

@@ -18,6 +18,8 @@ from padicsum import (
     SumCertificate,
     build_triple,
     certificate_from_check,
+    certificates_from_check,
+    factorial_norm_exponent,
     factorial_series,
     identity_checks,
     in_convergence_domain,
@@ -31,9 +33,10 @@ from padicsum import (
     vp,
 )
 import padicsum.recurrences as recurrences
+import padicsum.summation as summation
 from padicsum.padic import _cached, _Record
 from padicsum.recurrences import telescope_combo, unit_combo
-from test_padic import check_record, legendre_valuation
+from test_padic import check_record, legendre_valuation, loop_valuation
 
 
 def brute_Sk(k, N, x):
@@ -141,6 +144,24 @@ class TestIdentityKernel:
     def test_verify_identity_is_last_item(self):
         for k, N, x in ((1, 1, 2), (4, 9, Fraction(-6, 5)), (7, 15, 0)):
             assert verify_identity(k, N, x) == list(identity_checks(k, x, N))[-1]
+
+    def test_integer_x_gives_int_fields_rational_x_fractions(self):
+        for k in (1, 3):
+            for x in (-3, 1, 2, Fraction(4)):
+                for c in identity_checks(k, x, 8):
+                    assert type(c.lhs) is type(c.rhs) is type(c.tail) is type(c.target) is int
+            for x in (Fraction(1, 2), Fraction(-6, 5)):
+                for c in identity_checks(k, x, 8):
+                    assert type(c.lhs) is type(c.rhs) is type(c.tail) is Fraction
+
+    def test_float_x_is_refused(self):
+        # 0.5 would be exact in binary, and is refused all the same
+        for call in (lambda: next(identity_checks(2, 0.5, 3)),
+                     lambda: verify_identity(2, 3, 0.1),
+                     lambda: partial_sum_Sk(2, 3, 0.5),
+                     lambda: truncated_combo_sum((1, 2), 2.0, Prime(3), 4)):
+            with pytest.raises(TypeError, match="float"):
+                call()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -264,6 +285,35 @@ class TestCertificates:
                         assert cert.distance_exponent == vp(tail, p)
                         assert cert.ok
 
+    def test_all_primes_match_a_field_by_field_oracle(self):
+        # one call per check equals, prime by prime, a certificate built field
+        # by field from verify_identity, v_p(N!) and a dividing-out v_p(x)
+        primes = [Prime(pi) for pi in (2, 3, 5, 7)]
+        for k in range(1, 7):
+            for x in (-3, -2, -1, 1, 2, 3):
+                for c in identity_checks(k, x, 12):
+                    certs = certificates_from_check(c, primes)
+                    assert [cert.p for cert in certs] == primes
+                    v = verify_identity(k, c.N, x)
+                    for p, cert in zip(primes, certs):
+                        bound = factorial_norm_exponent(c.N, p) + c.N * loop_valuation(x, p)
+                        assert cert == SumCertificate(k, c.N, x, p, v.lhs, v.rhs - v.tail,
+                                                      v.tail, bound)
+                        assert cert == certificate_from_check(c, p)
+                        assert cert.ok
+
+    def test_x_is_rejected_before_the_identity_pass(self, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("the identity pass ran before x was checked")
+
+        monkeypatch.setattr(summation, "identity_checks", no_pass)
+        with pytest.raises(ValueError, match="x must be a nonzero integer"):
+            truncated_combo_sum((1, 2, 3), Fraction(1, 2), Prime(3), 3000)
+        with pytest.raises(ValueError, match="x must be a nonzero integer"):
+            truncated_combo_sum((1, 2, 3), 0, Prime(3), 3000)
+        with pytest.raises(ValueError, match="x must be a nonzero integer"):
+            truncated_padic_sum(2, 0, Prime(5), 3000)
+
     def test_from_check_rejects_rational_or_zero_x(self):
         for x in (0, Fraction(1, 2)):
             with pytest.raises(ValueError):
@@ -310,7 +360,8 @@ class TestCertificates:
         for k in (1, 4):
             for x in (-3, -1, 2):
                 for c in identity_checks(k, x, 10):
-                    assert type(c.lhs) is type(c.rhs) is type(c.tail) is Fraction
+                    # an integer x keeps every value an int, as the certificates do
+                    assert type(c.lhs) is type(c.rhs) is type(c.tail) is int
                     for pi in (2, 3, 5, 7, 11):
                         p = Prime(pi)
                         cert = certificate_from_check(c, p)
