@@ -2,14 +2,16 @@
 
 Machine mode emits one self-contained JSON record per line with fields
 {command, params, result, ok}; every number is an exact integer or a
-"num/den" string, never a decimal.  Exit codes: 0 all ok, 1 verification
-failure or hypothesis counterexample, 2 usage error.
+"num/den" string, never a decimal.  Exit codes: 0 every record ok, 1 some
+record not ok (a verification failure or hypothesis counterexample), 2 usage
+error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from fractions import Fraction
@@ -36,6 +38,7 @@ from .summation import (  # noqa: F401
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 # json.dumps with its defaults, without the per-call argument checks
 encode_json = json.JSONEncoder().encode
@@ -107,20 +110,21 @@ class Emitter:
     def __init__(self, command: str, machine: bool):
         self.command = command
         self.machine = machine
+        self.ok = True  # until a record is not ok
 
     def record(self, params: dict, result: dict, ok: bool, human: Callable[[], str]) -> None:
         """One JSON line in machine mode, else the line `human()` builds, called here."""
         record = {"command": self.command, "params": params, "result": result, "ok": ok}
-        self.emit(encode_json(record) if self.machine else human())
+        self.emit(encode_json(record) if self.machine else human(), ok)
 
-    def emit(self, line: str) -> None:
-        """Write one record's line; every record passes here once, unbuffered."""
+    def emit(self, line: str, ok: bool) -> None:
+        """Write one record's line; every record and its `ok` pass here once, unbuffered."""
+        self.ok = self.ok and ok
         sys.stdout.write(line + "\n")
 
 
-def cmd_triples(args, machine: bool) -> int:
+def cmd_triples(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
-    em = Emitter("triples", machine)
     for k in range(1, args.kmax + 1):
         trip = build_triple(k)
         result = {
@@ -131,11 +135,10 @@ def cmd_triples(args, machine: bool) -> int:
         }
         em.record({"k": k}, result, True,
                   lambda: f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}")
-    return EXIT_OK
 
 
-def cmd_verify(args, machine: bool) -> int:
-    em = Emitter("verify", machine)
+def cmd_verify(args, em: Emitter) -> None:
+    machine = em.machine
     # each grid value once: k ascending, x and p in first-seen order
     ks = sorted(set(parse_exact("--k", args.k, parse_set)))
     xs = list(dict.fromkeys(parse_exact("--x-set", args.x_set,
@@ -143,7 +146,6 @@ def cmd_verify(args, machine: bool) -> int:
     primes = parse_exact("--p-list", args.p_list, lambda text: [
         Prime(p) for p in dict.fromkeys(parse_set(text))]) if args.p_list else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
-    all_ok = True
     # a machine line is json.dumps of {command, params, result, ok}, spliced
     # from fields formatted once; a check's records share `head`
     for k in ks:
@@ -151,7 +153,6 @@ def cmd_verify(args, machine: bool) -> int:
         for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
             for check in checks:
                 x, N, ok = check.x, check.N, check.ok
-                all_ok = all_ok and ok
                 head = ('{"command": "verify", "params": '
                         f'{{"k": {k}, "N": {N}, "x": {json_q(x)}')
                 em.emit(
@@ -159,18 +160,17 @@ def cmd_verify(args, machine: bool) -> int:
                     f'{json_q(check.rhs)}, "tail": {json_q(check.tail)}}}, "ok": '
                     f'{"true" if ok else "false"}}}' if machine else
                     f"identity k={k} N={N} x={x}: lhs={check.lhs} rhs={check.rhs} "
-                    f"{'ok' if ok else 'FAIL'}")
+                    f"{'ok' if ok else 'FAIL'}", ok)
                 if x.denominator != 1:
                     for pi in map(int, primes):
                         em.emit(
                             f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
                             f'"x not in Z_{pi}"}}, "ok": true}}' if machine else
                             f"certificate k={k} N={N} x={x} p={pi}: "
-                            f"rejected (x not in Z_{pi})")
+                            f"rejected (x not in Z_{pi})", True)
                     continue
                 for cert in certificates_from_check(check, primes) if primes and x else ():
                     pi, cert_ok = int(cert.p), cert.ok
-                    all_ok = all_ok and cert_ok
                     e = cert.distance_exponent
                     achieved = '"inf"' if e is None else e
                     em.emit(
@@ -180,13 +180,11 @@ def cmd_verify(args, machine: bool) -> int:
                         f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
                         if machine else f"certificate k={k} N={N} x={x} p={pi}: "
                         f"partial={cert.partial} target={cert.target} achieved={fmt_exp(e)} "
-                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_FAIL
+                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}", cert_ok)
 
 
-def cmd_sum(args, machine: bool) -> int:
+def cmd_sum(args, em: Emitter) -> None:
     require_at_least({"--k": (args.k, 1)})
-    em = Emitter("sum", machine)
     x = parse_exact("--x", args.x)
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
@@ -198,12 +196,10 @@ def cmd_sum(args, machine: bool) -> int:
         params = {"k": args.k, "C": C, "x": fmt_q(x)}
     value = invariant_sum(args.k, int(x), C)
     em.record(params, {"sum": fmt_q(value)}, True, lambda: f"sum = {fmt_q(value)}")
-    return EXIT_OK
 
 
-def cmd_padic(args, machine: bool) -> int:
+def cmd_padic(args, em: Emitter) -> None:
     require_at_least({"--digits": (args.digits, 1)})
-    em = Emitter("padic", machine)
     q = parse_exact("--value", args.value)
     p = parse_exact("--p", args.p, Prime)
     exp = padic_expand(q, p, args.digits)
@@ -220,10 +216,9 @@ def cmd_padic(args, machine: bool) -> int:
         True,
         lambda: f"{fmt_q(q)} = {exp}{note}",
     )
-    return EXIT_OK
 
 
-def cmd_bernoulli(args, machine: bool) -> int:
+def cmd_bernoulli(args, em: Emitter) -> None:
     if args.N is not None and args.identity is None:
         raise ValueError("--N needs --identity")
     if args.poly is not None and args.level is None:
@@ -231,7 +226,6 @@ def cmd_bernoulli(args, machine: bool) -> int:
     p_raw, m = args.level or (None, None)
     require_at_least({"--nmax": (args.nmax, 0), "--identity": (args.identity, 1),
                       "--N": (args.N, 1), "--level M": (m, 1)})
-    em = Emitter("bernoulli", machine)
     if args.identity is not None:
         if args.N is None:
             raise ValueError("--identity needs --N")
@@ -245,8 +239,7 @@ def cmd_bernoulli(args, machine: bool) -> int:
             lambda: f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} rhs={fmt_q(rhs)} "
             f"{'ok' if ok else 'FAIL'}",
         )
-        return EXIT_OK if ok else EXIT_FAIL
-    if args.level:
+    elif args.level:
         p = parse_exact("--level P", p_raw, Prime)
         coeffs = [0, 1] if args.poly is None else parse_exact("--poly", args.poly, parse_set)
         P = int_poly(coeffs)
@@ -257,27 +250,23 @@ def cmd_bernoulli(args, machine: bool) -> int:
             True,
             lambda: f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}",
         )
-        return EXIT_OK
-    for n, b in enumerate(bernoulli_numbers(args.nmax)):
-        em.record(
-            {"n": n},
-            {"numerator": b.numerator, "denominator": b.denominator},
-            True,
-            lambda: f"B_{n} = {fmt_q(b)}",
-        )
-    return EXIT_OK
+    else:
+        for n, b in enumerate(bernoulli_numbers(args.nmax)):
+            em.record(
+                {"n": n},
+                {"numerator": b.numerator, "denominator": b.denominator},
+                True,
+                lambda: f"B_{n} = {fmt_q(b)}",
+            )
 
 
-def cmd_kurepa(args, machine: bool) -> int:
+def cmd_kurepa(args, em: Emitter) -> None:
     bounds = {"--gcd-max": (args.gcd_max, 2), "--digit-max": (args.digit_max, 3)}
     if all(bound is None for bound, _ in bounds.values()):
         raise ValueError("need --gcd-max and/or --digit-max")
     require_at_least(bounds)
-    em = Emitter("kurepa", machine)
-    all_ok = True
     if args.gcd_max is not None:
         report = kurepa_gcd_scan(args.gcd_max)
-        all_ok = all_ok and report.ok
         em.record(
             {"gcd_max": args.gcd_max},
             {
@@ -290,7 +279,6 @@ def cmd_kurepa(args, machine: bool) -> int:
         )
     if args.digit_max is not None:
         report = kurepa_digit_scan(args.digit_max)
-        all_ok = all_ok and report.ok
         em.record(
             {"digit_max": args.digit_max},
             {
@@ -307,12 +295,10 @@ def cmd_kurepa(args, machine: bool) -> int:
                 f"primes below {report.first_failure}; FAILURE at p = {report.first_failure}"
             ),
         )
-    return EXIT_OK if all_ok else EXIT_FAIL
 
 
-def cmd_sequences(args, machine: bool) -> int:
+def cmd_sequences(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
-    em = Emitter("sequences", machine)
     seqs = paper_sequences(args.kmax)
     labels = {
         "neg_v": "-V_k(1)",
@@ -327,7 +313,6 @@ def cmd_sequences(args, machine: bool) -> int:
             True,
             lambda: f"{labels[name]}: {', '.join(str(v) for v in values)}",
         )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,19 +371,24 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    machine = args.format == "machine"
+    em = Emitter(args.cmd, args.format == "machine")
     # exact output prints integers of any length, past CPython's cap on
     # decimal conversion (from 3.10.7; B_n passes it at n = 2064)
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_cap(0)
     try:
-        return globals()[f"cmd_{args.cmd}"](args, machine)
+        globals()[f"cmd_{args.cmd}"](args, em)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: the rest goes to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     finally:
         set_cap(cap)
+    return EXIT_OK if em.ok else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ class _Record:
     """Base of the immutable value classes.
 
     The fields are the parameters of the subclass's `__init__`, which stores
-    them in one `self.__dict__.update` call (the dict that `_cached` and
-    `vars()` use too).  Equality, hash and repr go by the fields, and
+    them, and any value it derives from them, in one `self.__dict__.update`
+    call.  Equality, hash and repr go by the fields alone, and
     assigning or deleting an attribute raises AttributeError.  These are
     plain classes, not dataclasses: importing `dataclasses` (and with it
     `inspect`) and generating its methods took a third of the time to
@@ -48,22 +48,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class _cached:
-    """`functools.cached_property` without the lock it takes before CPython
-    3.12: the first read stores the value in the instance `__dict__`, where
-    later reads find it before this non-data descriptor."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.func.__name__] = self.func(obj)
-        return value
-
-
 # the trial divisors, and the Miller-Rabin bases in this order
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
@@ -81,6 +65,13 @@ _MILLER_RABIN_TIERS = (
     (318_665_857_834_031_151_167_461, 12),
     (3_317_044_064_679_887_385_961_981, 13),
 )
+
+
+def _int(n) -> int:
+    """n itself; TypeError unless it is an int, so a float such as 7.0 is refused."""
+    if not isinstance(n, int):
+        raise TypeError(f"{type(n).__name__} {n!r} is not an int")
+    return n
 
 
 def is_prime(n: int) -> bool:
@@ -125,7 +116,7 @@ class Prime(_Record):
     """A verified prime p >= 2; construction of a composite raises."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
+        if not is_prime(_int(p)):
             raise ValueError(f"{p} is not prime")
         self.__dict__.update(p=p)
 
@@ -135,7 +126,7 @@ class Prime(_Record):
 
 def digit_sum(n: int, p: Prime) -> int:
     """Sum of base-p digits of n >= 0."""
-    if n < 0:
+    if _int(n) < 0:
         raise ValueError("n must be nonnegative")
     pp = int(p)
     s = 0
@@ -146,9 +137,7 @@ def digit_sum(n: int, p: Prime) -> int:
 
 
 def factorial_norm_exponent(n: int, p: Prime) -> int:
-    """Exponent e with |n!|_p = p^(-e), i.e. (n - s_n)/(p - 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Exponent e with |n!|_p = p^(-e), i.e. (n - s_n)/(p - 1); digit_sum checks n."""
     return (n - digit_sum(n, p)) // (int(p) - 1)
 
 

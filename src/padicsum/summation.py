@@ -17,8 +17,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import count, islice
 
-from .padic import (Prime, _cached, _int_valuation, _rational, _Record,
-                    factorial_norm_exponent, vp)
+from .padic import Prime, _int_valuation, _rational, _Record, factorial_norm_exponent, vp
 from .poly import Poly
 from .recurrences import telescope_combo, unit_combo
 
@@ -28,27 +27,19 @@ class SumCertificate(_Record):
 
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
     partial - target = tail holds exactly, and the p-adic distance from the
-    partial sum to the target is at most p^(-bound_exponent).  The achieved
-    distance exponent (None when partial = target) and `ok` both read one
-    difference partial - target, computed from the certificate's own
-    fields, so a forged one fails.
+    partial sum to the target is at most p^(-bound_exponent).  Building the
+    certificate computes `difference` = partial - target and its valuation
+    `distance_exponent` (None when partial = target) from its own fields, and
+    `ok` reads them, so a forged one fails.  Neither is a field.
     A field is an int where its value is integral and a Fraction otherwise.
     """
 
     def __init__(self, k: int, N: int, x: Fraction, p: Prime, partial: Fraction | int,
                  target: Fraction | int, tail: Fraction | int, bound_exponent: int):
+        difference = partial - target
         self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
-                             tail=tail, bound_exponent=bound_exponent)
-
-    @_cached
-    def difference(self) -> Fraction | int:
-        """partial - target."""
-        return self.partial - self.target
-
-    @_cached
-    def distance_exponent(self) -> int | None:
-        """v_p(partial - target), None if infinite."""
-        return vp(self.difference, self.p)
+                             tail=tail, bound_exponent=bound_exponent, difference=difference,
+                             distance_exponent=vp(difference, p))
 
     @property
     def ok(self) -> bool:
@@ -67,7 +58,7 @@ class IdentityCheck(_Record):
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
-    @_cached
+    @property
     def target(self) -> Fraction | int:
         """rhs - tail = V_k(x), the p-adic sum for integer x in every Q_p."""
         return self.rhs - self.tail

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -643,8 +644,26 @@ def test_main_fuzz(argv, machine):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
     if machine:
-        for line in out.getvalue().splitlines():
-            assert isinstance(json.loads(line), dict), argv
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert all(isinstance(r, dict) for r in records), argv
+        # past a usage error, the exit code is 1 exactly when a record is not ok
+        if code != 2:
+            assert (code == 1) == any(r["ok"] is False for r in records), argv
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # about 0.5 MB of records, more than the pipe holds, so writing past the
+    # first line meets the closed pipe
+    argv = ["--format", "machine", "verify", "--k", "1..10", "--n-max", "15",
+            "--x-set=-3..3", "--p-list", "2,3"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "padicsum.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["command"] == "verify"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -247,7 +247,11 @@ class TestFloatsAreRefused:
                      lambda: in_convergence_domain(0.1, Prime(5)),
                      lambda: padic_distance_exponent(0.5, 1, Prime(2)),
                      lambda: padic_distance_exponent(1, 0.5, Prime(2)),
-                     lambda: padic_expand(0.25, Prime(3), 4)):
+                     lambda: padic_expand(0.25, Prime(3), 4),
+                     # int-only inputs: 7.0 would build Prime(p=7.0), and
+                     # factorial_norm_exponent(10.0, ...) return the float 4.0
+                     lambda: Prime(7.0), lambda: digit_sum(10.0, Prime(3)),
+                     lambda: factorial_norm_exponent(10.0, Prime(3))):
             with pytest.raises(TypeError, match="float"):
                 call()
 

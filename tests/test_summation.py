@@ -34,7 +34,6 @@ from padicsum import (
 )
 import padicsum.recurrences as recurrences
 import padicsum.summation as summation
-from padicsum.padic import _cached, _Record
 from padicsum.recurrences import telescope_combo, unit_combo
 from test_padic import check_record, legendre_valuation, loop_valuation
 
@@ -538,9 +537,9 @@ class TestRecords:
         c = verify_identity(2, 4, 3)
         fields = dict(k=2, N=4, x=Fraction(3), lhs=c.lhs, rhs=c.rhs, tail=c.tail)
         check = check_record(IdentityCheck, **fields)
+        # target is computed on each read and stored nowhere
+        assert check.target == invariant_sum(2, 3)
         assert vars(check) == fields
-        # the cached target lives in the instance dict and leaves equality alone
-        assert check.target == invariant_sum(2, 3) and vars(check)["target"] == check.target
         assert check == IdentityCheck(**fields) != IdentityCheck(**dict(fields, N=5))
 
     def test_sum_certificate(self):
@@ -548,34 +547,12 @@ class TestRecords:
         fields = dict(k=1, N=10, x=good.x, p=good.p, partial=good.partial,
                       target=good.target, tail=good.tail, bound_exponent=2)
         cert = check_record(SumCertificate, **fields)
-        assert vars(cert) == fields
-        assert cert.ok and vars(cert)["difference"] == cert.tail
-        assert "distance_exponent" in vars(cert)
+        # construction stores partial - target = 10! and v_5(10!) = 2 beside
+        # the fields, and equality, hash and repr leave them out
+        assert vars(cert) == {**fields, "difference": math.factorial(10), "distance_exponent": 2}
+        assert cert.ok
         assert cert == good != SumCertificate(**dict(fields, bound_exponent=3))
-
-    def test_cached_runs_once_per_instance(self):
-        calls = []
-
-        class Probe(_Record):
-            def __init__(self, a):
-                self.__dict__.update(a=a)
-
-            @_cached
-            def double(self):
-                """Twice a."""
-                calls.append(self.a)
-                return 2 * self.a
-
-        one, two = Probe(3), Probe(4)
-        assert (one.double, one.double, two.double, one.double) == (6, 6, 8, 6)
-        assert calls == [3, 4]
-        assert vars(one) == {"a": 3, "double": 6} and vars(two) == {"a": 4, "double": 8}
-        # read on the class, it is the descriptor itself
-        assert isinstance(Probe.double, _cached) and Probe.double.__doc__ == "Twice a."
-        for cls, name in [(SumCertificate, "difference"),
-                          (SumCertificate, "distance_exponent"), (IdentityCheck, "target")]:
-            assert isinstance(getattr(cls, name), _cached)
-        # the cached reads leave a forged certificate failing, read after read
+        # a forged certificate fails, read after read
         forged = SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99)
         assert (forged.ok, forged.ok) == (False, False)
-        assert vars(forged)["difference"] == 6 and forged.distance_exponent == 1
+        assert forged.difference == 6 and forged.distance_exponent == 1
