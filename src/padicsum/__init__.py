@@ -13,11 +13,10 @@ from .padic import (
     factorial_norm_exponent,
     in_convergence_domain,
     is_prime,
-    padic_distance_exponent,
     padic_expand,
     vp,
 )
-from .poly import BivarPoly, Poly, binomial, int_poly, n_poly, render_poly
+from .poly import BivarPoly, Poly, int_poly, n_poly, render_poly
 from .recurrences import (
     SummationTriple,
     TripleFamily,
@@ -30,7 +29,6 @@ from .recurrences import (
 from .summation import (
     IdentityCheck,
     SumCertificate,
-    certificate_from_check,
     certificates_from_check,
     factorial_series,
     identity_checks,
@@ -62,12 +60,10 @@ __all__ = [
     "factorial_norm_exponent",
     "in_convergence_domain",
     "is_prime",
-    "padic_distance_exponent",
     "padic_expand",
     "vp",
     "BivarPoly",
     "Poly",
-    "binomial",
     "int_poly",
     "n_poly",
     "render_poly",
@@ -80,7 +76,6 @@ __all__ = [
     "telescope",
     "IdentityCheck",
     "SumCertificate",
-    "certificate_from_check",
     "certificates_from_check",
     "factorial_series",
     "identity_checks",

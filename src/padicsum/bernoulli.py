@@ -11,19 +11,12 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import islice
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .padic import Prime, factorial_norm_exponent
-from .poly import Poly, binomial
+from .poly import Poly
 from .recurrences import build_triple
 from .summation import SumCertificate, factorial_series
-
-WORK_LIMIT_ENV = "PADICSUM_WORK_LIMIT"
-DEFAULT_WORK_LIMIT = 10**9
-
-
-def work_limit() -> int:
-    return int(os.environ.get(WORK_LIMIT_ENV, DEFAULT_WORK_LIMIT))
 
 
 def bernoulli_numbers(nmax: int) -> tuple[Fraction, ...]:
@@ -64,7 +57,7 @@ def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    limit = work_limit()
+    limit = int(os.environ.get("PADICSUM_WORK_LIMIT", 10**9))
     if m > limit.bit_length() or int(p) ** m > limit:
         raise ValueError(f"p^m exceeds work limit {limit} (p = {int(p)}, m = {m})")
     M = int(p) ** m
@@ -75,7 +68,7 @@ def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
             continue
         # sum_{j=0}^{M-1} j^n = (1/(n+1)) sum_{i=0}^{n} C(n+1,i) B_i M^(n+1-i)
         ps = _volkenborn(
-            [binomial(n + 1, i) * M ** (n + 1 - i) for i in range(n + 1)], B
+            [comb(n + 1, i) * M ** (n + 1 - i) for i in range(n + 1)], B
         )
         total += c * ps / (n + 1)
     return total / M

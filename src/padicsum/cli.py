@@ -51,11 +51,6 @@ def fmt_q(q: Fraction | int) -> int | str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def fmt_exp(e: int | None) -> int | str:
-    """A valuation exponent: the int, or 'inf' for None (v_p(0))."""
-    return "inf" if e is None else e
-
-
 def json_q(q: Fraction | int) -> str:
     """fmt_q(q) as JSON text: 123 or "num/den"."""
     return str(q.numerator) if q.denominator == 1 else f'"{q.numerator}/{q.denominator}"'
@@ -144,7 +139,7 @@ def cmd_verify(args, em: Emitter) -> None:
     xs = list(dict.fromkeys(parse_exact("--x-set", args.x_set,
                                         lambda text: parse_set(text, Fraction))))
     primes = parse_exact("--p-list", args.p_list, lambda text: [
-        Prime(p) for p in dict.fromkeys(parse_set(text))]) if args.p_list else []
+        Prime(p) for p in dict.fromkeys(parse_set(text))]) if args.p_list is not None else []
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
     # a machine line is json.dumps of {command, params, result, ok}, spliced
     # from fields formatted once; a check's records share `head`
@@ -179,7 +174,8 @@ def cmd_verify(args, em: Emitter) -> None:
                         f'"achieved_exponent": {achieved}, "bound_exponent": '
                         f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
                         if machine else f"certificate k={k} N={N} x={x} p={pi}: "
-                        f"partial={cert.partial} target={cert.target} achieved={fmt_exp(e)} "
+                        f"partial={cert.partial} target={cert.target} "
+                        f"achieved={'inf' if e is None else e} "
                         f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}", cert_ok)
 
 

@@ -173,11 +173,6 @@ def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:
     return (vp(x, p) or 0) >= 0
 
 
-def padic_distance_exponent(a: Fraction | int, b: Fraction | int, p: Prime) -> int | None:
-    """v_p(a - b); None (infinite) iff a = b."""
-    return vp(_rational(a) - _rational(b), p)
-
-
 class PadicExpansion(_Record):
     """Canonical truncated p-adic expansion: p^valuation * sum(digits[i] p^i).
 

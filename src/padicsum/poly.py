@@ -8,16 +8,7 @@ shape of the tail-polynomial family A_k(n; x).
 
 from __future__ import annotations
 
-import math
-
 from .padic import _Record
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); 0 when k > n or k < 0."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class Poly(_Record):
@@ -32,10 +23,6 @@ class Poly(_Record):
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return cls(tuple(coeffs), var)
-
-    @classmethod
-    def const(cls, c, var: str = "x") -> "Poly":
-        return cls.make([c], var)
 
     @classmethod
     def monomial(cls, power: int, coeff=1, var: str = "x") -> "Poly":
@@ -73,17 +60,6 @@ class Poly(_Record):
 
     def scale(self, c) -> "Poly":
         return Poly.make([c * a for a in self.coeffs], self.var)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.make([], self.var)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.make(out, self.var)
 
     def shift(self, power: int) -> "Poly":
         """Multiply by var**power."""
@@ -151,10 +127,6 @@ class BivarPoly(_Record):
         while layers and layers[-1].is_zero:
             layers.pop()
         return cls(tuple(layers))
-
-    @classmethod
-    def const(cls, c) -> "BivarPoly":
-        return cls.make([Poly.const(c, "n")])
 
     @property
     def is_zero(self) -> bool:

@@ -19,7 +19,7 @@ from math import comb
 from operator import mul
 
 from .padic import _Record
-from .poly import BivarPoly, Poly, binomial, int_poly
+from .poly import BivarPoly, Poly, int_poly
 
 
 def compute_A_family(kmax: int) -> list[BivarPoly]:
@@ -30,14 +30,14 @@ def compute_A_family(kmax: int) -> list[BivarPoly]:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    family = [BivarPoly.const(1)]
+    family = [BivarPoly.make([[1]])]
     for k in range(1, kmax + 1):
         nk_xk = BivarPoly.make(
             [Poly.make([], "n")] * k + [Poly.monomial(k, 1, "n")]
         )
         acc = nk_xk + family[k - 1]
         for l in range(1, k + 1):
-            term = family[l - 1].scale(binomial(k + 1, l)).shift_x(k - l + 1)
+            term = family[l - 1].scale(comb(k + 1, l)).shift_x(k - l + 1)
             acc = acc - term
         family.append(acc)
     return family
@@ -52,7 +52,7 @@ def family_residual(family: list[BivarPoly], k: int) -> BivarPoly:
     """
     acc = BivarPoly.make([])
     for l in range(1, k + 2):
-        acc = acc + family[l - 1].scale(binomial(k + 1, l)).shift_x(k - l + 1)
+        acc = acc + family[l - 1].scale(comb(k + 1, l)).shift_x(k - l + 1)
     acc = acc - family[k - 1]
     nk_xk = BivarPoly.make([Poly.make([], "n")] * k + [Poly.monomial(k, 1, "n")])
     return acc - nk_xk
@@ -118,7 +118,7 @@ def solve_triple(k: int) -> SummationTriple:
         row = a[m - 1]
         row[m - 1 : k - 1] = a[m][m:]
         for j in range(m, k):
-            c, aj = binomial(j + 1, m), a[j]
+            c, aj = comb(j + 1, m), a[j]
             for i in range(j, k):
                 row[i] -= c * aj[i]
     at0, at1 = a[0], [sum(col) for col in zip(*a)]

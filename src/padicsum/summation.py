@@ -155,11 +155,6 @@ def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[S
             for p in primes]
 
 
-def certificate_from_check(check: IdentityCheck, p: Prime) -> SumCertificate:
-    """The certificate of `certificates_from_check` for the one prime p."""
-    return certificates_from_check(check, [p])[0]
-
-
 def invariant_sum(k: int, x: int, C: tuple[int, ...] | None = None) -> Fraction:
     """The common p-adic value V_k(x) of the infinite series, for integer x;
     with C, sum_j C_j V_j(x), that of the combination, k = len(C)."""
@@ -168,10 +163,8 @@ def invariant_sum(k: int, x: int, C: tuple[int, ...] | None = None) -> Fraction:
     return Fraction(-telescope_combo(unit_combo(k) if C is None else C, x)[1][0])
 
 
-def truncated_padic_sum(k: int, x: int, p: Prime, N: int) -> SumCertificate:
+def truncated_padic_sum(k: int, x: Fraction | int, p: Prime, N: int) -> SumCertificate:
     """Certificate that the N-term partial sum is p-adically close to V_k(x)."""
-    if not isinstance(x, int):
-        raise ValueError("x must be a nonzero integer")
     return truncated_combo_sum(unit_combo(k), x, p, N)
 
 
@@ -182,4 +175,4 @@ def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
     p-adically close to sum_j C_j V_j(x), from one telescope of
     P = sum_j C_j x^j n^j."""
     *_, check = identity_checks(len(C), _nonzero_integer(x), N, C)  # x checked first
-    return certificate_from_check(check, p)
+    return certificates_from_check(check, [p])[0]

@@ -15,7 +15,6 @@ from padicsum import (
     BivarPoly,
     KurepaReport,
     Poly,
-    binomial,
     factorial_series,
     int_poly,
 )
@@ -49,7 +48,7 @@ def compute_U_by_recurrence(kmax: int) -> list[Poly]:
     for k in range(1, kmax):
         acc = Poly.monomial(k + 1) + us[k - 1]
         for l in range(1, k + 1):
-            acc = acc - us[l - 1].scale(binomial(k + 1, l)).shift(k - l + 1)
+            acc = acc - us[l - 1].scale(math.comb(k + 1, l)).shift(k - l + 1)
         us.append(acc)
     return us
 
@@ -65,7 +64,7 @@ def compute_V_by_recurrence(kmax: int) -> list[Poly]:
     for k in range(1, kmax):
         acc = vs[k - 1]
         for l in range(1, k + 1):
-            acc = acc - vs[l - 1].scale(binomial(k + 1, l)).shift(k - l + 1)
+            acc = acc - vs[l - 1].scale(math.comb(k + 1, l)).shift(k - l + 1)
         vs.append(acc)
     return vs
 
@@ -75,7 +74,7 @@ def bell_numbers(nmax: int) -> list[int]:
     oracle for the -U_k(-1) sequence."""
     bells = [1]
     for n in range(nmax):
-        bells.append(sum(binomial(n, i) * bells[i] for i in range(n + 1)))
+        bells.append(sum(math.comb(n, i) * bells[i] for i in range(n + 1)))
     return bells
 
 
@@ -112,6 +111,6 @@ def bernoulli_by_recurrence(nmax: int) -> tuple[Fraction, ...]:
     B = [Fraction(1)]
     for m in range(1, nmax + 1):
         # isolate B_m in sum_{j=0}^{m} C(m+1, j) B_j = 0
-        acc = sum(binomial(m + 1, j) * B[j] for j in range(m))
+        acc = sum(math.comb(m + 1, j) * B[j] for j in range(m))
         B.append(Fraction(-acc, m + 1))
     return tuple(B)

@@ -17,7 +17,7 @@ import padicsum.sequences as sequences
 from padicsum import (
     Prime, SumCertificate, bernoulli_numbers, truncated_padic_sum, verify_identity,
 )
-from padicsum.cli import fmt_exp, fmt_q, main, parse_set
+from padicsum.cli import fmt_q, main, parse_set
 
 
 def run(capsys, *argv):
@@ -148,11 +148,12 @@ class TestVerify:
                             continue
                         else:
                             cert = truncated_padic_sum(k, int(x), Prime(p), N)
+                            e = cert.distance_exponent
                             result = {
                                 "partial": fmt_q(cert.partial),
                                 "target": fmt_q(cert.target),
                                 "tail": fmt_q(cert.tail),
-                                "achieved_exponent": fmt_exp(cert.distance_exponent),
+                                "achieved_exponent": "inf" if e is None else e,
                                 "bound_exponent": cert.bound_exponent,
                             }
                         expected.append({
@@ -573,6 +574,8 @@ class TestUsageErrors:
              "--poly: invalid literal for int() with base 10: ''"),
             (("sum", "--k", "1", "--C", "", "--x", "1"),
              "--C: invalid literal for int() with base 10: ''"),
+            (("verify", "--k", "1", "--n-max", "1", "--x-set", "1", "--p-list", ""),
+             "--p-list: invalid literal for int() with base 10: ''"),
         ],
     )
     def test_malformed_value_names_the_flag(self, capsys, argv, err):

@@ -12,7 +12,6 @@ from padicsum import (
     factorial_norm_exponent,
     in_convergence_domain,
     is_prime,
-    padic_distance_exponent,
     padic_expand,
     vp,
 )
@@ -245,8 +244,6 @@ class TestFloatsAreRefused:
     def test_padic_functions(self):
         for call in (lambda: vp(0.1, Prime(2)), lambda: vp(2.0, Prime(2)),
                      lambda: in_convergence_domain(0.1, Prime(5)),
-                     lambda: padic_distance_exponent(0.5, 1, Prime(2)),
-                     lambda: padic_distance_exponent(1, 0.5, Prime(2)),
                      lambda: padic_expand(0.25, Prime(3), 4),
                      # int-only inputs: 7.0 would build Prime(p=7.0), and
                      # factorial_norm_exponent(10.0, ...) return the float 4.0
@@ -283,15 +280,15 @@ class TestConvergenceDomain:
 
 class TestDistance:
     def test_identity_infinite(self):
-        assert padic_distance_exponent(Fraction(5, 3), Fraction(5, 3), Prime(7)) is None
+        assert vp(Fraction(5, 3) - Fraction(5, 3), Prime(7)) is None
 
     def test_examples(self):
-        assert padic_distance_exponent(7, 2, Prime(5)) == 1
+        assert vp(7 - 2, Prime(5)) == 1
 
     def test_factorial_gap(self):
         for p in PRIMES:
             for N in (4, 7, 12):
-                got = padic_distance_exponent(math.factorial(N) - 1, -1, p)
+                got = vp((math.factorial(N) - 1) - (-1), p)
                 assert got == factorial_norm_exponent(N, p)
 
 

@@ -144,7 +144,7 @@ class TestStructuralProperties:
 class TestBuildTriple:
     def test_examples(self):
         t1 = build_triple(1)
-        assert (t1.U, t1.V, t1.A) == (int_poly([-1, 1]), int_poly([-1]), BivarPoly.const(1))
+        assert (t1.U, t1.V, t1.A) == (int_poly([-1, 1]), int_poly([-1]), BivarPoly.make([[1]]))
         t2 = build_triple(2)
         assert t2.U == int_poly([-1, 3, -1])
         assert t2.V == int_poly([-1, 2])
@@ -263,7 +263,7 @@ class TestTelescope:
 
 
 def test_compute_A_family_base_case():
-    assert compute_A_family(0) == [BivarPoly.const(1)]
+    assert compute_A_family(0) == [BivarPoly.make([[1]])]
 
 
 def test_summation_triple_record():

@@ -9,7 +9,6 @@ import padicsum.sequences as sequences
 from padicsum import (
     KurepaReport,
     Prime,
-    binomial,
     compute_A_family,
     is_prime,
     kurepa_digit,
@@ -197,7 +196,7 @@ def test_telescope_meets_the_kurepa_digits():
 def test_bell_recurrence_definition():
     bells = bell_numbers(10)
     for n in range(10):
-        assert bells[n + 1] == sum(binomial(n, i) * bells[i] for i in range(n + 1))
+        assert bells[n + 1] == sum(math.comb(n, i) * bells[i] for i in range(n + 1))
 
 
 def test_kurepa_report_record():

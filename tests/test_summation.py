@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import random
@@ -17,7 +18,6 @@ from padicsum import (
     Prime,
     SumCertificate,
     build_triple,
-    certificate_from_check,
     certificates_from_check,
     factorial_norm_exponent,
     factorial_series,
@@ -158,7 +158,8 @@ class TestIdentityKernel:
         for call in (lambda: next(identity_checks(2, 0.5, 3)),
                      lambda: verify_identity(2, 3, 0.1),
                      lambda: partial_sum_Sk(2, 3, 0.5),
-                     lambda: truncated_combo_sum((1, 2), 2.0, Prime(3), 4)):
+                     lambda: truncated_combo_sum((1, 2), 2.0, Prime(3), 4),
+                     lambda: truncated_padic_sum(2, 2.0, Prime(3), 4)):
             with pytest.raises(TypeError, match="float"):
                 call()
 
@@ -274,8 +275,9 @@ class TestCertificates:
                     lhs, _, tail = oracle_identity(k, c.N, x)
                     for pi in (2, 3, 5, 7):
                         p = Prime(pi)
-                        cert = certificate_from_check(c, p)
-                        assert cert == truncated_padic_sum(k, x, p, c.N)
+                        cert = certificates_from_check(c, [p])[0]
+                        for xv in (x, Fraction(x), str(x)):
+                            assert cert == truncated_padic_sum(k, xv, p, c.N)
                         assert (cert.partial, cert.tail) == (lhs, tail)
                         assert cert.target == invariant_sum(k, x)
                         assert cert.bound_exponent == (
@@ -298,7 +300,7 @@ class TestCertificates:
                         bound = factorial_norm_exponent(c.N, p) + c.N * loop_valuation(x, p)
                         assert cert == SumCertificate(k, c.N, x, p, v.lhs, v.rhs - v.tail,
                                                       v.tail, bound)
-                        assert cert == certificate_from_check(c, p)
+                        assert cert == certificates_from_check(c, [p])[0]
                         assert cert.ok
 
     def test_x_is_rejected_before_the_identity_pass(self, monkeypatch):
@@ -316,13 +318,13 @@ class TestCertificates:
     def test_from_check_rejects_rational_or_zero_x(self):
         for x in (0, Fraction(1, 2)):
             with pytest.raises(ValueError):
-                certificate_from_check(verify_identity(2, 3, x), Prime(3))
+                certificates_from_check(verify_identity(2, 3, x), [Prime(3)])[0]
 
     def test_from_check_fails_when_identity_fails(self):
         # the target comes from the right-hand side, not from lhs - tail
         c = verify_identity(3, 8, 2)
         forged = IdentityCheck(c.k, c.N, c.x, c.lhs + 1, c.rhs, c.tail)
-        cert = certificate_from_check(forged, Prime(5))
+        cert = certificates_from_check(forged, [Prime(5)])[0]
         assert cert.target == invariant_sum(3, 2) == -3
         assert not cert.ok
 
@@ -336,7 +338,7 @@ class TestCertificates:
         ).ok
 
     def test_forged_int_certificates_fail(self):
-        # the forgeries above with int fields, as certificate_from_check stores them
+        # the forgeries above with int fields, as certificates_from_check stores them
         assert not SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99).ok
         good = truncated_padic_sum(1, 1, Prime(5), 10)
         assert (type(good.partial), type(good.target), type(good.tail)) == (int, int, int)
@@ -349,7 +351,7 @@ class TestCertificates:
     def test_from_check_keeps_a_denominator(self):
         c = verify_identity(2, 5, 3)
         forged = IdentityCheck(c.k, c.N, c.x, c.lhs + Fraction(1, 3), c.rhs, c.tail)
-        cert = certificate_from_check(forged, Prime(3))
+        cert = certificates_from_check(forged, [Prime(3)])[0]
         assert cert.partial == c.lhs + Fraction(1, 3)
         assert type(cert.partial) is Fraction and cert.partial.denominator == 3
         assert cert.distance_exponent == -1
@@ -363,7 +365,7 @@ class TestCertificates:
                     assert type(c.lhs) is type(c.rhs) is type(c.tail) is int
                     for pi in (2, 3, 5, 7, 11):
                         p = Prime(pi)
-                        cert = certificate_from_check(c, p)
+                        cert = certificates_from_check(c, [p])[0]
                         assert cert.target == c.rhs - c.tail == c.target
                         assert type(cert.target) is type(cert.tail) is int
                         assert cert.distance_exponent == vp(cert.tail, p)
@@ -530,6 +532,15 @@ class TestTelescope:
 
 def test_convergence_domain_reexport():
     assert in_convergence_domain(3, Prime(2))
+
+
+def test_all_lists_exactly_the_package_imports():
+    # __init__.py keeps its import list and __all__ by hand; each edit must touch both
+    tree = ast.parse(Path(padicsum.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert sorted(padicsum.__all__) == sorted(imported)
 
 
 class TestRecords:
