@@ -1,9 +1,11 @@
-"""Exact dense univariate and bivariate polynomial algebra.
+"""Exact dense univariate and bivariate polynomials: coefficients, exact
+evaluation and canonical text.
 
 Poly holds arbitrary-precision integer (or rational) coefficients in
 little-endian power order with canonical trimming.  BivarPoly stacks
 polynomials in n as the coefficients of successive powers of x; that is the
-shape of the tail-polynomial family A_k(n; x).
+shape of the tail-polynomial family A_k(n; x).  Neither does arithmetic: the
+library builds its coefficients as integer lists.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ class Poly(_Record):
             coeffs.pop()
         return cls(tuple(coeffs), var)
 
-    @classmethod
-    def monomial(cls, power: int, coeff=1, var: str = "x") -> "Poly":
-        return cls.make([0] * power + [coeff], var)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -42,30 +40,6 @@ class Poly(_Record):
 
     def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(
-            [self.coeff(i) + other.coeff(i) for i in range(n)], self.var
-        )
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.make(
-            [self.coeff(i) - other.coeff(i) for i in range(n)], self.var
-        )
-
-    def __neg__(self) -> "Poly":
-        return Poly.make([-c for c in self.coeffs], self.var)
-
-    def scale(self, c) -> "Poly":
-        return Poly.make([c * a for a in self.coeffs], self.var)
-
-    def shift(self, power: int) -> "Poly":
-        """Multiply by var**power."""
-        if self.is_zero:
-            return self
-        return Poly.make([0] * power + list(self.coeffs), self.var)
 
     def __call__(self, x0):
         """Horner evaluation, exact over int/Fraction."""
@@ -140,24 +114,6 @@ class BivarPoly(_Record):
         if 0 <= l < len(self.layers):
             return self.layers[l]
         return Poly.make([], "n")
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        m = max(len(self.layers), len(other.layers))
-        return BivarPoly.make([self.layer(l) + other.layer(l) for l in range(m)])
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        m = max(len(self.layers), len(other.layers))
-        return BivarPoly.make([self.layer(l) - other.layer(l) for l in range(m)])
-
-    def scale(self, c) -> "BivarPoly":
-        return BivarPoly.make([lay.scale(c) for lay in self.layers])
-
-    def shift_x(self, power: int) -> "BivarPoly":
-        """Multiply by x**power."""
-        if self.is_zero:
-            return self
-        pad = [Poly.make([], "n")] * power
-        return BivarPoly.make(pad + list(self.layers))
 
     def eval_n(self, n0) -> Poly:
         """Substitute n = n0, returning a univariate polynomial in x."""

@@ -8,18 +8,33 @@ N! x^N A_{k-1}(N; x) telescopes: it holds for every N exactly when
 whose polynomial solution A_{k-1} in n is unique (the polynomial-solution
 step of Gosper's algorithm).  `telescope` solves it for any P(n) at one
 point x, as every numeric path does; `solve_triple` in polynomials in x.
-`compute_A_family` is the slow reference route, the paper's recurrence over
-the whole A-family, kept for the tests.
+`compute_A_family` is the reference route, the paper's recurrence over the
+whole A-family on integer coefficient rows; no command runs it, and the tests
+hold `solve_triple` to it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import repeat, zip_longest
 from math import comb
 from operator import mul
 
 from .padic import _Record
 from .poly import BivarPoly, Poly, int_poly
+
+
+def _recurrence_rows(A: list[list[list[int]]], k: int) -> list[list[int]]:
+    """n^k x^k + A_{k-1} - sum_{l=1}^{k} C(k+1,l) x^(k-l+1) A_{l-1} from the
+    rows of A_0 .. A_{k-1}, where rows[i][m] is the coefficient of x^i n^m."""
+    terms = [(1, k, [[0] * k + [1]]), (1, 0, A[k - 1])]
+    terms += [(-comb(k + 1, l), k - l + 1, A[l - 1]) for l in range(1, k + 1)]
+    width = max(len(row) for _, _, P in terms for row in P)
+    rows = [[0] * width for _ in range(max(s + len(P) for _, s, P in terms))]
+    for c, s, P in terms:
+        for row, P_row in zip(rows[s:], P):
+            for m, v in enumerate(P_row):
+                row[m] += c * v
+    return rows
 
 
 def compute_A_family(kmax: int) -> list[BivarPoly]:
@@ -30,32 +45,24 @@ def compute_A_family(kmax: int) -> list[BivarPoly]:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    family = [BivarPoly.make([[1]])]
+    family = [[[1]]]
     for k in range(1, kmax + 1):
-        nk_xk = BivarPoly.make(
-            [Poly.make([], "n")] * k + [Poly.monomial(k, 1, "n")]
-        )
-        acc = nk_xk + family[k - 1]
-        for l in range(1, k + 1):
-            term = family[l - 1].scale(comb(k + 1, l)).shift_x(k - l + 1)
-            acc = acc - term
-        family.append(acc)
-    return family
+        family.append(_recurrence_rows(family, k))
+    return [BivarPoly.make(A) for A in family]
 
 
 def family_residual(family: list[BivarPoly], k: int) -> BivarPoly:
     """Residual of the defining relation at index k:
 
-    sum_{l=1}^{k+1} C(k+1,l) x^(k-l+1) A_{l-1}(n;x) - A_{k-1}(n;x) - n^k x^k.
+    sum_{l=1}^{k+1} C(k+1,l) x^(k-l+1) A_{l-1}(n;x) - A_{k-1}(n;x) - n^k x^k,
 
-    Zero for a correctly constructed family.
+    that is A_k minus the recurrence's right-hand side.  Zero for a correctly
+    constructed family.
     """
-    acc = BivarPoly.make([])
-    for l in range(1, k + 2):
-        acc = acc + family[l - 1].scale(comb(k + 1, l)).shift_x(k - l + 1)
-    acc = acc - family[k - 1]
-    nk_xk = BivarPoly.make([Poly.make([], "n")] * k + [Poly.monomial(k, 1, "n")])
-    return acc - nk_xk
+    A = [[list(lay.coeffs) for lay in P.layers] for P in family[: k + 1]]
+    rhs = _recurrence_rows(A, k)
+    return BivarPoly.make([[a - b for a, b in zip_longest(Ak_row, rhs_row, fillvalue=0)]
+                           for Ak_row, rhs_row in zip_longest(A[k], rhs, fillvalue=[])])
 
 
 class SummationTriple(_Record):

@@ -94,6 +94,15 @@ def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
     return Fraction(S, b ** (N - 1))
 
 
+def _combo(k: int, C: tuple[int, ...] | None) -> tuple[int, ...]:
+    """C, or the unit combination of k when C is None; ValueError unless len(C) == k."""
+    if C is None:
+        return unit_combo(k)
+    if len(C) != k:
+        raise ValueError("C must list exactly k coefficients")
+    return C
+
+
 def identity_checks(k: int, x: Fraction | int, n_max: int,
                     C: tuple[int, ...] | None = None) -> Iterator[IdentityCheck]:
     """Both sides of the finite identity at (k, N, x) for N = 1..n_max, in one
@@ -106,7 +115,7 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
 
     are lhs, rhs and tail times D_N; L_N does not read A, so a wrong solve fails.
     """
-    C = unit_combo(k) if C is None else C
+    C = _combo(k, C)
     if n_max < 1:
         raise ValueError("N must be >= 1")
     x = _rational(x)
@@ -135,11 +144,11 @@ def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:
     return check
 
 
-def _nonzero_integer(x: Fraction | int) -> int:
-    """x as an int; ValueError unless it is a nonzero integer."""
+def _integer(x: Fraction | int, nonzero: bool = False) -> int:
+    """x as an int; ValueError unless it is an integer, and a nonzero one if asked."""
     x = _rational(x)
-    if x.denominator != 1 or x == 0:
-        raise ValueError("x must be a nonzero integer")
+    if x.denominator != 1 or (nonzero and x == 0):
+        raise ValueError(f"x must be {'a nonzero' if nonzero else 'an'} integer")
     return x.numerator
 
 
@@ -147,7 +156,7 @@ def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[S
     """One certificate per prime, read off an identity check at a nonzero integer
     x: partial, target rhs - tail = V_k(x) and tail are the same in every Q_p, so
     `ok` fails whenever lhs != rhs and only the bound is per prime.  Ints where integral."""
-    N, n = check.N, _nonzero_integer(check.x)
+    N, n = check.N, _integer(check.x, nonzero=True)
     fields = (check.lhs, check.target, check.tail)
     partial, target, tail = (q.numerator if q.denominator == 1 else q for q in fields)
     return [SumCertificate(check.k, N, check.x, p, partial, target, tail,
@@ -155,12 +164,10 @@ def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[S
             for p in primes]
 
 
-def invariant_sum(k: int, x: int, C: tuple[int, ...] | None = None) -> Fraction:
+def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:
     """The common p-adic value V_k(x) of the infinite series, for integer x;
     with C, sum_j C_j V_j(x), that of the combination, k = len(C)."""
-    if not isinstance(x, int):
-        raise TypeError("p-adic invariance holds for integer x only")
-    return Fraction(-telescope_combo(unit_combo(k) if C is None else C, x)[1][0])
+    return Fraction(-telescope_combo(_combo(k, C), _integer(x))[1][0])
 
 
 def truncated_padic_sum(k: int, x: Fraction | int, p: Prime, N: int) -> SumCertificate:
@@ -174,5 +181,5 @@ def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
     sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n, j = 1..k = len(C), is
     p-adically close to sum_j C_j V_j(x), from one telescope of
     P = sum_j C_j x^j n^j."""
-    *_, check = identity_checks(len(C), _nonzero_integer(x), N, C)  # x checked first
+    *_, check = identity_checks(len(C), _integer(x, nonzero=True), N, C)  # x checked first
     return certificates_from_check(check, [p])[0]

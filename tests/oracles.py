@@ -1,10 +1,10 @@
 """Slow reference routes that the tests hold the library to.
 
 They take paths the library does not: U_k and V_k from the whole A-family
-or from their own recurrences, Bell numbers from their recurrence, left
-factorials as one factorial-series sum each, the Kurepa gcd scan from
-bigint gcds of !n and n!, and Bernoulli numbers from their defining
-recurrence.
+or from their own recurrences, in polynomial arithmetic of their own
+(`lin`), Bell numbers from their recurrence, left factorials as one
+factorial-series sum each, the Kurepa gcd scan from bigint gcds of !n and
+n!, and Bernoulli numbers from their defining recurrence.
 """
 
 import math
@@ -20,19 +20,29 @@ from padicsum import (
 )
 
 
+def lin(*terms) -> Poly:
+    """sum of c * var^s * P over the terms (c, s, P), P polynomials in one var."""
+    coeffs = []
+    for c, s, P in terms:
+        coeffs += [0] * (s + len(P.coeffs) - len(coeffs))
+        for i, a in enumerate(P.coeffs, s):
+            coeffs[i] += c * a
+    return Poly.make(coeffs, terms[0][2].var)
+
+
 def compute_U(k: int, A: list[BivarPoly]) -> Poly:
     """U_k(x) = x*A_{k-1}(1; x) - A_{k-1}(0; x)."""
     if k < 1:
         raise ValueError("k must be positive")
     Akm1 = A[k - 1]
-    return Akm1.eval_n(1).shift(1) - Akm1.eval_n(0)
+    return lin((1, 1, Akm1.eval_n(1)), (-1, 0, Akm1.eval_n(0)))
 
 
 def compute_V(k: int, A: list[BivarPoly]) -> Poly:
     """V_k(x) = -A_{k-1}(0; x)."""
     if k < 1:
         raise ValueError("k must be positive")
-    return -A[k - 1].eval_n(0)
+    return lin((-1, 0, A[k - 1].eval_n(0)))
 
 
 def compute_U_by_recurrence(kmax: int) -> list[Poly]:
@@ -46,10 +56,8 @@ def compute_U_by_recurrence(kmax: int) -> list[Poly]:
         raise ValueError("kmax must be >= 1")
     us = [int_poly([-1, 1])]
     for k in range(1, kmax):
-        acc = Poly.monomial(k + 1) + us[k - 1]
-        for l in range(1, k + 1):
-            acc = acc - us[l - 1].scale(math.comb(k + 1, l)).shift(k - l + 1)
-        us.append(acc)
+        us.append(lin((1, k + 1, int_poly([1])), (1, 0, us[k - 1]),
+                      *((-math.comb(k + 1, l), k - l + 1, us[l - 1]) for l in range(1, k + 1))))
     return us
 
 
@@ -62,10 +70,8 @@ def compute_V_by_recurrence(kmax: int) -> list[Poly]:
         raise ValueError("kmax must be >= 1")
     vs = [int_poly([-1])]
     for k in range(1, kmax):
-        acc = vs[k - 1]
-        for l in range(1, k + 1):
-            acc = acc - vs[l - 1].scale(math.comb(k + 1, l)).shift(k - l + 1)
-        vs.append(acc)
+        vs.append(lin((1, 0, vs[k - 1]),
+                      *((-math.comb(k + 1, l), k - l + 1, vs[l - 1]) for l in range(1, k + 1))))
     return vs
 
 

@@ -20,7 +20,6 @@ from padicsum import (
     compute_A_family,
     factorial_norm_exponent,
     family_residual,
-    Poly,
     int_poly,
     invariant_sum,
     kurepa_digit_scan,
@@ -39,6 +38,7 @@ from oracles import (
     compute_U_by_recurrence,
     compute_V,
     compute_V_by_recurrence,
+    lin,
 )
 from test_recurrences import A_TABLE, U_TABLE, V_TABLE, as_bivar
 
@@ -98,8 +98,8 @@ def test_criterion_3_back_substitution(family):
     for k in range(1, KMAX + 1):
         t = build_triple(k)
         for n in range(k + 1):
-            step = t.A.eval_n(n + 1).scale(n + 1).shift(1) - t.A.eval_n(n)
-            ok &= step == Poly.monomial(k, n**k) + t.U
+            step = lin((n + 1, 1, t.A.eval_n(n + 1)), (-1, 0, t.A.eval_n(n)))
+            ok &= step == lin((n**k, k, int_poly([1])), (1, 0, t.U))
     report("3. symbolic back-substitution k<=25", ok)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicsum import BivarPoly, Poly, int_poly, n_poly, render_poly
+from oracles import lin
 from test_padic import check_record
 
 small_polys = st.lists(st.integers(-9, 9), max_size=5).map(int_poly)
@@ -17,9 +18,13 @@ def test_canonical_trimming():
 
 
 def test_add_mul_examples():
+    # oracles.lin, the arithmetic of the U/V oracle routes
     P = int_poly([3, 0, 2])
     zero = int_poly([])
-    assert P + zero == P
+    assert lin((1, 0, P), (1, 0, zero)) == P
+    assert lin((2, 1, P), (-1, 0, P)) == int_poly([-3, 6, -2, 4])
+    assert lin((1, 0, P), (-1, 0, P)).is_zero
+    assert lin((1, 2, n_poly([1]))) == n_poly([0, 0, 1])
 
 
 def test_eval_examples():
@@ -34,14 +39,19 @@ def test_eval_examples():
 @given(a=small_polys, b=small_polys, c=small_polys)
 @settings(max_examples=200)
 def test_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
+    def add(p, q):
+        return lin((1, 0, p), (1, 0, q))
+
+    assert add(a, b) == add(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
 
 
-@given(a=small_polys, b=small_polys, x0=st.integers(-10, 10))
+@given(a=small_polys, b=small_polys, x0=st.integers(-10, 10),
+       c=st.integers(-5, 5), s=st.integers(0, 3))
 @settings(max_examples=200)
-def test_eval_is_ring_homomorphism(a, b, x0):
-    assert (a + b)(x0) == a(x0) + b(x0)
+def test_eval_is_ring_homomorphism(a, b, x0, c, s):
+    assert lin((1, 0, a), (1, 0, b))(x0) == a(x0) + b(x0)
+    assert lin((c, s, a), (1, 0, b))(x0) == c * x0**s * a(x0) + b(x0)
 
 
 class TestBivar:

@@ -5,7 +5,6 @@ import pytest
 import padicsum.recurrences as recurrences
 from padicsum import (
     BivarPoly,
-    Poly,
     SummationTriple,
     TripleFamily,
     build_triple,
@@ -24,6 +23,7 @@ from oracles import (
     compute_U_by_recurrence,
     compute_V,
     compute_V_by_recurrence,
+    lin,
 )
 from test_padic import check_record
 
@@ -109,6 +109,20 @@ class TestBackSubstitution:
     def test_symbolic_zero_remainder(self, family):
         for k in range(1, KMAX + 1):
             assert family_residual(family, k).is_zero, f"residual at k={k}"
+
+    @pytest.mark.parametrize("j", [1, 4, 9])
+    def test_perturbed_family_leaves_a_residual(self, family, j):
+        # A_j + delta: one coefficient off by one, then a term x^(j+1) n^(j+2)
+        # above both of A_j's degrees, which the residual must pad to reach
+        rows = [list(lay.coeffs) for lay in family[j].layers]
+        bumped = [row[:] for row in rows]
+        bumped[j - 1][0] += 1
+        raised = rows + [[0] * (j + 2) + [1]]
+        for forged_Aj, delta in ((bumped, [[]] * (j - 1) + [[1]]),
+                                 (raised, [[]] * (j + 1) + [[0] * (j + 2) + [1]])):
+            forged = family[:j] + [BivarPoly.make(forged_Aj)] + family[j + 1 :]
+            assert all(family_residual(forged, i).is_zero for i in range(1, j)), j
+            assert family_residual(forged, j) == BivarPoly.make(delta), j
 
 
 class TestStructuralProperties:
@@ -203,8 +217,9 @@ class TestSolveTriple:
         for k in range(1, 61):
             t = solve_triple(k)
             for n in range(k + 2):
-                step = t.A.eval_n(n + 1).scale(n + 1).shift(1) - t.A.eval_n(n)
-                assert step - Poly.monomial(k, n**k) == t.U, (k, n)
+                lhs = lin((n + 1, 1, t.A.eval_n(n + 1)), (-1, 0, t.A.eval_n(n)),
+                          (-(n**k), k, int_poly([1])))
+                assert lhs == t.U, (k, n)
 
     def test_matches_the_oracle_routes(self):
         kmax = 30

@@ -159,7 +159,8 @@ class TestIdentityKernel:
                      lambda: verify_identity(2, 3, 0.1),
                      lambda: partial_sum_Sk(2, 3, 0.5),
                      lambda: truncated_combo_sum((1, 2), 2.0, Prime(3), 4),
-                     lambda: truncated_padic_sum(2, 2.0, Prime(3), 4)):
+                     lambda: truncated_padic_sum(2, 2.0, Prime(3), 4),
+                     lambda: invariant_sum(2, 2.0)):
             with pytest.raises(TypeError, match="float"):
                 call()
 
@@ -168,6 +169,10 @@ class TestIdentityKernel:
             next(identity_checks(0, 1, 5))
         with pytest.raises(ValueError):
             next(identity_checks(1, 1, 0))
+
+    def test_rejects_C_not_matching_k(self):
+        with pytest.raises(ValueError, match="C must list exactly k coefficients"):
+            next(identity_checks(7, 2, 1, (1,)))
 
 
 class TestVerifyIdentity:
@@ -217,8 +222,17 @@ class TestInvariantSum:
         assert invariant_sum(3, 1) == 1
 
     def test_rejects_non_integer(self):
-        with pytest.raises(TypeError):
-            invariant_sum(1, Fraction(1, 2))
+        for x in (Fraction(1, 2), "1/2"):
+            with pytest.raises(ValueError, match="x must be an integer"):
+                invariant_sum(1, x)
+        # an integral Fraction or string is the integer it names, as for the certificate
+        for x in (Fraction(3), "3"):
+            assert invariant_sum(3, x) == invariant_sum(3, 3) == -13
+            assert invariant_sum(3, x) == truncated_padic_sum(3, x, Prime(3), 4).target
+
+    def test_rejects_C_not_matching_k(self):
+        with pytest.raises(ValueError, match="C must list exactly k coefficients"):
+            invariant_sum(5, 3, (1, 2))
 
 
 class TestCertificates:
