@@ -8,12 +8,11 @@ rational equality, plus certified p-adic limits (-1, -2, -4 for k = 1, 2, 3).
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm
 
-from .padic import Prime, factorial_norm_exponent
+from .padic import Prime, factorial_norm_exponent, work_limit
 from .poly import Poly
 from .recurrences import build_triple
 from .summation import SumCertificate, factorial_series
@@ -57,7 +56,7 @@ def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    limit = int(os.environ.get("PADICSUM_WORK_LIMIT", 10**9))
+    limit = work_limit()
     if m > limit.bit_length() or int(p) ** m > limit:
         raise ValueError(f"p^m exceeds work limit {limit} (p = {int(p)}, m = {m})")
     M = int(p) ** m

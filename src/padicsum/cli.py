@@ -24,9 +24,11 @@ from .bernoulli import (
 from .padic import Prime, in_convergence_domain, padic_expand
 from .poly import int_poly
 from .recurrences import build_triple
-from .sequences import kurepa_digit_scan, kurepa_gcd_scan, paper_sequences
-# verify_identity and truncated_padic_sum are not called here; they stay
-# importable from this module, where perfbench/spans.py traces them
+# kurepa_digit_scan, kurepa_gcd_scan, verify_identity and truncated_padic_sum
+# are not called here; they stay importable from this module, where
+# perfbench/spans.py traces them
+from .sequences import (  # noqa: F401
+    kurepa_digit_scan, kurepa_gcd_scan, kurepa_scans, paper_sequences)
 from .summation import (  # noqa: F401
     certificates_from_check,
     identity_checks,
@@ -261,34 +263,30 @@ def cmd_kurepa(args, em: Emitter) -> None:
     if all(bound is None for bound, _ in bounds.values()):
         raise ValueError("need --gcd-max and/or --digit-max")
     require_at_least(bounds)
-    if args.gcd_max is not None:
-        report = kurepa_gcd_scan(args.gcd_max)
+    try:
+        gcd, digit = kurepa_scans(args.gcd_max, args.digit_max)
+    except ValueError as exc:  # the work limit, which the larger bound sets
+        raise ValueError(f"{max(bounds, key=lambda f: bounds[f][0] or 0)}: {exc}") from None
+    if gcd is not None:
         em.record(
             {"gcd_max": args.gcd_max},
-            {
-                "gcd_ok_up_to": report.gcd_ok_up_to,
-                "first_failure": report.first_failure,
-            },
-            report.ok,
-            lambda: f"gcd(!n, n!) = 2 verified for 2 <= n <= {report.gcd_ok_up_to}"
-            + ("" if report.ok else f"; FAILURE at n = {report.first_failure}"),
+            {"gcd_ok_up_to": gcd.gcd_ok_up_to, "first_failure": gcd.first_failure},
+            gcd.ok,
+            lambda: f"gcd(!n, n!) = 2 verified for 2 <= n <= {gcd.gcd_ok_up_to}"
+            + ("" if gcd.ok else f"; FAILURE at n = {gcd.first_failure}"),
         )
-    if args.digit_max is not None:
-        report = kurepa_digit_scan(args.digit_max)
+    if digit is not None:
         em.record(
             {"digit_max": args.digit_max},
-            {
-                "primes_checked": report.digit_checked_primes,
-                "first_failure": report.first_failure,
-            },
-            report.ok,
+            {"primes_checked": digit.digit_checked_primes, "first_failure": digit.first_failure},
+            digit.ok,
             lambda: (
-                f"0th digit nonzero for all {report.digit_checked_primes} odd primes "
+                f"0th digit nonzero for all {digit.digit_checked_primes} odd primes "
                 f"<= {args.digit_max}"
-                if report.ok
+                if digit.ok
                 # digit_checked_primes counts the failing prime too
-                else f"0th digit nonzero for the {report.digit_checked_primes - 1} odd "
-                f"primes below {report.first_failure}; FAILURE at p = {report.first_failure}"
+                else f"0th digit nonzero for the {digit.digit_checked_primes - 1} odd "
+                f"primes below {digit.first_failure}; FAILURE at p = {digit.first_failure}"
             ),
         )
 

@@ -7,6 +7,7 @@ int, so a comparison that forgets the case raises instead of passing.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 
@@ -65,6 +66,11 @@ _MILLER_RABIN_TIERS = (
     (318_665_857_834_031_151_167_461, 12),
     (3_317_044_064_679_887_385_961_981, 13),
 )
+
+
+def work_limit() -> int:
+    """PADICSUM_WORK_LIMIT (default 10^9), the largest cost a guarded call takes on."""
+    return int(os.environ.get("PADICSUM_WORK_LIMIT", 10**9))
 
 
 def _int(n) -> int:

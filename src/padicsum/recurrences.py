@@ -57,8 +57,10 @@ def family_residual(family: list[BivarPoly], k: int) -> BivarPoly:
     sum_{l=1}^{k+1} C(k+1,l) x^(k-l+1) A_{l-1}(n;x) - A_{k-1}(n;x) - n^k x^k,
 
     that is A_k minus the recurrence's right-hand side.  Zero for a correctly
-    constructed family.
+    constructed family.  Defined for 1 <= k < len(family): A_0 = 1 is the base.
     """
+    if not 1 <= k < len(family):
+        raise ValueError(f"k = {k} is outside 1..{len(family) - 1}")
     A = [[list(lay.coeffs) for lay in P.layers] for P in family[: k + 1]]
     rhs = _recurrence_rows(A, k)
     return BivarPoly.make([[a - b for a, b in zip_longest(Ak_row, rhs_row, fillvalue=0)]

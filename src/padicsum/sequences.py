@@ -8,8 +8,10 @@ structured data (first_failure) instead of raising.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import compress
 
-from .padic import Prime, _Record, is_prime
+from .padic import Prime, _Record, is_prime, work_limit  # noqa: F401
 from .recurrences import telescope_combo, unit_combo
 
 
@@ -60,23 +62,43 @@ def kurepa_digits(primes: list[int]) -> list[int]:
     return digits
 
 
-def _zero_digit_scan(bound: int) -> tuple[int, int | None]:
-    """(odd primes checked, the first odd prime p <= bound with !p = 0 mod p)"""
-    primes = [q for q in range(3, bound + 1, 2) if is_prime(q)]
+def odd_primes(bound: int) -> list[int]:
+    """The odd primes <= bound, from a bytearray sieve; byte i stands for 2i + 1."""
+    sieve = bytearray([0]) + bytearray([1]) * ((bound - 1) // 2)
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2 * i + 1 for i in compress(range(len(sieve)), sieve)]
+
+
+def kurepa_scans(gcd_max: int | None, digit_max: int | None
+                 ) -> tuple[KurepaReport | None, KurepaReport | None]:
+    """(the gcd scan to gcd_max, the digit scan to digit_max), None for a None
+    bound, from one table: `kurepa_digits` of the `odd_primes` to the larger
+    bound B, once its cost, about B log2(B)^2, is within the work limit."""
+    if gcd_max is not None and gcd_max < 2 or digit_max is not None and digit_max < 3:
+        raise ValueError("a scan's bound is below its least: 2 for gcd, 3 for digits")
+    bound = max(gcd_max or 0, digit_max or 0)
+    if bound * bound.bit_length() ** 2 > work_limit():
+        raise ValueError(f"a Kurepa table to {bound} exceeds work limit {work_limit()}")
+    primes = odd_primes(bound)
     digits = kurepa_digits(primes)
-    if 0 not in digits:
-        return len(primes), None
-    return digits.index(0) + 1, primes[digits.index(0)]
+    z = digits.index(0) if 0 in digits else len(digits)  # the first zero digit
+    gcd = digit = None
+    if gcd_max is not None:
+        p = primes[z] if z < bisect_right(primes, gcd_max) else None
+        gcd = KurepaReport(gcd_max, gcd_max if p is None else p - 1, 0, p)
+    if digit_max is not None:
+        n = bisect_right(primes, digit_max)
+        digit = KurepaReport(digit_max, 0, *((z + 1, primes[z]) if z < n else (n, None)))
+    return gcd, digit
 
 
 def kurepa_gcd_scan(nmax: int) -> KurepaReport:
     """Check gcd(!n, n!) = 2 for 2 <= n <= nmax.  The first failure is the
     least odd prime p with !p = 0 (mod p): !n = !p (mod p) for n >= p, p does
     not divide n! for n < p, and !n = 2 (mod 4) for n >= 4."""
-    if nmax < 2:
-        raise ValueError("nmax must be >= 2")
-    _, p = _zero_digit_scan(nmax)
-    return KurepaReport(nmax, nmax if p is None else p - 1, 0, p)
+    return kurepa_scans(nmax, None)[0]
 
 
 def kurepa_digit(p: Prime) -> int:
@@ -93,9 +115,7 @@ def kurepa_digit(p: Prime) -> int:
 
 def kurepa_digit_scan(pmax: int) -> KurepaReport:
     """Check !p != 0 (mod p), the 0th digit, for all odd primes p <= pmax."""
-    if pmax < 3:
-        raise ValueError("pmax must be >= 3")
-    return KurepaReport(pmax, 0, *_zero_digit_scan(pmax))
+    return kurepa_scans(None, pmax)[1]
 
 
 def paper_sequences(kmax: int) -> dict[str, list[int]]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -475,6 +476,49 @@ class TestKurepa:
     def test_no_flags_is_usage_error(self, capsys):
         code, _ = run(capsys, "kurepa")
         assert code == 2
+
+    def test_one_table_for_both_scans(self, capsys, monkeypatch):
+        trees, tree = [], sequences.kurepa_digits
+        monkeypatch.setattr(sequences, "kurepa_digits",
+                            lambda primes: trees.append(primes) or tree(primes))
+        code, out = run(capsys, "--format", "machine", "kurepa", "--gcd-max", "200",
+                        "--digit-max", "100")
+        assert code == 0 and [len(primes) for primes in trees] == [45]  # odd primes to 200
+        assert [rec["result"] for rec in machine_records(out)] == [
+            {"gcd_ok_up_to": 200, "first_failure": None},
+            {"primes_checked": 24, "first_failure": None}]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--digit-max", str(10**12)], "--digit-max"),
+            (["--gcd-max", str(10**12), "--digit-max", "100"], "--gcd-max"),
+            (["--gcd-max", "100", "--digit-max", str(10**12)], "--digit-max"),
+            # 2,097,152 * 22^2 > 10^9 >= 2,097,151 * 21^2
+            (["--digit-max", "2097152"], "--digit-max"),
+        ],
+    )
+    def test_over_the_work_limit_is_usage_error_before_the_sieve(
+        self, capsys, monkeypatch, argv, flag
+    ):
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
+        start = time.perf_counter()
+        code = main(["--format", "machine", "kurepa", *argv])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {flag}: a Kurepa table to ")
+        assert "exceeds work limit 1000000000" in captured.err
+
+    def test_digit_max_to_a_million_is_within_the_default_limit(self, capsys, monkeypatch):
+        # the guard alone: the sieve is replaced, so no table is built
+        sieved = []
+        monkeypatch.setattr(sequences, "odd_primes", lambda bound: sieved.append(bound) or [])
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
+        for bound in (10**6, 2097151):
+            code, _ = run(capsys, "kurepa", "--digit-max", str(bound))
+            assert code == 0
+        assert sieved == [10**6, 2097151]
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -110,6 +110,14 @@ class TestBackSubstitution:
         for k in range(1, KMAX + 1):
             assert family_residual(family, k).is_zero, f"residual at k={k}"
 
+    @pytest.mark.parametrize("k", [0, -1, KMAX + 1, KMAX + 2])
+    def test_index_outside_the_recurrence_is_refused(self, family, k):
+        # A_0 = 1 is the base, not a case of the recurrence, and k past the
+        # family has no A_k to compare
+        assert len(family) == KMAX + 1
+        with pytest.raises(ValueError, match=rf"k = {k} is outside 1\.\.{KMAX}"):
+            family_residual(family, k)
+
     @pytest.mark.parametrize("j", [1, 4, 9])
     def test_perturbed_family_leaves_a_residual(self, family, j):
         # A_j + delta: one coefficient off by one, then a term x^(j+1) n^(j+2)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -127,6 +128,79 @@ class TestKurepaDigit:
         assert report.digit_checked_primes == sum(
             1 for q in range(3, 501) if is_prime(q)
         )
+
+
+class TestOddPrimes:
+    def test_matches_is_prime(self):
+        squares = [p * p + d for p in range(2, 32) if is_prime(p) for d in (-1, 0, 1)]
+        for bound in (*range(3, 201), *squares, 10**5):
+            want = [q for q in range(3, bound + 1, 2) if is_prime(q)]
+            assert sequences.odd_primes(bound) == want, bound
+
+
+class TestKurepaScans:
+    # (G, D) with G < D, G = D and G > D, and bounds on and next to primes
+    GRID = [(2, 3), (16, 17), (17, 17), (100, 100), (30, 200), (200, 30), (97, 50), (3, 2000)]
+
+    def scans(self, monkeypatch, gcd_max, digit_max):
+        """kurepa_scans(gcd_max, digit_max), counting its trees"""
+        trees, tree = [], sequences.kurepa_digits
+        monkeypatch.setattr(sequences, "kurepa_digits",
+                            lambda primes: trees.append(primes) or tree(primes))
+        reports = sequences.kurepa_scans(gcd_max, digit_max)
+        monkeypatch.setattr(sequences, "kurepa_digits", tree)
+        assert len(trees) == 1, "one tree per call"
+        return reports
+
+    @pytest.mark.parametrize("gcd_max, digit_max", GRID)
+    def test_one_table_matches_the_separate_scans(self, monkeypatch, gcd_max, digit_max):
+        want = kurepa_gcd_scan(gcd_max), kurepa_digit_scan(digit_max)
+        assert self.scans(monkeypatch, gcd_max, digit_max) == want
+        assert self.scans(monkeypatch, gcd_max, None) == (want[0], None)
+        assert self.scans(monkeypatch, None, digit_max) == (None, want[1])
+        assert want[0] == kurepa_gcd_scan_bigint(gcd_max)
+        odd = sum(1 for q in range(3, digit_max + 1, 2) if is_prime(q))
+        assert want[1] == KurepaReport(digit_max, 0, odd)
+
+    @pytest.mark.parametrize("gcd_max, digit_max", [(16, 17), (10, 100), (17, 17),
+                                                    (17, 100), (100, 17), (200, 30)])
+    def test_forced_zero_at_17(self, monkeypatch, gcd_max, digit_max):
+        tree = sequences.kurepa_digits
+        monkeypatch.setattr(sequences, "kurepa_digits", lambda primes: [
+            0 if q == 17 else d for q, d in zip(primes, tree(primes))])
+        gcd, digit = sequences.kurepa_scans(gcd_max, digit_max)
+        assert (gcd, digit) == (kurepa_gcd_scan(gcd_max), kurepa_digit_scan(digit_max))
+        # the 6th odd prime fails both scans once a bound reaches it
+        assert gcd == (KurepaReport(gcd_max, 16, 0, 17) if gcd_max >= 17
+                       else KurepaReport(gcd_max, gcd_max, 0))
+        primes_to_d = sum(1 for q in range(3, digit_max + 1, 2) if is_prime(q))
+        assert digit == (KurepaReport(digit_max, 0, 6, 17) if digit_max >= 17
+                         else KurepaReport(digit_max, 0, primes_to_d))
+
+    @pytest.mark.parametrize("gcd_max, digit_max", [(1, None), (None, 2), (1, 100), (100, 2)])
+    def test_rejects_bad_bound(self, gcd_max, digit_max):
+        with pytest.raises(ValueError, match="below its least"):
+            sequences.kurepa_scans(gcd_max, digit_max)
+
+    def test_work_limit_before_the_sieve(self, monkeypatch):
+        def no_sieve(bound):
+            raise AssertionError(f"sieved to {bound}")
+
+        monkeypatch.setattr(sequences, "odd_primes", no_sieve)
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
+        start = time.perf_counter()
+        for gcd_max, digit_max in ((None, 10**12), (10**12, 3), (2, 10**12)):
+            with pytest.raises(ValueError, match="exceeds work limit 1000000000"):
+                sequences.kurepa_scans(gcd_max, digit_max)
+        assert time.perf_counter() - start < 1
+        # the cost is B bitlen(B)^2: 2000 * 11^2 = 242000
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", "241999")
+        with pytest.raises(ValueError, match="a Kurepa table to 2000 exceeds"):
+            kurepa_gcd_scan(2000)
+
+    def test_work_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", "242000")
+        assert kurepa_gcd_scan(2000) == kurepa_gcd_scan_bigint(2000)
 
 
 class TestPaperSequences:
