@@ -21,7 +21,7 @@ from .bernoulli import (
     bernoulli_numbers,
     volkenborn_level,
 )
-from .padic import Prime, in_convergence_domain, padic_expand
+from .padic import Prime, in_convergence_domain, padic_expand, work_limit
 from .poly import int_poly
 from .recurrences import build_triple
 # kurepa_digit_scan, kurepa_gcd_scan, verify_identity and truncated_padic_sum
@@ -68,6 +68,7 @@ def parse_range(part: str) -> range:
         ) from None
     if lo > hi:
         raise ValueError(f"empty range {part!r}: {lo} > {hi}")
+    require_within_limit(f"range {part!r}", hi - lo + 1)  # before its list is built
     return range(lo, hi + 1)
 
 
@@ -103,6 +104,13 @@ def require_at_least(bounds: dict) -> None:
             raise ValueError(f"{flag} must be >= {least}")
 
 
+def require_within_limit(flags: str, cost: int) -> None:
+    """Usage error of `flags` when a command's closed-form cost, decided from
+    its arguments before any work, exceeds PADICSUM_WORK_LIMIT."""
+    if cost > (limit := work_limit()):
+        raise ValueError(f"{flags}: cost {cost} exceeds work limit {limit}")
+
+
 class Emitter:
     def __init__(self, command: str, machine: bool):
         self.command = command
@@ -115,13 +123,15 @@ class Emitter:
         self.emit(encode_json(record) if self.machine else human(), ok)
 
     def emit(self, line: str, ok: bool) -> None:
-        """Write one record's line; every record and its `ok` pass here once, unbuffered."""
+        """Write one record's line, or the lines of several records with the `ok`
+        of them all; every record passes here once, and its `ok` with it."""
         self.ok = self.ok and ok
         sys.stdout.write(line + "\n")
 
 
 def cmd_triples(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
+    require_within_limit("--kmax", (args.kmax * (args.kmax + 1) // 2) ** 2)  # sum of k^3
     for k in range(1, args.kmax + 1):
         trip = build_triple(k)
         result = {
@@ -142,35 +152,43 @@ def cmd_verify(args, em: Emitter) -> None:
                                         lambda text: parse_set(text, Fraction))))
     primes = parse_exact("--p-list", args.p_list, lambda text: [
         Prime(p) for p in dict.fromkeys(parse_set(text))]) if args.p_list is not None else []
+    pis = [int(p) for p in primes]
     require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
+    kmax = ks[-1]
+    require_within_limit("--k, --x-set, --n-max and --p-list",
+                         len(ks) * len(xs) * (kmax * kmax + args.n_max * (kmax + len(primes))))
     # a machine line is json.dumps of {command, params, result, ok}, spliced
-    # from fields formatted once; a check's records share `head`
+    # from fields formatted once; a check's records share `head`, and the
+    # records of one step N are written together
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order
         for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
+            lines, step_ok = [], True
             for check in checks:
                 x, N, ok = check.x, check.N, check.ok
+                step_ok = step_ok and ok
                 head = ('{"command": "verify", "params": '
                         f'{{"k": {k}, "N": {N}, "x": {json_q(x)}')
-                em.emit(
+                lines.append(
                     f'{head}}}, "result": {{"lhs": {json_q(check.lhs)}, "rhs": '
                     f'{json_q(check.rhs)}, "tail": {json_q(check.tail)}}}, "ok": '
                     f'{"true" if ok else "false"}}}' if machine else
                     f"identity k={k} N={N} x={x}: lhs={check.lhs} rhs={check.rhs} "
-                    f"{'ok' if ok else 'FAIL'}", ok)
+                    f"{'ok' if ok else 'FAIL'}")
                 if x.denominator != 1:
-                    for pi in map(int, primes):
-                        em.emit(
-                            f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
-                            f'"x not in Z_{pi}"}}, "ok": true}}' if machine else
-                            f"certificate k={k} N={N} x={x} p={pi}: "
-                            f"rejected (x not in Z_{pi})", True)
+                    lines += [
+                        f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
+                        f'"x not in Z_{pi}"}}, "ok": true}}' if machine else
+                        f"certificate k={k} N={N} x={x} p={pi}: rejected (x not in Z_{pi})"
+                        for pi in pis]
                     continue
-                for cert in certificates_from_check(check, primes) if primes and x else ():
-                    pi, cert_ok = int(cert.p), cert.ok
+                for pi, cert in zip(pis, certificates_from_check(check, primes)
+                                    if primes and x else ()):
+                    cert_ok = cert.ok
+                    step_ok = step_ok and cert_ok
                     e = cert.distance_exponent
                     achieved = '"inf"' if e is None else e
-                    em.emit(
+                    lines.append(
                         f'{head}, "p": {pi}}}, "result": {{"partial": {json_q(cert.partial)}, '
                         f'"target": {json_q(cert.target)}, "tail": {json_q(cert.tail)}, '
                         f'"achieved_exponent": {achieved}, "bound_exponent": '
@@ -178,11 +196,13 @@ def cmd_verify(args, em: Emitter) -> None:
                         if machine else f"certificate k={k} N={N} x={x} p={pi}: "
                         f"partial={cert.partial} target={cert.target} "
                         f"achieved={'inf' if e is None else e} "
-                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}", cert_ok)
+                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
+            em.emit("\n".join(lines), step_ok)
 
 
 def cmd_sum(args, em: Emitter) -> None:
     require_at_least({"--k": (args.k, 1)})
+    require_within_limit("--k", args.k * args.k)
     x = parse_exact("--x", args.x)
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
@@ -293,6 +313,7 @@ def cmd_kurepa(args, em: Emitter) -> None:
 
 def cmd_sequences(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
+    require_within_limit("--kmax", args.kmax**3)
     seqs = paper_sequences(args.kmax)
     labels = {
         "neg_v": "-V_k(1)",

@@ -143,8 +143,14 @@ def digit_sum(n: int, p: Prime) -> int:
 
 
 def factorial_norm_exponent(n: int, p: Prime) -> int:
-    """Exponent e with |n!|_p = p^(-e), i.e. (n - s_n)/(p - 1); digit_sum checks n."""
-    return (n - digit_sum(n, p)) // (int(p) - 1)
+    """Exponent e with |n!|_p = p^(-e), i.e. v_p(n!) = sum_i floor(n / p^i) for n >= 0."""
+    if _int(n) < 0:
+        raise ValueError("n must be nonnegative")
+    pp, e = int(p), 0
+    while n:
+        n //= pp
+        e += n
+    return e
 
 
 def _int_valuation(n: int, pp: int) -> int:

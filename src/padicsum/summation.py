@@ -31,15 +31,20 @@ class SumCertificate(_Record):
     certificate computes `difference` = partial - target and its valuation
     `distance_exponent` (None when partial = target) from its own fields, and
     `ok` reads them, so a forged one fails.  Neither is a field.
-    A field is an int where its value is integral and a Fraction otherwise.
+    A field is an int where its value is integral and a Fraction otherwise;
+    an int difference takes its valuation directly, anything else through vp.
     """
 
     def __init__(self, k: int, N: int, x: Fraction, p: Prime, partial: Fraction | int,
                  target: Fraction | int, tail: Fraction | int, bound_exponent: int):
         difference = partial - target
+        if type(difference) is int:
+            e = _int_valuation(difference, int(p)) if difference else None
+        else:
+            e = vp(difference, p)
         self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
                              tail=tail, bound_exponent=bound_exponent, difference=difference,
-                             distance_exponent=vp(difference, p))
+                             distance_exponent=e)
 
     @property
     def ok(self) -> bool:
@@ -156,12 +161,12 @@ def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[S
     """One certificate per prime, read off an identity check at a nonzero integer
     x: partial, target rhs - tail = V_k(x) and tail are the same in every Q_p, so
     `ok` fails whenever lhs != rhs and only the bound is per prime.  Ints where integral."""
-    N, n = check.N, _integer(check.x, nonzero=True)
+    k, N, x, n = check.k, check.N, check.x, _integer(check.x, nonzero=True)
     fields = (check.lhs, check.target, check.tail)
     partial, target, tail = (q.numerator if q.denominator == 1 else q for q in fields)
-    return [SumCertificate(check.k, N, check.x, p, partial, target, tail,
-                           factorial_norm_exponent(N, p) + N * _int_valuation(n, int(p)))
-            for p in primes]
+    return [SumCertificate(k, N, x, p, partial, target, tail,
+                           factorial_norm_exponent(N, pp) + N * _int_valuation(n, pp))
+            for p, pp in zip(primes, map(int, primes))]
 
 
 def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:

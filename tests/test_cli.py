@@ -163,6 +163,19 @@ class TestVerify:
                         })
         assert machine_records(out) == expected
 
+    def test_one_write_per_step(self, monkeypatch):
+        # each step N writes the records of every x at once: one system call
+        # per step, not per record, when stdout is unbuffered
+        writes = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": writes.append})())
+        for fmt in ("machine", "human"):
+            writes.clear()
+            code = main(["--format", fmt, "verify", "--k", "1..2", "--n-max", "3",
+                         "--x-set=0,2,1/2", "--p-list", "2,3"])
+            assert code == 0 and len(writes) == 2 * 3
+            # per step: 3 identities, 2 certificates at x = 2, 2 rejections at x = 1/2
+            assert [w.count("\n") for w in writes] == [7] * 6 and writes[0].endswith("\n")
+
     def test_failed_certificate_is_reported(self, capsys, monkeypatch):
         real = cli.certificates_from_check
 
@@ -546,6 +559,87 @@ class TestSequences:
         assert recs["neg_vbar"] == [1, 3, 9, 31, 121, 523]
         assert recs["u"] == [0, 1, -1, -2, 9, -9]
         assert recs["neg_ubar"] == [2, 5, 15, 52, 203, 877]
+
+
+class Reached(Exception):
+    """Raised in place of a command's work, so that a test of its guard runs none."""
+
+
+def refuse_work(monkeypatch, command):
+    def reached(*args, **kwargs):
+        raise Reached(command)
+    name = {"triples": "build_triple", "verify": "identity_checks",
+            "sum": "invariant_sum", "sequences": "paper_sequences"}[command]
+    monkeypatch.setattr(cli, name, reached)
+
+
+class TestWorkLimit:
+    # costs: verify (#k)(#x)(kmax^2 + n_max (kmax + #p)), sum k^2,
+    # triples sum_k k^3 = (kmax (kmax + 1) / 2)^2, sequences kmax^3
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["triples", "--kmax", "10000"], "--kmax"),
+            (["triples", "--kmax", "251"], "--kmax"),  # (251 * 252 / 2)^2 > 10^9
+            (["sequences", "--kmax", "1001"], "--kmax"),
+            (["sum", "--k", "31623", "--x", "2"], "--k"),
+            (["verify", "--k", "1..30", "--n-max", "10000000", "--x-set=-3..3",
+              "--p-list", "2,3,5"], "--k, --x-set, --n-max and --p-list"),
+            # a range is refused before the list of its values is built
+            (["verify", "--k", f"1..{10**12}", "--n-max", "3", "--x-set=1"],
+             "--k: range '1..1000000000000': cost 1000000000000 exceeds"),
+        ],
+    )
+    def test_over_budget_is_usage_error_before_any_work(
+        self, capsys, monkeypatch, argv, flag
+    ):
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
+        refuse_work(monkeypatch, argv[0])
+        start = time.perf_counter()
+        code = main(["--format", "machine", *argv])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {flag}")
+        assert "work limit 1000000000" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triples", "--kmax", "120"],
+            ["triples", "--kmax", "250"],
+            ["sequences", "--kmax", "1000"],
+            ["sum", "--k", "31622", "--x", "2"],
+            ["verify", "--k", "1..30", "--n-max", "40", "--x-set=-3..3", "--p-list", "2,3,5"],
+        ],
+    )
+    def test_benchmark_sizes_pass_the_default_limit(self, monkeypatch, argv):
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
+        refuse_work(monkeypatch, argv[0])
+        with pytest.raises(Reached):
+            main(["--format", "machine", *argv])
+
+    @pytest.mark.parametrize(
+        "argv, cost",
+        [
+            (["triples", "--kmax", "3"], 36),
+            (["sequences", "--kmax", "3"], 27),
+            (["sum", "--k", "3", "--x", "2"], 9),
+            (["sum", "--k", "2", "--C", "1,1", "--x", "1"], 4),
+            # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime))
+            (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"], 52),
+            (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 10),
+        ],
+    )
+    def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", str(cost))
+        code, out = run(capsys, "--format", "machine", *argv)
+        assert code == 0 and all(rec["ok"] for rec in machine_records(out))
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", str(cost - 1))
+        code = main(["--format", "machine", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith(f": cost {cost} exceeds work limit {cost - 1}\n")
 
 
 class TestHumanOutput:

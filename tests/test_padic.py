@@ -126,6 +126,17 @@ class TestDigitSum:
         # 10 = 1010 in base 2
         assert digit_sum(10, Prime(2)) == 2
 
+    def test_matches_bin_and_legendre(self):
+        # s_p(n) = n - (p - 1) v_p(n!), with v_p(n!) from the floor sum
+        for n in range(2001):
+            assert digit_sum(n, Prime(2)) == bin(n).count("1")
+            for pi in (3, 5, 7, 11, 13, 31):
+                assert digit_sum(n, Prime(pi)) == n - (pi - 1) * legendre_valuation(n, pi)
+
+    def test_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            digit_sum(-1, Prime(3))
+
 
 class TestLegendreValuation:
     def test_examples(self):
@@ -262,6 +273,25 @@ class TestFactorialNormExponent:
         assert factorial_norm_exponent(0, Prime(3)) == 0
         assert factorial_norm_exponent(10, Prime(2)) == 8
         assert factorial_norm_exponent(100, Prime(7)) == 16  # 14 + 2
+
+    def test_matches_legendre_and_digit_formula_to_2000(self):
+        # v_p(n!) = sum_i floor(n / p^i) = (n - s_p(n)) / (p - 1), s_p the base-p digit sum
+        for pi in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            p = Prime(pi)
+            for n in range(2001):
+                s, m = 0, n
+                while m:
+                    s, m = s + m % pi, m // pi
+                e = factorial_norm_exponent(n, p)
+                assert e == legendre_valuation(n, p) == (n - s) // (pi - 1)
+                assert (n - s) % (pi - 1) == 0 and type(e) is int
+
+    def test_rejects_negative_and_non_int_n(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            factorial_norm_exponent(-1, Prime(5))
+        for n in (10.0, Fraction(10), "10"):
+            with pytest.raises(TypeError):
+                factorial_norm_exponent(n, Prime(3))
 
 
 class TestConvergenceDomain:

@@ -362,6 +362,42 @@ class TestCertificates:
         assert not SumCertificate(*head, partial, target, tail + 5**3, bound).ok
         assert not SumCertificate(*head, partial + 5**3, target, tail, bound).ok
 
+    def test_int_distance_matches_the_loop_oracle(self, monkeypatch):
+        # int differences u * p^v, u prime to p, of either sign and v up to 60,
+        # take their valuation without vp
+        monkeypatch.setattr(summation, "vp", None)
+        rng = random.Random(21)
+        for pi in (2, 3, 5, 7, 31):
+            p = Prime(pi)
+            for v in [*range(8), *rng.sample(range(41, 61), 4)]:
+                for _ in range(6):
+                    u = rng.randrange(10**30) * pi + rng.randrange(1, pi)
+                    d = rng.choice((-1, 1)) * u * pi**v
+                    target = rng.randrange(-10**40, 10**40)
+                    for bound in (v - 1, v, v + 1):
+                        cert = SumCertificate(1, 7, Fraction(3), p, target + d, target, d, bound)
+                        assert cert.difference == d and type(cert.distance_exponent) is int
+                        assert cert.distance_exponent == loop_valuation(d, pi) == v
+                        assert cert.ok is (bound <= v)
+                        # the same fields with tail != difference fail at any bound
+                        assert not SumCertificate(1, 7, Fraction(3), p, target + d, target,
+                                                  d + pi ** (v + 1), bound).ok
+        exact = SumCertificate(1, 7, Fraction(3), Prime(2), 5, 5, 0, 99)
+        assert exact.distance_exponent is None and exact.ok
+
+    def test_non_int_fields_go_through_vp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(summation, "vp", lambda q, p: calls.append(q) or vp(q, p))
+        cert = SumCertificate(1, 1, Fraction(1), Prime(3), Fraction(19, 2), Fraction(1, 2), 9, 2)
+        assert calls == [9] and type(calls[0]) is Fraction
+        assert cert.distance_exponent == 2 and cert.ok
+        assert SumCertificate(1, 1, 1, Prime(3), Fraction(1, 3), 0, 0, 0).distance_exponent == -1
+        assert len(calls) == 2
+        SumCertificate(1, 1, 1, Prime(3), 12, 3, 9, 2)  # int fields: vp is not read
+        assert len(calls) == 2
+        with pytest.raises(TypeError, match="float"):
+            SumCertificate(1, 1, 1, Prime(3), 12.0, 3, 9, 2)
+
     def test_from_check_keeps_a_denominator(self):
         c = verify_identity(2, 5, 3)
         forged = IdentityCheck(c.k, c.N, c.x, c.lhs + Fraction(1, 3), c.rhs, c.tail)
@@ -407,6 +443,10 @@ class TestCertificates:
             "from padicsum import Prime, SumCertificate\n"
             "c = SumCertificate(1, 1, F(1), Prime(2), F(7), F(1), F(2), 99)\n"
             "print(c.ok is False, c.ok is False, vars(c)['difference'])\n"
+            # int fields: difference != tail, then the exponent 1 below the bound 99
+            "i = SumCertificate(1, 1, 1, Prime(2), 7, 1, 2, 99), "
+            "SumCertificate(1, 1, 1, Prime(2), 7, 1, 6, 99)\n"
+            "print([(c.ok, c.distance_exponent) for c in i])\n"
         )
         src = str(Path(padicsum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -415,7 +455,7 @@ class TestCertificates:
             env=env, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout == "True True 6\n"
+        assert out.stdout == "True True 6\n[(False, 1), (False, 1)]\n"
 
 
 
