@@ -16,7 +16,7 @@ from .padic import (
     padic_expand,
     vp,
 )
-from .poly import BivarPoly, Poly, int_poly, n_poly, render_poly
+from .poly import BivarPoly, horner, render_poly
 from .recurrences import (
     SummationTriple,
     TripleFamily,
@@ -63,9 +63,7 @@ __all__ = [
     "padic_expand",
     "vp",
     "BivarPoly",
-    "Poly",
-    "int_poly",
-    "n_poly",
+    "horner",
     "render_poly",
     "SummationTriple",
     "TripleFamily",

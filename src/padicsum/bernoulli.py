@@ -13,7 +13,6 @@ from itertools import islice
 from math import comb, factorial, lcm
 
 from .padic import Prime, factorial_norm_exponent, work_limit
-from .poly import Poly
 from .recurrences import build_triple
 from .summation import SumCertificate, factorial_series
 
@@ -42,13 +41,15 @@ def _volkenborn(coeffs, B: tuple[Fraction, ...], shift: int = 0) -> Fraction:
     return sum((c * B[shift + l] for l, c in enumerate(coeffs)), Fraction(0))
 
 
-def volkenborn_poly(P: Poly) -> Fraction:
-    """Exact Volkenborn integral of a polynomial: sum_l coeff_l * B_l."""
-    return _volkenborn(P.coeffs, bernoulli_numbers(max(P.degree, 0)))
+def volkenborn_poly(coeffs) -> Fraction:
+    """Exact Volkenborn integral of the polynomial with these coefficients:
+    sum_l coeffs[l] * B_l."""
+    return _volkenborn(coeffs, bernoulli_numbers(max(len(coeffs) - 1, 0)))
 
 
-def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
-    """Finite-level Volkenborn sum p^(-m) * sum_{j=0}^{p^m - 1} P(j), exact.
+def volkenborn_level(coeffs, p: Prime, m: int) -> Fraction:
+    """Finite-level Volkenborn sum p^(-m) * sum_{j=0}^{p^m - 1} P(j), exact, of
+    the polynomial P with these coefficients.
 
     Uses the Bernoulli closed form for the power sums, so the cost is
     independent of p^m; the work limit still guards absurd exponents.  It is
@@ -60,9 +61,9 @@ def volkenborn_level(P: Poly, p: Prime, m: int) -> Fraction:
     if m > limit.bit_length() or int(p) ** m > limit:
         raise ValueError(f"p^m exceeds work limit {limit} (p = {int(p)}, m = {m})")
     M = int(p) ** m
-    B = bernoulli_numbers(max(P.degree, 0))
+    B = bernoulli_numbers(max(len(coeffs) - 1, 0))
     total = Fraction(0)
-    for n, c in enumerate(P.coeffs):
+    for n, c in enumerate(coeffs):
         if c == 0:
             continue
         # sum_{j=0}^{M-1} j^n = (1/(n+1)) sum_{i=0}^{n} C(n+1,i) B_i M^(n+1-i)
@@ -90,11 +91,11 @@ def bernoulli_identity_partial(k: int, N: int) -> tuple[Fraction, Fraction]:
     BL = [q.numerator * (L // q.denominator) for q in B]
 
     def c(n: int) -> int:
-        return n**k * BL[n + k] + sum(u * BL[n + l] for l, u in enumerate(trip.U.coeffs))
+        return n**k * BL[n + k] + sum(u * BL[n + l] for l, u in enumerate(trip.U))
 
     _, fact, S = next(islice(factorial_series(c), N - 1, None))  # fact == N!
     A_at_N = trip.A.eval_n(N)  # polynomial in x, coeff l = A_{k-1,l}(N)
-    rhs = _volkenborn(trip.V.coeffs, B) + fact * _volkenborn(A_at_N.coeffs, B, N)
+    rhs = _volkenborn(trip.V, B) + fact * _volkenborn(A_at_N, B, N)
     return Fraction(S, L), rhs
 
 

@@ -22,7 +22,7 @@ from .bernoulli import (
     volkenborn_level,
 )
 from .padic import Prime, in_convergence_domain, padic_expand, work_limit
-from .poly import int_poly
+from .poly import render_poly
 from .recurrences import build_triple
 # kurepa_digit_scan, kurepa_gcd_scan, verify_identity and truncated_padic_sum
 # are not called here; they stay importable from this module, where
@@ -72,17 +72,21 @@ def parse_range(part: str) -> range:
     return range(lo, hi + 1)
 
 
-def parse_set(text: str, kind=int) -> list:
+def parse_parts(text: str, kind=int) -> list:
     """Comma list of `kind` values (int or Fraction) and inclusive integer
-    'a..b' ranges."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            out.extend(map(kind, parse_range(part)))
-        else:
-            out.append(kind(part))
-    return out
+    'a..b' ranges, each range kept as a `range`, its values not yet built."""
+    return [parse_range(part) if ".." in part else kind(part)
+            for part in map(str.strip, text.split(","))]
+
+
+def count(parts: list) -> int:
+    """How many values `parts` lists, repeats included, without building them."""
+    return sum(part.stop - part.start if type(part) is range else 1 for part in parts)
+
+
+def expand(parts: list, kind=int) -> list:
+    """The values `parts` lists, in order, those of a range as `kind`."""
+    return [v for part in parts for v in (map(kind, part) if type(part) is range else [part])]
 
 
 def parse_exact(flag: str, text, parse: Callable = Fraction):
@@ -106,7 +110,9 @@ def require_at_least(bounds: dict) -> None:
 
 def require_within_limit(flags: str, cost: int) -> None:
     """Usage error of `flags` when a command's closed-form cost, decided from
-    its arguments before any work, exceeds PADICSUM_WORK_LIMIT."""
+    its arguments before any work, exceeds PADICSUM_WORK_LIMIT.  The forms of
+    bernoulli and padic are fitted to measured times, about 5 ns a unit on
+    CPython 3.11, so that the default limit of 10^9 is about 5 s of work."""
     if cost > (limit := work_limit()):
         raise ValueError(f"{flags}: cost {cost} exceeds work limit {limit}")
 
@@ -134,29 +140,27 @@ def cmd_triples(args, em: Emitter) -> None:
     require_within_limit("--kmax", (args.kmax * (args.kmax + 1) // 2) ** 2)  # sum of k^3
     for k in range(1, args.kmax + 1):
         trip = build_triple(k)
-        result = {
-            "k": k,
-            "U": trip.U.coeffs,
-            "V": trip.V.coeffs,
-            "A": [layer.coeffs for layer in trip.A.layers],
-        }
-        em.record({"k": k}, result, True,
-                  lambda: f"U_{k} = {trip.U}; V_{k} = {trip.V}; A_{k - 1} = {trip.A}")
+        result = {"k": k, "U": trip.U, "V": trip.V, "A": trip.A.layers}
+        em.record({"k": k}, result, True, lambda: f"U_{k} = {render_poly(trip.U)}; "
+                  f"V_{k} = {render_poly(trip.V)}; A_{k - 1} = {trip.A}")
 
 
 def cmd_verify(args, em: Emitter) -> None:
     machine = em.machine
-    # each grid value once: k ascending, x and p in first-seen order
-    ks = sorted(set(parse_exact("--k", args.k, parse_set)))
-    xs = list(dict.fromkeys(parse_exact("--x-set", args.x_set,
-                                        lambda text: parse_set(text, Fraction))))
-    primes = parse_exact("--p-list", args.p_list, lambda text: [
-        Prime(p) for p in dict.fromkeys(parse_set(text))]) if args.p_list is not None else []
-    pis = [int(p) for p in primes]
-    require_at_least({"--k": (ks[0], 1), "--n-max": (args.n_max, 1)})
-    kmax = ks[-1]
+    ks = parse_exact("--k", args.k, parse_parts)
+    xs = parse_exact("--x-set", args.x_set, lambda text: parse_parts(text, Fraction))
+    ps = parse_exact("--p-list", args.p_list, parse_parts) if args.p_list is not None else []
+    ends = [e for k in ks for e in ((k.start, k.stop - 1) if type(k) is range else (k,))]
+    require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
+    # the cost from the lists' lengths, repeats included, before a range's values are
+    # built; with k, n_max >= 1 it is at least each list's length
+    kmax = max(ends)
     require_within_limit("--k, --x-set, --n-max and --p-list",
-                         len(ks) * len(xs) * (kmax * kmax + args.n_max * (kmax + len(primes))))
+                         count(ks) * count(xs) * (kmax * kmax + args.n_max * (kmax + count(ps))))
+    # each grid value once: k ascending, x and p in first-seen order
+    ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
+    primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])
+    pis = [int(p) for p in primes]
     # a machine line is json.dumps of {command, params, result, ok}, spliced
     # from fields formatted once; a check's records share `head`, and the
     # records of one step N are written together
@@ -208,9 +212,10 @@ def cmd_sum(args, em: Emitter) -> None:
         raise ValueError("--x must be an integer (p-adic invariance)")
     C, params = None, {"k": args.k, "x": fmt_q(x)}
     if args.C is not None:
-        C = parse_exact("--C", args.C, parse_set)
-        if len(C) != args.k:
+        C = parse_exact("--C", args.C, parse_parts)
+        if count(C) != args.k:  # before a range's values are built
             raise ValueError("--C must list exactly k coefficients")
+        C = expand(C)
         params = {"k": args.k, "C": C, "x": fmt_q(x)}
     value = invariant_sum(args.k, int(x), C)
     em.record(params, {"sum": fmt_q(value)}, True, lambda: f"sum = {fmt_q(value)}")
@@ -220,20 +225,15 @@ def cmd_padic(args, em: Emitter) -> None:
     require_at_least({"--digits": (args.digits, 1)})
     q = parse_exact("--value", args.value)
     p = parse_exact("--p", args.p, Prime)
+    # D divmods of a residue of D log2(p) bits
+    require_within_limit("--digits", args.digits**2 * (int(p) - 1).bit_length() // 32)
     exp = padic_expand(q, p, args.digits)
     in_Zp = in_convergence_domain(q, p)
-    result = {
-        "valuation": "inf" if q == 0 else exp.valuation,
-        "digits": list(exp.digits),
-        "in_Zp": in_Zp,
-    }
+    result = {"valuation": "inf" if q == 0 else exp.valuation, "digits": list(exp.digits),
+              "in_Zp": in_Zp}
     note = "" if in_Zp else "  [outside Z_p: negative valuation]"
-    em.record(
-        {"value": fmt_q(q), "p": int(p), "digits": args.digits},
-        result,
-        True,
-        lambda: f"{fmt_q(q)} = {exp}{note}",
-    )
+    em.record({"value": fmt_q(q), "p": int(p), "digits": args.digits}, result, True,
+              lambda: f"{fmt_q(q)} = {exp}{note}")
 
 
 def cmd_bernoulli(args, em: Emitter) -> None:
@@ -248,34 +248,30 @@ def cmd_bernoulli(args, em: Emitter) -> None:
         if args.N is None:
             raise ValueError("--identity needs --N")
         k, N = args.identity, args.N
+        # the table to N + k - 1, as for --nmax, and the k-th triple
+        require_within_limit("--identity and --N", (N + k - 1) ** 3 // 32 + k**4 // 24)
         lhs, rhs = bernoulli_identity_partial(k, N)
         ok = lhs == rhs
-        em.record(
-            {"k": k, "N": N},
-            {"lhs": fmt_q(lhs), "rhs": fmt_q(rhs)},
-            ok,
-            lambda: f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} rhs={fmt_q(rhs)} "
-            f"{'ok' if ok else 'FAIL'}",
-        )
+        em.record({"k": k, "N": N}, {"lhs": fmt_q(lhs), "rhs": fmt_q(rhs)}, ok,
+                  lambda: f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} "
+                  f"rhs={fmt_q(rhs)} {'ok' if ok else 'FAIL'}")
     elif args.level:
         p = parse_exact("--level P", p_raw, Prime)
-        coeffs = [0, 1] if args.poly is None else parse_exact("--poly", args.poly, parse_set)
-        P = int_poly(coeffs)
-        value = volkenborn_level(P, p, m)
-        em.record(
-            {"p": int(p), "m": m, "poly": coeffs},
-            {"value": fmt_q(value)},
-            True,
-            lambda: f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}",
-        )
+        parts = parse_exact("--poly", "0,1" if args.poly is None else args.poly, parse_parts)
+        # a sum of Fractions for each degree below d, of about d log2(p^m d) bits
+        d = count(parts)
+        require_within_limit("--level and --poly",
+                             d**3 * (m * int(p).bit_length() + d.bit_length()) // 5)
+        coeffs = expand(parts)
+        value = volkenborn_level(coeffs, p, m)
+        em.record({"p": int(p), "m": m, "poly": coeffs}, {"value": fmt_q(value)}, True,
+                  lambda: f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}")
     else:
+        # the tangent sweep's nmax^2 / 8 updates on ints of up to about nmax / 3 digits
+        require_within_limit("--nmax", args.nmax**3 // 32)
         for n, b in enumerate(bernoulli_numbers(args.nmax)):
-            em.record(
-                {"n": n},
-                {"numerator": b.numerator, "denominator": b.denominator},
-                True,
-                lambda: f"B_{n} = {fmt_q(b)}",
-            )
+            em.record({"n": n}, {"numerator": b.numerator, "denominator": b.denominator},
+                      True, lambda: f"B_{n} = {fmt_q(b)}")
 
 
 def cmd_kurepa(args, em: Emitter) -> None:
@@ -313,21 +309,13 @@ def cmd_kurepa(args, em: Emitter) -> None:
 
 def cmd_sequences(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
-    require_within_limit("--kmax", args.kmax**3)
+    # about kmax^3 operations on ints of about kmax digits; the time grows as kmax^3.9
+    require_within_limit("--kmax", args.kmax**4)
     seqs = paper_sequences(args.kmax)
-    labels = {
-        "neg_v": "-V_k(1)",
-        "neg_vbar": "-V_k(-1)",
-        "u": "U_k(1)",
-        "neg_ubar": "-U_k(-1)",
-    }
+    labels = {"neg_v": "-V_k(1)", "neg_vbar": "-V_k(-1)", "u": "U_k(1)", "neg_ubar": "-U_k(-1)"}
     for name, values in seqs.items():
-        em.record(
-            {"kmax": args.kmax, "sequence": name},
-            {"values": values},
-            True,
-            lambda: f"{labels[name]}: {', '.join(str(v) for v in values)}",
-        )
+        em.record({"kmax": args.kmax, "sequence": name}, {"values": values}, True,
+                  lambda: f"{labels[name]}: {', '.join(str(v) for v in values)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

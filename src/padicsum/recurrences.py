@@ -20,7 +20,7 @@ from math import comb
 from operator import mul
 
 from .padic import _Record
-from .poly import BivarPoly, Poly, int_poly
+from .poly import BivarPoly, _trim
 
 
 def _recurrence_rows(A: list[list[list[int]]], k: int) -> list[list[int]]:
@@ -61,7 +61,7 @@ def family_residual(family: list[BivarPoly], k: int) -> BivarPoly:
     """
     if not 1 <= k < len(family):
         raise ValueError(f"k = {k} is outside 1..{len(family) - 1}")
-    A = [[list(lay.coeffs) for lay in P.layers] for P in family[: k + 1]]
+    A = [P.layers for P in family[: k + 1]]
     rhs = _recurrence_rows(A, k)
     return BivarPoly.make([[a - b for a, b in zip_longest(Ak_row, rhs_row, fillvalue=0)]
                            for Ak_row, rhs_row in zip_longest(A[k], rhs, fillvalue=[])])
@@ -70,7 +70,7 @@ def family_residual(family: list[BivarPoly], k: int) -> BivarPoly:
 class SummationTriple(_Record):
     """The triple (U_k, V_k, A_{k-1}) for one degree k."""
 
-    def __init__(self, k: int, U: Poly, V: Poly, A: BivarPoly):
+    def __init__(self, k: int, U: tuple[int, ...], V: tuple[int, ...], A: BivarPoly):
         self.__dict__.update(k=k, U=U, V=V, A=A)
 
 
@@ -131,8 +131,8 @@ def solve_triple(k: int) -> SummationTriple:
             for i in range(j, k):
                 row[i] -= c * aj[i]
     at0, at1 = a[0], [sum(col) for col in zip(*a)]
-    U = int_poly([-at0[0]] + [s - c for s, c in zip(at1, at0[1:] + [0])])
-    V = int_poly([-c for c in at0])
+    U = _trim([-at0[0]] + [s - c for s, c in zip(at1, at0[1:] + [0])])
+    V = _trim(-c for c in at0)
     A = BivarPoly.make([[a[m][l] for m in range(l + 1)] for l in range(k)])
     return SummationTriple(k, U, V, A)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .padic import Prime, _int_valuation, _rational, _Record, factorial_norm_exponent, vp
-from .poly import Poly
+from .poly import horner
 from .recurrences import telescope_combo, unit_combo
 
 
@@ -126,12 +126,12 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
     x = _rational(x)
     a, b, k = x.numerator, x.denominator, len(C)
     Ub, A = telescope_combo(C, a, b)
-    Vb, Ab = -A[0], Poly.make(A, "n")
+    Vb = -A[0]
     terms = [(j, c * a**j * b ** (k - j)) for j, c in enumerate(C, 1) if c]
     series = factorial_series(lambda n: sum(c * n**j for j, c in terms) + Ub, a, b)
     bpow, D = b, b**k  # b^N, D_N at N = 1
     for N, fa, L in islice(series, n_max):
-        T = fa * Ab(N)
+        T = fa * horner(A, N)
         R = Vb * bpow + T
         yield IdentityCheck(k, N, x, L, R, T) if D == 1 else IdentityCheck(
             k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))

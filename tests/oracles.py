@@ -1,8 +1,8 @@
 """Slow reference routes that the tests hold the library to.
 
 They take paths the library does not: U_k and V_k from the whole A-family
-or from their own recurrences, in polynomial arithmetic of their own
-(`lin`), Bell numbers from their recurrence, left factorials as one
+or from their own recurrences, in polynomial arithmetic of their own on
+coefficient tuples (`lin`), Bell numbers from their recurrence, left factorials as one
 factorial-series sum each, the Kurepa gcd scan from bigint gcds of !n and
 n!, and Bernoulli numbers from their defining recurrence.
 """
@@ -11,26 +11,23 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from padicsum import (
-    BivarPoly,
-    KurepaReport,
-    Poly,
-    factorial_series,
-    int_poly,
-)
+from padicsum import BivarPoly, KurepaReport, factorial_series
 
 
-def lin(*terms) -> Poly:
-    """sum of c * var^s * P over the terms (c, s, P), P polynomials in one var."""
+def lin(*terms) -> tuple:
+    """sum of c * var^s * P over the terms (c, s, P), P coefficient sequences
+    of polynomials in one var, as a tuple without trailing zeros."""
     coeffs = []
     for c, s, P in terms:
-        coeffs += [0] * (s + len(P.coeffs) - len(coeffs))
-        for i, a in enumerate(P.coeffs, s):
+        coeffs += [0] * (s + len(P) - len(coeffs))
+        for i, a in enumerate(P, s):
             coeffs[i] += c * a
-    return Poly.make(coeffs, terms[0][2].var)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
-def compute_U(k: int, A: list[BivarPoly]) -> Poly:
+def compute_U(k: int, A: list[BivarPoly]) -> tuple:
     """U_k(x) = x*A_{k-1}(1; x) - A_{k-1}(0; x)."""
     if k < 1:
         raise ValueError("k must be positive")
@@ -38,14 +35,14 @@ def compute_U(k: int, A: list[BivarPoly]) -> Poly:
     return lin((1, 1, Akm1.eval_n(1)), (-1, 0, Akm1.eval_n(0)))
 
 
-def compute_V(k: int, A: list[BivarPoly]) -> Poly:
+def compute_V(k: int, A: list[BivarPoly]) -> tuple:
     """V_k(x) = -A_{k-1}(0; x)."""
     if k < 1:
         raise ValueError("k must be positive")
     return lin((-1, 0, A[k - 1].eval_n(0)))
 
 
-def compute_U_by_recurrence(kmax: int) -> list[Poly]:
+def compute_U_by_recurrence(kmax: int) -> list[tuple]:
     """U_1 .. U_kmax from the direct recurrence
 
     U_{k+1}(x) = x^(k+1) + U_k(x) - sum_{l=1}^{k} C(k+1,l) x^(k-l+1) U_l(x),
@@ -54,21 +51,21 @@ def compute_U_by_recurrence(kmax: int) -> list[Poly]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    us = [int_poly([-1, 1])]
+    us = [(-1, 1)]
     for k in range(1, kmax):
-        us.append(lin((1, k + 1, int_poly([1])), (1, 0, us[k - 1]),
+        us.append(lin((1, k + 1, (1,)), (1, 0, us[k - 1]),
                       *((-math.comb(k + 1, l), k - l + 1, us[l - 1]) for l in range(1, k + 1))))
     return us
 
 
-def compute_V_by_recurrence(kmax: int) -> list[Poly]:
+def compute_V_by_recurrence(kmax: int) -> list[tuple]:
     """V_1 .. V_kmax from V_{k+1}(x) = V_k(x) - sum_{l=1}^{k} C(k+1,l) x^(k-l+1) V_l(x),
 
     starting from V_1 = -1.  Index 0 of the result holds V_1.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    vs = [int_poly([-1])]
+    vs = [(-1,)]
     for k in range(1, kmax):
         vs.append(lin((1, 0, vs[k - 1]),
                       *((-math.comb(k + 1, l), k - l + 1, vs[l - 1]) for l in range(1, k + 1))))

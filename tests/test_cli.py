@@ -18,7 +18,12 @@ import padicsum.sequences as sequences
 from padicsum import (
     Prime, SumCertificate, bernoulli_numbers, truncated_padic_sum, verify_identity,
 )
-from padicsum.cli import fmt_q, main, parse_set
+from padicsum.cli import count, expand, fmt_q, main, parse_parts
+
+
+def parse_set(text, kind=int):
+    """The values of a comma-list flag, as the commands read them."""
+    return expand(parse_parts(text, kind), kind)
 
 
 def run(capsys, *argv):
@@ -36,6 +41,9 @@ class TestFlagParsing:
         assert parse_set("2,3,5") == [2, 3, 5]
         assert parse_set("-3..3") == [-3, -2, -1, 0, 1, 2, 3]
         assert parse_set("1..2,7") == [1, 2, 7]
+        # a span stays a range until expanded; count includes repeats
+        parts = parse_parts(f" 1..{10**9}, 7,7")
+        assert parts == [range(1, 10**9 + 1), 7, 7] and count(parts) == 10**9 + 2
 
     def test_rational_sets(self):
         assert parse_set("1/2,-3", Fraction) == [Fraction(1, 2), Fraction(-3)]
@@ -316,6 +324,15 @@ class TestSum:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", "error: --k must be >= 1\n")
 
+    def test_C_of_the_wrong_length_is_refused_before_its_values(self, capsys):
+        # 2 * 10^6 values took 0.45 s and 94 MB to build before the length was checked
+        start = time.perf_counter()
+        code = main(["sum", "--k", "1", "--C", "1..900000000", "--x", "1"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --C must list exactly k coefficients\n"
+
     def test_zero_denominator_names_the_flag(self, capsys):
         code = main(["sum", "--k", "1", "--x", "1/0"])
         captured = capsys.readouterr()
@@ -568,14 +585,20 @@ class Reached(Exception):
 def refuse_work(monkeypatch, command):
     def reached(*args, **kwargs):
         raise Reached(command)
-    name = {"triples": "build_triple", "verify": "identity_checks",
-            "sum": "invariant_sum", "sequences": "paper_sequences"}[command]
-    monkeypatch.setattr(cli, name, reached)
+    names = {"triples": ["build_triple"], "verify": ["identity_checks"],
+             "sum": ["invariant_sum"], "sequences": ["paper_sequences"],
+             "bernoulli": ["bernoulli_numbers", "bernoulli_identity_partial", "volkenborn_level"],
+             "padic": ["padic_expand"]}[command]
+    for name in names:
+        monkeypatch.setattr(cli, name, reached)
 
 
 class TestWorkLimit:
-    # costs: verify (#k)(#x)(kmax^2 + n_max (kmax + #p)), sum k^2,
-    # triples sum_k k^3 = (kmax (kmax + 1) / 2)^2, sequences kmax^3
+    # costs: verify (#k)(#x)(kmax^2 + n_max (kmax + #p)), the lists' lengths
+    # counted with repeats, sum k^2, triples sum_k k^3 = (kmax (kmax + 1) / 2)^2,
+    # sequences kmax^4, bernoulli --nmax nmax^3 // 32, --identity K --N N
+    # (N + K - 1)^3 // 32 + K^4 // 24, --level P M with a d-coefficient --poly
+    # d^3 (M bitlen(P) + bitlen(d)) // 5, padic D^2 bitlen(p - 1) // 32
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -588,6 +611,16 @@ class TestWorkLimit:
             # a range is refused before the list of its values is built
             (["verify", "--k", f"1..{10**12}", "--n-max", "3", "--x-set=1"],
              "--k: range '1..1000000000000': cost 1000000000000 exceeds"),
+            (["sequences", "--kmax", "1000"], "--kmax"),
+            # unbounded, these ran 30.8, 11.8, 14.8, 123 and 12.7 s (CPython 3.11, 2 vCPUs)
+            (["bernoulli", "--nmax", "6000"], "--nmax"),
+            (["bernoulli", "--identity", "5", "--N", "4000"], "--identity and --N"),
+            (["bernoulli", "--identity", "500", "--N", "1"], "--identity and --N"),
+            (["bernoulli", "--level", "2", "1", "--poly", "1..2000"], "--level and --poly"),
+            (["padic", "--value", "1/3", "--p", "2", "--digits", "300000"], "--digits"),
+            # refused from the span's length, before 9 * 10^8 values are built
+            (["verify", "--k", "1", "--n-max", "1", "--x-set=1..900000000"],
+             "--k, --x-set, --n-max and --p-list"),
         ],
     )
     def test_over_budget_is_usage_error_before_any_work(
@@ -608,9 +641,14 @@ class TestWorkLimit:
         [
             ["triples", "--kmax", "120"],
             ["triples", "--kmax", "250"],
-            ["sequences", "--kmax", "1000"],
+            ["sequences", "--kmax", "60"],
             ["sum", "--k", "31622", "--x", "2"],
             ["verify", "--k", "1..30", "--n-max", "40", "--x-set=-3..3", "--p-list", "2,3,5"],
+            ["bernoulli", "--nmax", "3000"],
+            ["bernoulli", "--nmax", "300"],
+            ["bernoulli", "--identity", "5", "--N", "295"],
+            ["bernoulli", "--identity", "1", "--N", "299"],
+            ["bernoulli", "--level", "3", "2", "--poly", "1,2,0,0"],
         ],
     )
     def test_benchmark_sizes_pass_the_default_limit(self, monkeypatch, argv):
@@ -623,12 +661,16 @@ class TestWorkLimit:
         "argv, cost",
         [
             (["triples", "--kmax", "3"], 36),
-            (["sequences", "--kmax", "3"], 27),
+            (["sequences", "--kmax", "3"], 81),
             (["sum", "--k", "3", "--x", "2"], 9),
             (["sum", "--k", "2", "--C", "1,1", "--x", "1"], 4),
             # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime))
             (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"], 52),
             (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 10),
+            (["bernoulli", "--nmax", "12"], 54),
+            (["bernoulli", "--identity", "2", "--N", "6"], 10),  # 7^3 // 32 + 2^4 // 24
+            (["bernoulli", "--level", "3", "1", "--poly", "1..4"], 64),  # 4^3 (2 + 3) // 5
+            (["padic", "--value", "1/3", "--p", "5", "--digits", "10"], 9),  # 10^2 * 3 // 32
         ],
     )
     def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):
@@ -640,6 +682,21 @@ class TestWorkLimit:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.endswith(f": cost {cost} exceeds work limit {cost - 1}\n")
+
+    def test_x_span_over_a_lowered_limit_is_refused_before_its_values(
+        self, capsys, monkeypatch
+    ):
+        # 9 * 10^5 values took 1.5 s to build before the cost was decided
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", "1000000")
+        refuse_work(monkeypatch, "verify")
+        start = time.perf_counter()
+        code = main(["--format", "machine", "verify", "--k", "1", "--n-max", "1",
+                     "--x-set=1..900000"])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: --k, --x-set, --n-max and --p-list: cost 1800000 "
+                                "exceeds work limit 1000000\n")
 
 
 class TestHumanOutput:

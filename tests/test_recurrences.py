@@ -10,8 +10,7 @@ from padicsum import (
     build_triple,
     compute_A_family,
     family_residual,
-    int_poly,
-    n_poly,
+    horner,
     paper_sequences,
     solve_triple,
     telescope,
@@ -68,22 +67,18 @@ def family():
     return compute_A_family(KMAX)
 
 
-def as_bivar(layers):
-    return BivarPoly.make([n_poly(lay) for lay in layers])
-
-
 class TestTableReproduction:
     def test_A_family_matches_tables(self, family):
         for k, layers in A_TABLE.items():
-            assert family[k] == as_bivar(layers), f"A_{k} mismatch"
+            assert family[k] == BivarPoly.make(layers), f"A_{k} mismatch"
 
     def test_U_matches_tables(self, family):
         for k, coeffs in U_TABLE.items():
-            assert compute_U(k, family) == int_poly(coeffs), f"U_{k} mismatch"
+            assert compute_U(k, family) == tuple(coeffs), f"U_{k} mismatch"
 
     def test_V_matches_tables(self, family):
         for k, coeffs in V_TABLE.items():
-            assert compute_V(k, family) == int_poly(coeffs), f"V_{k} mismatch"
+            assert compute_V(k, family) == tuple(coeffs), f"V_{k} mismatch"
 
 
 class TestOracleEquivalence:
@@ -100,15 +95,15 @@ class TestOracleEquivalence:
     def test_recurrence_tables(self):
         us = compute_U_by_recurrence(6)
         vs = compute_V_by_recurrence(6)
-        assert us[1] == int_poly([-1, 3, -1])
-        assert vs[1] == int_poly([-1, 2])
-        assert vs[5] == int_poly(V_TABLE[6])
+        assert us[1] == (-1, 3, -1)
+        assert vs[1] == (-1, 2)
+        assert vs[5] == tuple(V_TABLE[6])
 
 
 class TestBackSubstitution:
     def test_symbolic_zero_remainder(self, family):
         for k in range(1, KMAX + 1):
-            assert family_residual(family, k).is_zero, f"residual at k={k}"
+            assert family_residual(family, k).layers == (), f"residual at k={k}"
 
     @pytest.mark.parametrize("k", [0, -1, KMAX + 1, KMAX + 2])
     def test_index_outside_the_recurrence_is_refused(self, family, k):
@@ -122,14 +117,14 @@ class TestBackSubstitution:
     def test_perturbed_family_leaves_a_residual(self, family, j):
         # A_j + delta: one coefficient off by one, then a term x^(j+1) n^(j+2)
         # above both of A_j's degrees, which the residual must pad to reach
-        rows = [list(lay.coeffs) for lay in family[j].layers]
+        rows = [list(lay) for lay in family[j].layers]
         bumped = [row[:] for row in rows]
         bumped[j - 1][0] += 1
         raised = rows + [[0] * (j + 2) + [1]]
         for forged_Aj, delta in ((bumped, [[]] * (j - 1) + [[1]]),
                                  (raised, [[]] * (j + 1) + [[0] * (j + 2) + [1]])):
             forged = family[:j] + [BivarPoly.make(forged_Aj)] + family[j + 1 :]
-            assert all(family_residual(forged, i).is_zero for i in range(1, j)), j
+            assert all(family_residual(forged, i).layers == () for i in range(1, j)), j
             assert family_residual(forged, j) == BivarPoly.make(delta), j
 
 
@@ -137,44 +132,43 @@ class TestStructuralProperties:
     def test_five_bullets(self, family):
         for k in range(1, KMAX + 1):
             A = family[k]
-            assert A.layer(0) == n_poly([1])
-            assert A.layer(k)(1) == (-1) ** k
+            assert A.layers[0] == (1,)
+            assert horner(A.layers[k], 1) == (-1) ** k
             U = compute_U(k, family)
             V = compute_V(k, family)
-            assert U.coeff(0) == -1 and V.coeff(0) == -1
-            assert U.coeff(k) == (-1) ** (k + 1)
+            assert U[0] == -1 and V[0] == -1
+            assert U[k] == (-1) ** (k + 1)
             # leading coefficient of V_k sits at degree k-1
-            assert V.leading() == (-1) ** k * k
+            assert len(V) == k and V[-1] == (-1) ** k * k
 
     def test_layer_shapes(self, family):
         for k in range(KMAX + 1):
             A = family[k]
-            assert A.degree_x == k
-            for l in range(k + 1):
-                lay = A.layer(l)
-                assert lay.degree == l and lay.leading() == 1
+            assert len(A.layers) == k + 1
+            for l, lay in enumerate(A.layers):
+                assert len(lay) == l + 1 and lay[-1] == 1
 
     def test_sequence_identities(self, family):
         for k in range(1, KMAX + 1):
             U = compute_U(k, family)
             V = compute_V(k, family)
             Akm1 = family[k - 1]
-            assert U(-1) == -(Akm1.eval(1, -1) + Akm1.eval(0, -1))
-            assert V(1) == -Akm1.eval(0, 1)
+            assert horner(U, -1) == -(Akm1.eval(1, -1) + Akm1.eval(0, -1))
+            assert horner(V, 1) == -Akm1.eval(0, 1)
 
 
 class TestBuildTriple:
     def test_examples(self):
         t1 = build_triple(1)
-        assert (t1.U, t1.V, t1.A) == (int_poly([-1, 1]), int_poly([-1]), BivarPoly.make([[1]]))
+        assert (t1.U, t1.V, t1.A) == ((-1, 1), (-1,), BivarPoly.make([[1]]))
         t2 = build_triple(2)
-        assert t2.U == int_poly([-1, 3, -1])
-        assert t2.V == int_poly([-1, 2])
-        assert t2.A == as_bivar(A_TABLE[1])
+        assert t2.U == (-1, 3, -1)
+        assert t2.V == (-1, 2)
+        assert t2.A == BivarPoly.make(A_TABLE[1])
         t5 = build_triple(5)
-        assert t5.U == int_poly(U_TABLE[5])
-        assert t5.V == int_poly(V_TABLE[5])
-        assert t5.A == as_bivar(A_TABLE[4])
+        assert t5.U == tuple(U_TABLE[5])
+        assert t5.V == tuple(V_TABLE[5])
+        assert t5.A == BivarPoly.make(A_TABLE[4])
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -210,15 +204,14 @@ class TestSolveTriple:
         for k in range(1, 61):
             t = solve_triple(k)
             U, V, A = t.U, t.V, t.A
-            assert (U.degree, V.degree, A.degree_x) == (k, k - 1, k - 1), k
-            assert U.coeff(0) == V.coeff(0) == -1, k
-            assert U.leading() == (-1) ** (k + 1), k
-            assert V.leading() == (-1) ** k * k, k
+            assert (len(U), len(V), len(A.layers)) == (k + 1, k, k), k
+            assert U[0] == V[0] == -1, k
+            assert U[-1] == (-1) ** (k + 1), k
+            assert V[-1] == (-1) ** k * k, k
             # layer l of A_{k-1} is monic of degree l in n; layer 0 is 1
-            assert A.layer(0) == n_poly([1]), k
-            for l in range(k):
-                lay = A.layer(l)
-                assert lay.degree == l and lay.leading() == 1, (k, l)
+            assert A.layers[0] == (1,), k
+            for l, lay in enumerate(A.layers):
+                assert len(lay) == l + 1 and lay[-1] == 1, (k, l)
 
     def test_telescoping_equation(self):
         # (n+1) x A(n+1; x) - A(n; x) - n^k x^k = U_k(x), as polynomials in x
@@ -226,7 +219,7 @@ class TestSolveTriple:
             t = solve_triple(k)
             for n in range(k + 2):
                 lhs = lin((n + 1, 1, t.A.eval_n(n + 1)), (-1, 0, t.A.eval_n(n)),
-                          (-(n**k), k, int_poly([1])))
+                          (-(n**k), k, (1,)))
                 assert lhs == t.U, (k, n)
 
     def test_matches_the_oracle_routes(self):
@@ -254,18 +247,19 @@ class TestTelescope:
             for x in TELESCOPE_XS:
                 a, b = x.numerator, x.denominator
                 Ub, A = telescope_combo(unit_combo(k), a, b)
-                assert Ub == t.U(x) * b**k, (k, x)
-                assert -A[0] == t.V(x) * b ** (k - 1), (k, x)
-                want = [sum(lay.coeff(m) * x**l for l, lay in enumerate(t.A.layers))
+                assert Ub == horner(t.U, x) * b**k, (k, x)
+                assert -A[0] == horner(t.V, x) * b ** (k - 1), (k, x)
+                # layer l holds the n^m coefficient for m <= l
+                want = [sum(lay[m] * x**l for l, lay in enumerate(t.A.layers) if m < len(lay))
                         for m in range(k)]
-                assert n_poly(A) == n_poly([w * b ** (k - 1) for w in want]), (k, x)
+                assert lin((1, 0, A)) == lin((b ** (k - 1), 0, want)), (k, x)
                 for N in (0, 1, 5, 12):
-                    assert n_poly(A)(N) == t.A.eval(N, x) * b ** (k - 1), (k, x, N)
+                    assert horner(A, N) == t.A.eval(N, x) * b ** (k - 1), (k, x, N)
 
     def test_x_zero_values(self):
         for k in range(1, 31):
             t = solve_triple(k)
-            assert t.U(0) == t.V(0) == -1 and t.A.eval_n(7)(0) == 1
+            assert horner(t.U, 0) == horner(t.V, 0) == -1 and horner(t.A.eval_n(7), 0) == 1
             assert telescope_combo(unit_combo(k), 0) == (-1, [1])
         assert telescope_combo((2, 0, -5), 0) == (3, [-3])
 

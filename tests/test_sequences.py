@@ -11,6 +11,7 @@ from padicsum import (
     KurepaReport,
     Prime,
     compute_A_family,
+    horner,
     is_prime,
     kurepa_digit,
     kurepa_digit_scan,
@@ -230,10 +231,10 @@ class TestPaperSequences:
         vs = compute_V_by_recurrence(kmax)
         seqs = paper_sequences(kmax)
         for k in range(1, kmax + 1):
-            assert seqs["neg_v"][k - 1] == -vs[k - 1](1)
-            assert seqs["neg_vbar"][k - 1] == -vs[k - 1](-1)
-            assert seqs["u"][k - 1] == us[k - 1](1)
-            assert seqs["neg_ubar"][k - 1] == -us[k - 1](-1)
+            assert seqs["neg_v"][k - 1] == -horner(vs[k - 1], 1)
+            assert seqs["neg_vbar"][k - 1] == -horner(vs[k - 1], -1)
+            assert seqs["u"][k - 1] == horner(us[k - 1], 1)
+            assert seqs["neg_ubar"][k - 1] == -horner(us[k - 1], -1)
 
     def test_A_family_definitions(self):
         # the sequence definitions in terms of A_{k-1} at (0,1), (1,-1) etc.

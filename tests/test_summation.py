@@ -21,6 +21,7 @@ from padicsum import (
     certificates_from_check,
     factorial_norm_exponent,
     factorial_series,
+    horner,
     identity_checks,
     in_convergence_domain,
     invariant_sum,
@@ -99,11 +100,11 @@ def oracle_identity(k, N, x):
     x = Fraction(x)
     trip = build_triple(k)
     lhs = sum(
-        (math.factorial(n) * (n**k * x**k + trip.U(x)) * x**n for n in range(N)),
+        (math.factorial(n) * (n**k * x**k + horner(trip.U, x)) * x**n for n in range(N)),
         Fraction(0),
     )
     tail = math.factorial(N) * x**N * trip.A.eval(N, x)
-    return lhs, trip.V(x) + tail, tail
+    return lhs, horner(trip.V, x) + tail, tail
 
 
 KERNEL_XS = [Fraction(v) for v in range(-3, 4)] + [
@@ -208,7 +209,7 @@ class TestVerifyIdentity:
         k, N, x = 3, 9, Fraction(-2)
         trip = build_triple(k)
         expect = sum(
-            math.factorial(n) * (n**k * x**k + trip.U(x)) * x**n for n in range(N)
+            math.factorial(n) * (n**k * x**k + horner(trip.U, x)) * x**n for n in range(N)
         )
         assert verify_identity(k, N, x).lhs == expect
 
@@ -466,11 +467,11 @@ def brute_combo(C, N, x):
     trips = [build_triple(j) for j in range(1, len(C) + 1)]
     partial = sum(
         math.factorial(n)
-        * sum(c * (n**j * x**j + t.U(x)) for j, (c, t) in enumerate(zip(C, trips), 1))
+        * sum(c * (n**j * x**j + horner(t.U, x)) for j, (c, t) in enumerate(zip(C, trips), 1))
         * x**n
         for n in range(N)
     )
-    return partial, sum(c * t.V(x) for c, t in zip(C, trips))
+    return partial, sum(c * horner(t.V, x) for c, t in zip(C, trips))
 
 
 class TestTheorem2:
