@@ -111,8 +111,8 @@ def require_at_least(bounds: dict) -> None:
 def require_within_limit(flags: str, cost: int) -> None:
     """Usage error of `flags` when a command's closed-form cost, decided from
     its arguments before any work, exceeds PADICSUM_WORK_LIMIT.  The forms of
-    bernoulli and padic are fitted to measured times, about 5 ns a unit on
-    CPython 3.11, so that the default limit of 10^9 is about 5 s of work."""
+    triples, sum, bernoulli and padic are fitted to measured times, about 5 ns a
+    unit on CPython 3.11, so that the default limit of 10^9 is about 5 s of work."""
     if cost > (limit := work_limit()):
         raise ValueError(f"{flags}: cost {cost} exceeds work limit {limit}")
 
@@ -137,7 +137,8 @@ class Emitter:
 
 def cmd_triples(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
-    require_within_limit("--kmax", (args.kmax * (args.kmax + 1) // 2) ** 2)  # sum of k^3
+    # sum of k^3 steps on ints of O(k log k) bits; kmax 60 / 120 / 160 took 0.08 / 1.7 / 5.5 s
+    require_within_limit("--kmax", args.kmax**4 * args.kmax.bit_length() // 4)
     for k in range(1, args.kmax + 1):
         trip = build_triple(k)
         result = {"k": k, "U": trip.U, "V": trip.V, "A": trip.A.layers}
@@ -160,25 +161,25 @@ def cmd_verify(args, em: Emitter) -> None:
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
     primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])
-    pis = [int(p) for p in primes]
-    # a machine line is json.dumps of {command, params, result, ok}, spliced
-    # from fields formatted once; a check's records share `head`, and the
-    # records of one step N are written together
+    pis, x_texts = [int(p) for p in primes], [json_q(x) for x in xs]
+    # a machine line is json.dumps of {command, params, result, ok}, spliced from fields
+    # formatted once: each x, a check's head, and its certificates' shared values
+    q_text = json_q if machine else str
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order
         for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
             lines, step_ok = [], True
-            for check in checks:
+            for x_text, check in zip(x_texts, checks):
                 x, N, ok = check.x, check.N, check.ok
                 step_ok = step_ok and ok
                 head = ('{"command": "verify", "params": '
-                        f'{{"k": {k}, "N": {N}, "x": {json_q(x)}')
+                        f'{{"k": {k}, "N": {N}, "x": {x_text}')
+                lhs = q_text(check.lhs)  # equal values print the same text
+                rhs = lhs if ok else q_text(check.rhs)
                 lines.append(
-                    f'{head}}}, "result": {{"lhs": {json_q(check.lhs)}, "rhs": '
-                    f'{json_q(check.rhs)}, "tail": {json_q(check.tail)}}}, "ok": '
-                    f'{"true" if ok else "false"}}}' if machine else
-                    f"identity k={k} N={N} x={x}: lhs={check.lhs} rhs={check.rhs} "
-                    f"{'ok' if ok else 'FAIL'}")
+                    f'{head}}}, "result": {{"lhs": {lhs}, "rhs": {rhs}, "tail": '
+                    f'{json_q(check.tail)}}}, "ok": {"true" if ok else "false"}}}' if machine else
+                    f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
                 if x.denominator != 1:
                     lines += [
                         f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
@@ -186,19 +187,24 @@ def cmd_verify(args, em: Emitter) -> None:
                         f"certificate k={k} N={N} x={x} p={pi}: rejected (x not in Z_{pi})"
                         for pi in pis]
                     continue
+                partial = target = tail = None  # the fields `text` formats
                 for pi, cert in zip(pis, certificates_from_check(check, primes)
                                     if primes and x else ()):
                     cert_ok = cert.ok
                     step_ok = step_ok and cert_ok
                     e = cert.distance_exponent
                     achieved = '"inf"' if e is None else e
+                    if not (cert.partial is partial and cert.target is target
+                            and cert.tail is tail):
+                        partial, target, tail = cert.partial, cert.target, cert.tail
+                        text = (f'"partial": {json_q(partial)}, "target": {json_q(target)}, '
+                                f'"tail": {json_q(tail)}' if machine else
+                                f"partial={partial} target={target}")
                     lines.append(
-                        f'{head}, "p": {pi}}}, "result": {{"partial": {json_q(cert.partial)}, '
-                        f'"target": {json_q(cert.target)}, "tail": {json_q(cert.tail)}, '
-                        f'"achieved_exponent": {achieved}, "bound_exponent": '
+                        f'{head}, "p": {pi}}}, "result": {{{text}, "achieved_exponent": '
+                        f'{achieved}, "bound_exponent": '
                         f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
-                        if machine else f"certificate k={k} N={N} x={x} p={pi}: "
-                        f"partial={cert.partial} target={cert.target} "
+                        if machine else f"certificate k={k} N={N} x={x} p={pi}: {text} "
                         f"achieved={'inf' if e is None else e} "
                         f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
             em.emit("\n".join(lines), step_ok)
@@ -206,10 +212,11 @@ def cmd_verify(args, em: Emitter) -> None:
 
 def cmd_sum(args, em: Emitter) -> None:
     require_at_least({"--k": (args.k, 1)})
-    require_within_limit("--k", args.k * args.k)
     x = parse_exact("--x", args.x)
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
+    # k^2 steps on ints of k (log k + bitlen x) bits; --k 800 took 4 s at x = 2
+    require_within_limit("--k and --x", args.k**3 * (args.k + 20 * x.numerator.bit_length()) // 500)
     C, params = None, {"k": args.k, "x": fmt_q(x)}
     if args.C is not None:
         C = parse_exact("--C", args.C, parse_parts)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 
 from .padic import Prime, _int_valuation, _rational, _Record, factorial_norm_exponent, vp
@@ -157,16 +158,23 @@ def _integer(x: Fraction | int, nonzero: bool = False) -> int:
     return x.numerator
 
 
+@lru_cache(maxsize=4096)
+def _bound(N: int, n: int, pp: int) -> int:
+    """v_p(N!) + N v_p(n), the bound exponent at x = n, shared by every k."""
+    return factorial_norm_exponent(N, pp) + N * _int_valuation(n, pp)
+
+
 def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[SumCertificate]:
-    """One certificate per prime, read off an identity check at a nonzero integer
-    x: partial, target rhs - tail = V_k(x) and tail are the same in every Q_p, so
-    `ok` fails whenever lhs != rhs and only the bound is per prime.  Ints where integral."""
+    """One certificate per prime, read off an identity check at a nonzero integer x:
+    partial, target rhs - tail = V_k(x) and tail are the same objects in every Q_p,
+    so `ok` fails whenever lhs != rhs and only the bound is per prime.  Ints where integral."""
     k, N, x, n = check.k, check.N, check.x, _integer(check.x, nonzero=True)
-    fields = (check.lhs, check.target, check.tail)
-    partial, target, tail = (q.numerator if q.denominator == 1 else q for q in fields)
-    return [SumCertificate(k, N, x, p, partial, target, tail,
-                           factorial_norm_exponent(N, pp) + N * _int_valuation(n, pp))
-            for p, pp in zip(primes, map(int, primes))]
+    partial, target, tail = check.lhs, check.rhs - check.tail, check.tail
+    if not type(partial) is type(target) is type(tail) is int:  # a check of Fractions
+        partial, target, tail = (q.numerator if q.denominator == 1 else q
+                                 for q in (partial, target, tail))
+    return [SumCertificate(k, N, x, p, partial, target, tail, _bound(N, n, int(p)))
+            for p in primes]
 
 
 def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import padicsum.cli as cli
 import padicsum.sequences as sequences
 from padicsum import (
-    Prime, SumCertificate, bernoulli_numbers, truncated_padic_sum, verify_identity,
+    Prime, SumCertificate, bernoulli_numbers, factorial_norm_exponent, truncated_padic_sum,
+    verify_identity, vp,
 )
 from padicsum.cli import count, expand, fmt_q, main, parse_parts
 
@@ -132,12 +133,13 @@ class TestVerify:
         ]
         assert keys == sorted(keys)
 
-
-    def test_matches_per_point_certificates(self, capsys):
+    # four primes, as in the verify benchmark workload, share each check's certificate text
+    @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5, 7)])
+    def test_matches_per_point_certificates(self, capsys, primes):
         xs = [Fraction(v) for v in range(-2, 3)] + [Fraction(-5, 3)]
         code, out = run(
             capsys, "--format", "machine", "verify", "--k", "1..3", "--n-max", "6",
-            "--x-set=-2..2,-5/3", "--p-list", "2,3",
+            "--x-set=-2..2,-5/3", "--p-list", ",".join(map(str, primes)),
         )
         assert code == 0
         expected = []
@@ -150,7 +152,7 @@ class TestVerify:
                     expected.append(
                         {"command": "verify", "params": params, "result": result, "ok": True}
                     )
-                    for p in (2, 3):
+                    for p in primes:
                         if x.denominator != 1:
                             result = {"rejected": True, "reason": f"x not in Z_{p}"}
                         elif x == 0:
@@ -163,7 +165,9 @@ class TestVerify:
                                 "target": fmt_q(cert.target),
                                 "tail": fmt_q(cert.tail),
                                 "achieved_exponent": "inf" if e is None else e,
-                                "bound_exponent": cert.bound_exponent,
+                                # the bound from its definition, not from the certificate
+                                "bound_exponent": factorial_norm_exponent(N, Prime(p))
+                                + N * vp(x, Prime(p)),
                             }
                         expected.append({
                             "command": "verify", "params": dict(params, p=p),
@@ -249,6 +253,44 @@ class TestVerify:
         assert all(line.endswith(" FAIL") for line in human[2])
         assert all(" achieved=inf " in line and line.endswith(" ok") for line in human[3])
         assert all(line.endswith(" ok") for line in human[5])
+
+    def test_each_certificate_prints_its_own_fields(self, capsys, monkeypatch):
+        real = cli.certificates_from_check
+
+        def forge(c):  # the middle prime of three: partial - target != tail
+            if int(c.p) != 3:
+                return c
+            return SumCertificate(c.k, c.N, c.x, c.p, c.partial + 1, c.target - 1, c.tail + 3,
+                                  c.bound_exponent)
+
+        monkeypatch.setattr(cli, "certificates_from_check",
+                            lambda check, primes: [forge(c) for c in real(check, primes)])
+        argv = ("verify", "--k", "1..2", "--n-max", "3", "--x-set=-2,1,3", "--p-list", "2,3,5")
+
+        def expected(k, N, x, p):
+            c = verify_identity(k, N, x)
+            shift = (1, -1, 3) if p == 3 else (0, 0, 0)
+            return tuple(v + s for v, s in zip((c.lhs, c.target, c.tail), shift))
+
+        code, out = run(capsys, "--format", "machine", *argv)
+        assert code == 1
+        certs = [r for r in machine_records(out) if "p" in r["params"]]
+        assert len(certs) == 2 * 3 * 3 * 3
+        for r in certs:
+            shown = tuple(r["result"][f] for f in ("partial", "target", "tail"))
+            assert shown == expected(*r["params"].values())
+            assert r["ok"] is (r["params"]["p"] != 3)
+        # human mode prints partial and target
+        code, out = run(capsys, *argv)
+        assert code == 1
+        lines = [line for line in out.splitlines() if line.startswith("certificate ")]
+        assert len(lines) == len(certs)
+        for line in lines:
+            head, _, rest = line.partition(": ")
+            k, N, x, p = (int(word.split("=")[1]) for word in head.split()[1:])
+            partial, target, _ = expected(k, N, x, p)
+            assert rest.startswith(f"partial={partial} target={target} achieved=")
+            assert rest.endswith(" FAIL" if p == 3 else " ok")
 
     def test_repeated_grid_values_are_read_once(self, capsys):
         # k, x (by value) and p each once: a repeat adds no record
@@ -595,17 +637,23 @@ def refuse_work(monkeypatch, command):
 
 class TestWorkLimit:
     # costs: verify (#k)(#x)(kmax^2 + n_max (kmax + #p)), the lists' lengths
-    # counted with repeats, sum k^2, triples sum_k k^3 = (kmax (kmax + 1) / 2)^2,
-    # sequences kmax^4, bernoulli --nmax nmax^3 // 32, --identity K --N N
-    # (N + K - 1)^3 // 32 + K^4 // 24, --level P M with a d-coefficient --poly
-    # d^3 (M bitlen(P) + bitlen(d)) // 5, padic D^2 bitlen(p - 1) // 32
+    # counted with repeats, sum k^3 (k + 20 bitlen(x)) // 500, triples
+    # kmax^4 bitlen(kmax) // 4, sequences kmax^4, bernoulli --nmax nmax^3 // 32,
+    # --identity K --N N (N + K - 1)^3 // 32 + K^4 // 24, --level P M with a
+    # d-coefficient --poly d^3 (M bitlen(P) + bitlen(d)) // 5, padic D^2 bitlen(p - 1) // 32
     @pytest.mark.parametrize(
         "argv, flag",
         [
             (["triples", "--kmax", "10000"], "--kmax"),
-            (["triples", "--kmax", "251"], "--kmax"),  # (251 * 252 / 2)^2 > 10^9
+            (["triples", "--kmax", "150"], "--kmax"),  # 150^4 * 8 // 4 > 10^9
+            # these passed the operation counts of k^3 and k^2, and ran 47 s and 41 s
+            (["triples", "--kmax", "250"], "--kmax"),
+            (["sum", "--k", "1600", "--x", "2"], "--k and --x"),
             (["sequences", "--kmax", "1001"], "--kmax"),
-            (["sum", "--k", "31623", "--x", "2"], "--k"),
+            (["sum", "--k", "832", "--x", "2"], "--k and --x"),  # 832^3 * 872 // 500 > 10^9
+            (["sum", "--k", "31622", "--x", "2"], "--k and --x"),
+            # x's size counts: --k 200 took 1.7 s at a 1000-bit x and 6.5 s at 3000 bits
+            (["sum", "--k", "200", "--x", str(10**3000)], "--k and --x"),
             (["verify", "--k", "1..30", "--n-max", "10000000", "--x-set=-3..3",
               "--p-list", "2,3,5"], "--k, --x-set, --n-max and --p-list"),
             # a range is refused before the list of its values is built
@@ -640,9 +688,9 @@ class TestWorkLimit:
         "argv",
         [
             ["triples", "--kmax", "120"],
-            ["triples", "--kmax", "250"],
+            ["triples", "--kmax", "149"],
             ["sequences", "--kmax", "60"],
-            ["sum", "--k", "31622", "--x", "2"],
+            ["sum", "--k", "831", "--x", "2"],
             ["verify", "--k", "1..30", "--n-max", "40", "--x-set=-3..3", "--p-list", "2,3,5"],
             ["bernoulli", "--nmax", "3000"],
             ["bernoulli", "--nmax", "300"],
@@ -660,10 +708,10 @@ class TestWorkLimit:
     @pytest.mark.parametrize(
         "argv, cost",
         [
-            (["triples", "--kmax", "3"], 36),
+            (["triples", "--kmax", "3"], 40),  # 3^4 * 2 // 4
             (["sequences", "--kmax", "3"], 81),
-            (["sum", "--k", "3", "--x", "2"], 9),
-            (["sum", "--k", "2", "--C", "1,1", "--x", "1"], 4),
+            (["sum", "--k", "6", "--x", "2"], 19),  # 6^3 (6 + 20 * 2) // 500
+            (["sum", "--k", "5", "--C", "1,0,0,0,1", "--x", "3"], 11),  # 5^3 (5 + 40) // 500
             # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime))
             (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"], 52),
             (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 10),
