@@ -133,9 +133,15 @@ class TestVerify:
         ]
         assert keys == sorted(keys)
 
-    # four primes, as in the verify benchmark workload, share each check's certificate text
-    @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5, 7)])
-    def test_matches_per_point_certificates(self, capsys, primes):
+    def test_matches_per_point_certificates(self, capsys):
+        self.check_per_point_certificates(capsys, (2, 3))
+
+    def test_matches_per_point_certificates_at_four_primes(self, capsys):
+        # four primes, as in the verify benchmark workload, share each check's certificate text
+        self.check_per_point_certificates(capsys, (2, 3, 5, 7))
+
+    @staticmethod
+    def check_per_point_certificates(capsys, primes):
         xs = [Fraction(v) for v in range(-2, 3)] + [Fraction(-5, 3)]
         code, out = run(
             capsys, "--format", "machine", "verify", "--k", "1..3", "--n-max", "6",
@@ -646,14 +652,8 @@ class TestWorkLimit:
         [
             (["triples", "--kmax", "10000"], "--kmax"),
             (["triples", "--kmax", "150"], "--kmax"),  # 150^4 * 8 // 4 > 10^9
-            # these passed the operation counts of k^3 and k^2, and ran 47 s and 41 s
-            (["triples", "--kmax", "250"], "--kmax"),
-            (["sum", "--k", "1600", "--x", "2"], "--k and --x"),
             (["sequences", "--kmax", "1001"], "--kmax"),
-            (["sum", "--k", "832", "--x", "2"], "--k and --x"),  # 832^3 * 872 // 500 > 10^9
-            (["sum", "--k", "31622", "--x", "2"], "--k and --x"),
-            # x's size counts: --k 200 took 1.7 s at a 1000-bit x and 6.5 s at 3000 bits
-            (["sum", "--k", "200", "--x", str(10**3000)], "--k and --x"),
+            (["sum", "--k", "832", "--x", "2"], "--k"),  # 832^3 * 872 // 500 > 10^9
             (["verify", "--k", "1..30", "--n-max", "10000000", "--x-set=-3..3",
               "--p-list", "2,3,5"], "--k, --x-set, --n-max and --p-list"),
             # a range is refused before the list of its values is built
@@ -669,6 +669,12 @@ class TestWorkLimit:
             # refused from the span's length, before 9 * 10^8 values are built
             (["verify", "--k", "1", "--n-max", "1", "--x-set=1..900000000"],
              "--k, --x-set, --n-max and --p-list"),
+            # these passed the operation counts of k^3 and k^2, and ran 47 s and 41 s
+            (["triples", "--kmax", "250"], "--kmax"),
+            (["sum", "--k", "1600", "--x", "2"], "--k and --x"),
+            (["sum", "--k", "31622", "--x", "2"], "--k and --x"),
+            # x's size counts: --k 200 took 1.7 s at a 1000-bit x and 6.5 s at 3000 bits
+            (["sum", "--k", "200", "--x", str(10**3000)], "--k and --x"),
         ],
     )
     def test_over_budget_is_usage_error_before_any_work(
@@ -710,8 +716,8 @@ class TestWorkLimit:
         [
             (["triples", "--kmax", "3"], 40),  # 3^4 * 2 // 4
             (["sequences", "--kmax", "3"], 81),
-            (["sum", "--k", "6", "--x", "2"], 19),  # 6^3 (6 + 20 * 2) // 500
-            (["sum", "--k", "5", "--C", "1,0,0,0,1", "--x", "3"], 11),  # 5^3 (5 + 40) // 500
+            (["sum", "--k", "3", "--x", "256"], 9),  # 3^3 (3 + 20 * 9) // 500
+            (["sum", "--k", "2", "--C", "1,1", "--x", "4096"], 4),  # 2^3 (2 + 20 * 13) // 500
             # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime))
             (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"], 52),
             (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 10),
@@ -719,6 +725,8 @@ class TestWorkLimit:
             (["bernoulli", "--identity", "2", "--N", "6"], 10),  # 7^3 // 32 + 2^4 // 24
             (["bernoulli", "--level", "3", "1", "--poly", "1..4"], 64),  # 4^3 (2 + 3) // 5
             (["padic", "--value", "1/3", "--p", "5", "--digits", "10"], 9),  # 10^2 * 3 // 32
+            (["sum", "--k", "6", "--x", "2"], 19),  # 6^3 (6 + 20 * 2) // 500
+            (["sum", "--k", "5", "--C", "1,0,0,0,1", "--x", "3"], 11),  # 5^3 (5 + 40) // 500
         ],
     )
     def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):
