@@ -58,9 +58,9 @@ def volkenborn_level(coeffs, p: Prime, m: int) -> Fraction:
     if m < 1:
         raise ValueError("m must be >= 1")
     limit = work_limit()
-    if m > limit.bit_length() or int(p) ** m > limit:
-        raise ValueError(f"p^m exceeds work limit {limit} (p = {int(p)}, m = {m})")
-    M = int(p) ** m
+    if m > limit.bit_length() or p**m > limit:
+        raise ValueError(f"p^m exceeds work limit {limit} (p = {p}, m = {m})")
+    M = p**m
     B = bernoulli_numbers(max(len(coeffs) - 1, 0))
     total = Fraction(0)
     for n, c in enumerate(coeffs):

@@ -90,7 +90,7 @@ def expand(parts: list, kind=int) -> list:
 
 
 def parse_exact(flag: str, text, parse: Callable = Fraction):
-    """`parse(text)`, with a malformed value or a zero denominator reported
+    """`parse(text)`, with a value it refuses or a zero denominator reported
     as a usage error of `flag`."""
     try:
         return parse(text)
@@ -111,8 +111,8 @@ def require_at_least(bounds: dict) -> None:
 def require_within_limit(flags: str, cost: int) -> None:
     """Usage error of `flags` when a command's closed-form cost, decided from
     its arguments before any work, exceeds PADICSUM_WORK_LIMIT.  The forms of
-    triples, sum, bernoulli and padic are fitted to measured times, about 5 ns a
-    unit on CPython 3.11, so that the default limit of 10^9 is about 5 s of work."""
+    triples, verify, sum, bernoulli and padic are fitted to measured times, about 5 ns
+    a unit on CPython 3.11, so that the default limit of 10^9 is about 5 s of work."""
     if cost > (limit := work_limit()):
         raise ValueError(f"{flags}: cost {cost} exceeds work limit {limit}")
 
@@ -153,15 +153,24 @@ def cmd_verify(args, em: Emitter) -> None:
     ps = parse_exact("--p-list", args.p_list, parse_parts) if args.p_list is not None else []
     ends = [e for k in ks for e in ((k.start, k.stop - 1) if type(k) is range else (k,))]
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
-    # the cost from the lists' lengths, repeats included, before a range's values are
-    # built; with k, n_max >= 1 it is at least each list's length
-    kmax = max(ends)
-    require_within_limit("--k, --x-set, --n-max and --p-list",
-                         count(ks) * count(xs) * (kmax * kmax + args.n_max * (kmax + count(ps))))
+    # the cost from the lists' lengths and ends, repeats included, before a range's values
+    # are built.  Per (k, x): kmax^2 + n (kmax + #p) steps and records; n steps on values of
+    # up to B bits, and their text; per odd p, a valuation that divides out the about
+    # N (1/2 + X / log2 3) factors of p of step N one at a time, X the bit length of the
+    # largest |a| b of an x = a/b.  Per x: the telescopes, sum_k k^3 (kmax + 8 X) / 256
+    kmax, n, P = max(ends), args.n_max, count(ps)
+    X = max(max(abs(x.start), abs(x.stop - 1)).bit_length() if type(x) is range
+            else (abs(x.numerator) * x.denominator).bit_length() for x in xs)
+    B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
+    k3 = sum((k.stop * (k.stop - 1) // 2) ** 2 - (k.start * (k.start - 1) // 2) ** 2
+             if type(k) is range else k**3 for k in ks)
+    require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * (
+        k3 * (kmax + 8 * X) // 256 + count(ks) * (kmax * kmax + n * (kmax + P) + n * B * (
+            B * (1 + P) + 100 * n * (1 + X) * (P - ps.count(2))) // 8192)))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
     primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])
-    pis, x_texts = [int(p) for p in primes], [json_q(x) for x in xs]
+    x_texts = [json_q(x) for x in xs]
     # a machine line is json.dumps of {command, params, result, ok}, spliced from fields
     # formatted once: each x, a check's head, and its certificates' shared values
     q_text = json_q if machine else str
@@ -182,14 +191,14 @@ def cmd_verify(args, em: Emitter) -> None:
                     f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
                 if x.denominator != 1:
                     lines += [
-                        f'{head}, "p": {pi}}}, "result": {{"rejected": true, "reason": '
-                        f'"x not in Z_{pi}"}}, "ok": true}}' if machine else
-                        f"certificate k={k} N={N} x={x} p={pi}: rejected (x not in Z_{pi})"
-                        for pi in pis]
+                        f'{head}, "p": {p}}}, "result": {{"rejected": true, "reason": '
+                        f'"x not in Z_{p}"}}, "ok": true}}' if machine else
+                        f"certificate k={k} N={N} x={x} p={p}: rejected (x not in Z_{p})"
+                        for p in primes]
                     continue
                 partial = target = tail = None  # the fields `text` formats
-                for pi, cert in zip(pis, certificates_from_check(check, primes)
-                                    if primes and x else ()):
+                for p, cert in zip(primes, certificates_from_check(check, primes)
+                                   if primes and x else ()):
                     cert_ok = cert.ok
                     step_ok = step_ok and cert_ok
                     e = cert.distance_exponent
@@ -201,10 +210,10 @@ def cmd_verify(args, em: Emitter) -> None:
                                 f'"tail": {json_q(tail)}' if machine else
                                 f"partial={partial} target={target}")
                     lines.append(
-                        f'{head}, "p": {pi}}}, "result": {{{text}, "achieved_exponent": '
+                        f'{head}, "p": {p}}}, "result": {{{text}, "achieved_exponent": '
                         f'{achieved}, "bound_exponent": '
                         f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
-                        if machine else f"certificate k={k} N={N} x={x} p={pi}: {text} "
+                        if machine else f"certificate k={k} N={N} x={x} p={p}: {text} "
                         f"achieved={'inf' if e is None else e} "
                         f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
             em.emit("\n".join(lines), step_ok)
@@ -233,13 +242,13 @@ def cmd_padic(args, em: Emitter) -> None:
     q = parse_exact("--value", args.value)
     p = parse_exact("--p", args.p, Prime)
     # D divmods of a residue of D log2(p) bits
-    require_within_limit("--digits", args.digits**2 * (int(p) - 1).bit_length() // 32)
+    require_within_limit("--digits", args.digits**2 * (p - 1).bit_length() // 32)
     exp = padic_expand(q, p, args.digits)
     in_Zp = in_convergence_domain(q, p)
     result = {"valuation": "inf" if q == 0 else exp.valuation, "digits": list(exp.digits),
               "in_Zp": in_Zp}
     note = "" if in_Zp else "  [outside Z_p: negative valuation]"
-    em.record({"value": fmt_q(q), "p": int(p), "digits": args.digits}, result, True,
+    em.record({"value": fmt_q(q), "p": p, "digits": args.digits}, result, True,
               lambda: f"{fmt_q(q)} = {exp}{note}")
 
 
@@ -268,11 +277,11 @@ def cmd_bernoulli(args, em: Emitter) -> None:
         # a sum of Fractions for each degree below d, of about d log2(p^m d) bits
         d = count(parts)
         require_within_limit("--level and --poly",
-                             d**3 * (m * int(p).bit_length() + d.bit_length()) // 5)
+                             d**3 * (m * p.bit_length() + d.bit_length()) // 5)
         coeffs = expand(parts)
-        value = volkenborn_level(coeffs, p, m)
-        em.record({"p": int(p), "m": m, "poly": coeffs}, {"value": fmt_q(value)}, True,
-                  lambda: f"volkenborn level p={int(p)} m={m}: {fmt_q(value)}")
+        value = parse_exact("--level", coeffs, lambda coeffs: volkenborn_level(coeffs, p, m))
+        em.record({"p": p, "m": m, "poly": coeffs}, {"value": fmt_q(value)}, True,
+                  lambda: f"volkenborn level p={p} m={m}: {fmt_q(value)}")
     else:
         # the tangent sweep's nmax^2 / 8 updates on ints of up to about nmax / 3 digits
         require_within_limit("--nmax", args.nmax**3 // 32)

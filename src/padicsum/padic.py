@@ -49,23 +49,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# the trial divisors, and the Miller-Rabin bases in this order
+# the trial divisors, and the Miller-Rabin bases
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
-# primes as bases, so those t bases decide every n < psi_t (Jaeschke, Math.
-# Comp. 61, 1993; Sorenson and Webster, Math. Comp. 86, 2017, for t = 12, 13)
-_MILLER_RABIN_TIERS = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (3_317_044_064_679_887_385_961_981, 13),
-)
+# psi_13, the least strong pseudoprime to all thirteen of them as bases, so those
+# bases decide every n below it (Sorenson and Webster, Math. Comp. 86, 2017)
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def work_limit() -> int:
@@ -84,9 +72,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24; larger n raise ValueError.
 
     Trial division by the primes up to 41 decides every n < 43^2; above
-    that, Miller-Rabin runs only as many of those primes as bases as are
-    proven to decide n's size class (_MILLER_RABIN_TIERS): one below 2,047,
-    two below 1,373,653, all thirteen at the top.
+    that, Miller-Rabin with all thirteen of them as bases decides n < psi_13.
     """
     if n < 2:
         return False
@@ -95,17 +81,14 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < 1_849:
         return True
-    for bound, t in _MILLER_RABIN_TIERS:
-        if n < bound:
-            break
-    else:
+    if n >= _PSI_13:
         raise ValueError("primality test only deterministic below 3.3e24")
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _SMALL_PRIMES[:t]:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -118,26 +101,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Prime(_Record):
-    """A verified prime p >= 2; construction of a composite raises."""
+class Prime(int):
+    """A verified prime p >= 2, an int in every other respect; construction of
+    a composite or a non-int raises.  It prints as its digits."""
 
-    def __init__(self, p: int):
+    __slots__ = ()
+
+    def __new__(cls, p: int):
         if not is_prime(_int(p)):
             raise ValueError(f"{p} is not prime")
-        self.__dict__.update(p=p)
-
-    def __int__(self) -> int:
-        return self.p
+        return int.__new__(cls, p)
 
 
 def digit_sum(n: int, p: Prime) -> int:
     """Sum of base-p digits of n >= 0."""
     if _int(n) < 0:
         raise ValueError("n must be nonnegative")
-    pp = int(p)
     s = 0
     while n:
-        n, d = divmod(n, pp)
+        n, d = divmod(n, p)
         s += d
     return s
 
@@ -146,20 +128,20 @@ def factorial_norm_exponent(n: int, p: Prime) -> int:
     """Exponent e with |n!|_p = p^(-e), i.e. v_p(n!) = sum_i floor(n / p^i) for n >= 0."""
     if _int(n) < 0:
         raise ValueError("n must be nonnegative")
-    pp, e = int(p), 0
+    e = 0
     while n:
-        n //= pp
+        n //= p
         e += n
     return e
 
 
-def _int_valuation(n: int, pp: int) -> int:
+def _int_valuation(n: int, p: int) -> int:
     # n != 0; n & -n is the lowest set bit of n, also for n < 0
-    if pp == 2:
+    if p == 2:
         return (n & -n).bit_length() - 1
     v = 0
-    while n % pp == 0:
-        n //= pp
+    while n % p == 0:
+        n //= p
         v += 1
     return v
 
@@ -176,8 +158,7 @@ def vp(q: Fraction | int, p: Prime) -> int | None:
     q = _rational(q)
     if q == 0:
         return None
-    pp = int(p)
-    return _int_valuation(q.numerator, pp) - _int_valuation(q.denominator, pp)
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
 def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:
@@ -192,10 +173,9 @@ class PadicExpansion(_Record):
     """
 
     def __init__(self, p: Prime, valuation: int, digits: tuple[int, ...], precision: int):
-        pp = int(p)
         if len(digits) != precision:
             raise ValueError("digit count must equal precision")
-        if any(d < 0 or d >= pp for d in digits):
+        if any(d < 0 or d >= p for d in digits):
             raise ValueError("digits out of range")
         if any(digits) and digits[0] == 0:
             raise ValueError("not canonical: unit part must start with a nonzero digit")
@@ -207,15 +187,14 @@ class PadicExpansion(_Record):
 
     def truncated_value(self) -> Fraction:
         """The rational p^valuation * sum(d_i p^i) represented by the digits."""
-        pp = int(self.p)
-        acc = 0
+        p, acc = self.p, 0
         for d in reversed(self.digits):
-            acc = acc * pp + d
-        return Fraction(pp) ** self.valuation * acc
+            acc = acc * p + d
+        return Fraction(p) ** self.valuation * acc
 
     def __str__(self) -> str:
         body = ",".join(str(d) for d in self.digits)
-        return f"({body})*{int(self.p)}^{self.valuation}"
+        return f"({body})*{self.p}^{self.valuation}"
 
 
 def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
@@ -228,17 +207,16 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
     if precision <= 0:
         raise ValueError("precision must be positive")
     q = _rational(q)
-    pp = int(p)
     if q == 0:
         return PadicExpansion(p, 0, (0,) * precision, precision)
     v = vp(q, p)
-    unit = q / Fraction(pp) ** v
-    modulus = pp**precision
+    unit = q / Fraction(p) ** v
+    modulus = p**precision
     num = unit.numerator % modulus
     den_inv = pow(unit.denominator, -1, modulus)
     t = num * den_inv % modulus
     digits = []
     for _ in range(precision):
-        t, d = divmod(t, pp)
+        t, d = divmod(t, p)
         digits.append(d)
     return PadicExpansion(p, v, tuple(digits), precision)

@@ -104,12 +104,11 @@ def kurepa_gcd_scan(nmax: int) -> KurepaReport:
 def kurepa_digit(p: Prime) -> int:
     """0th p-adic digit of sum_j j!, i.e. (sum_{j<p} j!) mod p; the terms
     with j >= p vanish mod p, since p divides j!."""
-    pp = int(p)
     total = 0
     fact = 1
-    for j in range(pp):
-        total = (total + fact) % pp
-        fact = fact * (j + 1) % pp
+    for j in range(p):
+        total = (total + fact) % p
+        fact = fact * (j + 1) % p
     return total
 
 

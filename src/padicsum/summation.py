@@ -40,7 +40,7 @@ class SumCertificate(_Record):
                  target: Fraction | int, tail: Fraction | int, bound_exponent: int):
         difference = partial - target
         if type(difference) is int:
-            e = _int_valuation(difference, int(p)) if difference else None
+            e = _int_valuation(difference, p) if difference else None
         else:
             e = vp(difference, p)
         self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
@@ -159,9 +159,9 @@ def _integer(x: Fraction | int, nonzero: bool = False) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _bound(N: int, n: int, pp: int) -> int:
+def _bound(N: int, n: int, p: Prime) -> int:
     """v_p(N!) + N v_p(n), the bound exponent at x = n, shared by every k."""
-    return factorial_norm_exponent(N, pp) + N * _int_valuation(n, pp)
+    return factorial_norm_exponent(N, p) + N * _int_valuation(n, p)
 
 
 def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[SumCertificate]:
@@ -173,7 +173,7 @@ def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[S
     if not type(partial) is type(target) is type(tail) is int:  # a check of Fractions
         partial, target, tail = (q.numerator if q.denominator == 1 else q
                                  for q in (partial, target, tail))
-    return [SumCertificate(k, N, x, p, partial, target, tail, _bound(N, n, int(p)))
+    return [SumCertificate(k, N, x, p, partial, target, tail, _bound(N, n, p))
             for p in primes]
 
 

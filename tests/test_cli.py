@@ -480,7 +480,7 @@ class TestBernoulli:
             (["--level", "3", "0"], "--level M must be >= 1"),
             # refused before 3^2000000 is built, without its digits
             (["--level", "3", "2000000"],
-             "p^m exceeds work limit 1000000000 (p = 3, m = 2000000)"),
+             "--level: p^m exceeds work limit 1000000000 (p = 3, m = 2000000)"),
         ],
     )
     def test_bad_bound_is_usage_error_before_any_work(
@@ -642,8 +642,10 @@ def refuse_work(monkeypatch, command):
 
 
 class TestWorkLimit:
-    # costs: verify (#k)(#x)(kmax^2 + n_max (kmax + #p)), the lists' lengths
-    # counted with repeats, sum k^3 (k + 20 bitlen(x)) // 500, triples
+    # costs: verify (#x)(sum_k k^3 (kmax + 8 X) // 256 + (#k)(kmax^2 + n (kmax + #p)
+    # + n B (B (1 + #p) + 100 n (1 + X) #odd p) // 8192)), the lists' lengths counted
+    # with repeats, X the largest bitlen(|a| b) of an x = a/b and B = n (bitlen(n) + X)
+    # + kmax (bitlen(kmax) + bitlen(n) + X), sum k^3 (k + 20 bitlen(x)) // 500, triples
     # kmax^4 bitlen(kmax) // 4, sequences kmax^4, bernoulli --nmax nmax^3 // 32,
     # --identity K --N N (N + K - 1)^3 // 32 + K^4 // 24, --level P M with a
     # d-coefficient --poly d^3 (M bitlen(P) + bitlen(d)) // 5, padic D^2 bitlen(p - 1) // 32
@@ -675,6 +677,18 @@ class TestWorkLimit:
             (["sum", "--k", "31622", "--x", "2"], "--k and --x"),
             # x's size counts: --k 200 took 1.7 s at a 1000-bit x and 6.5 s at 3000 bits
             (["sum", "--k", "200", "--x", str(10**3000)], "--k and --x"),
+            # these passed (#k)(#x)(kmax^2 + n_max (kmax + #p)), the form before the
+            # bits of a step, the valuation of each odd p and the telescopes counted:
+            # more than a day extrapolated from --n-max 2000 (0.8 s) as n^3, then 13.7 s,
+            # 9.4 s, and 20 minutes extrapolated from --k 1..200 (0.75 s) as k^5
+            (["verify", "--k", "1", "--n-max", "100000", "--x-set", "2"],
+             "--k, --x-set, --n-max and --p-list"),
+            (["verify", "--k", "1", "--n-max", "2000", "--x-set", "2", "--p-list", "2,3,5,7"],
+             "--k, --x-set, --n-max and --p-list"),
+            (["verify", "--k", "1", "--n-max", "500", "--x-set", str(3**20), "--p-list", "3"],
+             "--k, --x-set, --n-max and --p-list"),
+            (["verify", "--k", "1..900", "--n-max", "1", "--x-set", "2"],
+             "--k, --x-set, --n-max and --p-list"),
         ],
     )
     def test_over_budget_is_usage_error_before_any_work(
@@ -718,7 +732,7 @@ class TestWorkLimit:
             (["sequences", "--kmax", "3"], 81),
             (["sum", "--k", "3", "--x", "256"], 9),  # 3^3 (3 + 20 * 9) // 500
             (["sum", "--k", "2", "--C", "1,1", "--x", "4096"], 4),  # 2^3 (2 + 20 * 13) // 500
-            # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime))
+            # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime)); the telescope and bit terms round to 0
             (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"], 52),
             (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 10),
             (["bernoulli", "--nmax", "12"], 54),

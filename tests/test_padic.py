@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -81,8 +82,8 @@ class TestPrime:
             Prime(q)
 
     def test_is_prime_matches_sieve(self):
-        # past 43^2 = 1,849 trial division stops deciding and the first
-        # two Miller-Rabin tiers (1 base below 2,047, then 2) take over
+        # past 43^2 = 1,849 trial division stops deciding and Miller-Rabin
+        # with the thirteen bases takes over
         bound = 200_000
         sieve = [True] * bound
         sieve[0] = sieve[1] = False
@@ -93,7 +94,8 @@ class TestPrime:
         assert [is_prime(n) for n in range(bound)] == sieve
 
     # psi_t, the least strong pseudoprime to the first t prime bases, for
-    # t = 1..7, 9 and 12; each is composite and lies in the next tier
+    # t = 1..7, 9 and 12; each is composite, and below psi_13, where all
+    # thirteen bases decide it
     @pytest.mark.parametrize("psi", [
         2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
         3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
@@ -370,8 +372,16 @@ class TestPadicExpand:
 
 class TestRecords:
     def test_prime(self):
-        check_record(Prime, p=7)
-        assert Prime(7) != Prime(5)
+        # a checked int: equal to its value, built by position or keyword,
+        # printed as its digits, and holding no attributes of its own
+        p = Prime(7)
+        assert p == 7 and isinstance(p, int) and Prime(p=7) == p != Prime(5)
+        with pytest.raises(AttributeError):
+            p.p = 7
+        assert str(p) == f"{p}" == repr(p) == json.dumps(p) == "7"
+        for bad, error in [(9, ValueError), (7.0, TypeError), (True, ValueError)]:
+            with pytest.raises(error):
+                Prime(bad)
         with pytest.raises(ValueError):
             Prime(p=9)
 
