@@ -9,7 +9,6 @@ Volkenborn and left-factorial (Kurepa) side results.
 from .padic import (
     PadicExpansion,
     Prime,
-    digit_sum,
     factorial_norm_exponent,
     in_convergence_domain,
     is_prime,
@@ -56,7 +55,6 @@ from .sequences import (
 __all__ = [
     "PadicExpansion",
     "Prime",
-    "digit_sum",
     "factorial_norm_exponent",
     "in_convergence_domain",
     "is_prime",

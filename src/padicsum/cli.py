@@ -24,18 +24,12 @@ from .bernoulli import (
 from .padic import Prime, in_convergence_domain, padic_expand, work_limit
 from .poly import render_poly
 from .recurrences import build_triple
-# kurepa_digit_scan, kurepa_gcd_scan, verify_identity and truncated_padic_sum
-# are not called here; they stay importable from this module, where
-# perfbench/spans.py traces them
-from .sequences import (  # noqa: F401
-    kurepa_digit_scan, kurepa_gcd_scan, kurepa_scans, paper_sequences)
-from .summation import (  # noqa: F401
-    certificates_from_check,
-    identity_checks,
-    invariant_sum,
-    truncated_padic_sum,
-    verify_identity,
-)
+from .sequences import kurepa_scans, paper_sequences
+from .summation import certificates_from_check, identity_checks, invariant_sum
+# not called here; they stay importable from this module, where perfbench/spans.py
+# traces them
+from .sequences import kurepa_digit_scan, kurepa_gcd_scan  # noqa: F401
+from .summation import truncated_padic_sum, verify_identity  # noqa: F401
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -74,19 +68,20 @@ def parse_range(part: str) -> range:
 
 def parse_parts(text: str, kind=int) -> list:
     """Comma list of `kind` values (int or Fraction) and inclusive integer
-    'a..b' ranges, each range kept as a `range`, its values not yet built."""
-    return [parse_range(part) if ".." in part else kind(part)
+    'a..b' ranges, each part a sequence: a `range`, its values not yet built,
+    or a 1-tuple."""
+    return [parse_range(part) if ".." in part else (kind(part),)
             for part in map(str.strip, text.split(","))]
 
 
 def count(parts: list) -> int:
     """How many values `parts` lists, repeats included, without building them."""
-    return sum(part.stop - part.start if type(part) is range else 1 for part in parts)
+    return sum(map(len, parts))
 
 
 def expand(parts: list, kind=int) -> list:
-    """The values `parts` lists, in order, those of a range as `kind`."""
-    return [v for part in parts for v in (map(kind, part) if type(part) is range else [part])]
+    """The values `parts` lists, in order, each as `kind`."""
+    return [kind(v) for part in parts for v in part]
 
 
 def parse_exact(flag: str, text, parse: Callable = Fraction):
@@ -151,7 +146,7 @@ def cmd_verify(args, em: Emitter) -> None:
     ks = parse_exact("--k", args.k, parse_parts)
     xs = parse_exact("--x-set", args.x_set, lambda text: parse_parts(text, Fraction))
     ps = parse_exact("--p-list", args.p_list, parse_parts) if args.p_list is not None else []
-    ends = [e for k in ks for e in ((k.start, k.stop - 1) if type(k) is range else (k,))]
+    ends = [e for k in ks for e in (k[0], k[-1])]
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
     # the cost from the lists' lengths and ends, repeats included, before a range's values
     # are built.  Per (k, x): kmax^2 + n (kmax + #p) steps and records; n steps on values of
@@ -159,14 +154,12 @@ def cmd_verify(args, em: Emitter) -> None:
     # N (1/2 + X / log2 3) factors of p of step N one at a time, X the bit length of the
     # largest |a| b of an x = a/b.  Per x: the telescopes, sum_k k^3 (kmax + 8 X) / 256
     kmax, n, P = max(ends), args.n_max, count(ps)
-    X = max(max(abs(x.start), abs(x.stop - 1)).bit_length() if type(x) is range
-            else (abs(x.numerator) * x.denominator).bit_length() for x in xs)
+    X = max((abs(v.numerator) * v.denominator).bit_length() for x in xs for v in (x[0], x[-1]))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
-    k3 = sum((k.stop * (k.stop - 1) // 2) ** 2 - (k.start * (k.start - 1) // 2) ** 2
-             if type(k) is range else k**3 for k in ks)
+    k3 = sum((k[-1] * (k[-1] + 1) // 2) ** 2 - ((k[0] - 1) * k[0] // 2) ** 2 for k in ks)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * (
         k3 * (kmax + 8 * X) // 256 + count(ks) * (kmax * kmax + n * (kmax + P) + n * B * (
-            B * (1 + P) + 100 * n * (1 + X) * (P - ps.count(2))) // 8192)))
+            B * (1 + P) + 100 * n * (1 + X) * (P - ps.count((2,)))) // 8192)))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
     primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])

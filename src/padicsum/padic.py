@@ -113,17 +113,6 @@ class Prime(int):
         return int.__new__(cls, p)
 
 
-def digit_sum(n: int, p: Prime) -> int:
-    """Sum of base-p digits of n >= 0."""
-    if _int(n) < 0:
-        raise ValueError("n must be nonnegative")
-    s = 0
-    while n:
-        n, d = divmod(n, p)
-        s += d
-    return s
-
-
 def factorial_norm_exponent(n: int, p: Prime) -> int:
     """Exponent e with |n!|_p = p^(-e), i.e. v_p(n!) = sum_i floor(n / p^i) for n >= 0."""
     if _int(n) < 0:
@@ -169,28 +158,15 @@ def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:
 class PadicExpansion(_Record):
     """Canonical truncated p-adic expansion: p^valuation * sum(digits[i] p^i).
 
-    digits[0] is nonzero unless the value is 0; len(digits) == precision.
+    digits[0] is nonzero unless the value is 0; the precision is len(digits).
     """
 
-    def __init__(self, p: Prime, valuation: int, digits: tuple[int, ...], precision: int):
-        if len(digits) != precision:
-            raise ValueError("digit count must equal precision")
+    def __init__(self, p: Prime, valuation: int, digits: tuple[int, ...]):
         if any(d < 0 or d >= p for d in digits):
             raise ValueError("digits out of range")
         if any(digits) and digits[0] == 0:
             raise ValueError("not canonical: unit part must start with a nonzero digit")
-        self.__dict__.update(p=p, valuation=valuation, digits=digits, precision=precision)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
-
-    def truncated_value(self) -> Fraction:
-        """The rational p^valuation * sum(d_i p^i) represented by the digits."""
-        p, acc = self.p, 0
-        for d in reversed(self.digits):
-            acc = acc * p + d
-        return Fraction(p) ** self.valuation * acc
+        self.__dict__.update(p=p, valuation=valuation, digits=digits)
 
     def __str__(self) -> str:
         body = ",".join(str(d) for d in self.digits)
@@ -208,7 +184,7 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
         raise ValueError("precision must be positive")
     q = _rational(q)
     if q == 0:
-        return PadicExpansion(p, 0, (0,) * precision, precision)
+        return PadicExpansion(p, 0, (0,) * precision)
     v = vp(q, p)
     unit = q / Fraction(p) ** v
     modulus = p**precision
@@ -219,4 +195,4 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
     for _ in range(precision):
         t, d = divmod(t, p)
         digits.append(d)
-    return PadicExpansion(p, v, tuple(digits), precision)
+    return PadicExpansion(p, v, tuple(digits))

@@ -11,7 +11,8 @@ import math
 from bisect import bisect_right
 from itertools import compress
 
-from .padic import Prime, _Record, is_prime, work_limit  # noqa: F401
+from .padic import Prime, _Record, work_limit
+from .padic import is_prime  # noqa: F401  perfbench/spans.py traces it here
 from .recurrences import telescope_combo, unit_combo
 
 

@@ -44,7 +44,7 @@ class TestFlagParsing:
         assert parse_set("1..2,7") == [1, 2, 7]
         # a span stays a range until expanded; count includes repeats
         parts = parse_parts(f" 1..{10**9}, 7,7")
-        assert parts == [range(1, 10**9 + 1), 7, 7] and count(parts) == 10**9 + 2
+        assert parts == [range(1, 10**9 + 1), (7,), (7,)] and count(parts) == 10**9 + 2
 
     def test_rational_sets(self):
         assert parse_set("1/2,-3", Fraction) == [Fraction(1, 2), Fraction(-3)]
@@ -741,6 +741,12 @@ class TestWorkLimit:
             (["padic", "--value", "1/3", "--p", "5", "--digits", "10"], 9),  # 10^2 * 3 // 32
             (["sum", "--k", "6", "--x", "2"], 19),  # 6^3 (6 + 20 * 2) // 500
             (["sum", "--k", "5", "--C", "1,0,0,0,1", "--x", "3"], 11),  # 5^3 (5 + 40) // 500
+            # spans and single values mixed in each list; a single k counts k^3 in the
+            # telescope term, and a 3..3 span is not the prime 2
+            (["verify", "--k", "2..3,5", "--n-max", "4", "--x-set=-4..1,3/2",
+              "--p-list", "2,3"], 2499),
+            (["verify", "--k", "1..3,7,2..2", "--n-max", "5", "--x-set=5,-7/3,0..2",
+              "--p-list", "5,2,3..3"], 14355),
         ],
     )
     def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):
