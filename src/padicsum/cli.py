@@ -21,7 +21,7 @@ from .bernoulli import (
     bernoulli_numbers,
     volkenborn_level,
 )
-from .padic import Prime, in_convergence_domain, padic_expand, work_limit
+from .padic import Prime, in_convergence_domain, padic_expand, require_within_limit
 from .poly import render_poly
 from .recurrences import build_triple
 from .sequences import kurepa_scans, paper_sequences
@@ -101,15 +101,6 @@ def require_at_least(bounds: dict) -> None:
     for flag, (value, least) in bounds.items():
         if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}")
-
-
-def require_within_limit(flags: str, cost: int) -> None:
-    """Usage error of `flags` when a command's closed-form cost, decided from
-    its arguments before any work, exceeds PADICSUM_WORK_LIMIT.  The forms of
-    triples, verify, sum, bernoulli and padic are fitted to measured times, about 5 ns
-    a unit on CPython 3.11, so that the default limit of 10^9 is about 5 s of work."""
-    if cost > (limit := work_limit()):
-        raise ValueError(f"{flags}: cost {cost} exceeds work limit {limit}")
 
 
 class Emitter:

@@ -8,6 +8,7 @@ int, so a comparison that forgets the case raises instead of passing.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 
 
@@ -57,8 +58,17 @@ _PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def work_limit() -> int:
-    """PADICSUM_WORK_LIMIT (default 10^9), the largest cost a guarded call takes on."""
-    return int(os.environ.get("PADICSUM_WORK_LIMIT", 10**9))
+    """PADICSUM_WORK_LIMIT (default 10^9), the largest cost a guarded call takes on,
+    read as at most sys.maxsize, so that every span a limit admits has a len()."""
+    return min(int(os.environ.get("PADICSUM_WORK_LIMIT", 10**9)), sys.maxsize)
+
+
+def require_within_limit(what: str, cost: int) -> None:
+    """ValueError naming `what` when a closed-form cost, decided from the arguments
+    before any work, exceeds the work limit.  The CLI's forms are fitted to measured
+    times, about 5 ns a unit on CPython 3.11, so the default limit is about 5 s of work."""
+    if cost > (limit := work_limit()):
+        raise ValueError(f"{what}: cost {cost} exceeds work limit {limit}")
 
 
 def _int(n) -> int:

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from itertools import compress
 
-from .padic import Prime, _Record, work_limit
+from .padic import Prime, _Record, require_within_limit
 from .padic import is_prime  # noqa: F401  perfbench/spans.py traces it here
 from .recurrences import telescope_combo, unit_combo
 
@@ -80,8 +80,7 @@ def kurepa_scans(gcd_max: int | None, digit_max: int | None
     if gcd_max is not None and gcd_max < 2 or digit_max is not None and digit_max < 3:
         raise ValueError("a scan's bound is below its least: 2 for gcd, 3 for digits")
     bound = max(gcd_max or 0, digit_max or 0)
-    if bound * bound.bit_length() ** 2 > work_limit():
-        raise ValueError(f"a Kurepa table to {bound} exceeds work limit {work_limit()}")
+    require_within_limit(f"a Kurepa table to {bound}", bound * bound.bit_length() ** 2)
     primes = odd_primes(bound)
     digits = kurepa_digits(primes)
     z = digits.index(0) if 0 in digits else len(digits)  # the first zero digit

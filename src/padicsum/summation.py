@@ -31,9 +31,9 @@ class SumCertificate(_Record):
     partial sum to the target is at most p^(-bound_exponent).  Building the
     certificate computes `difference` = partial - target and its valuation
     `distance_exponent` (None when partial = target) from its own fields, and
-    `ok` reads them, so a forged one fails.  Neither is a field.
-    A field is an int where its value is integral and a Fraction otherwise;
-    an int difference takes its valuation directly, anything else through vp.
+    `ok` reads them, so a forged one fails.  Neither is a field.  partial, target
+    and tail are its identity check's values, ints for an integer x; an int
+    difference takes its valuation directly, anything else through vp.
     """
 
     def __init__(self, k: int, N: int, x: Fraction, p: Prime, partial: Fraction | int,
@@ -165,14 +165,11 @@ def _bound(N: int, n: int, p: Prime) -> int:
 
 
 def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[SumCertificate]:
-    """One certificate per prime, read off an identity check at a nonzero integer x:
-    partial, target rhs - tail = V_k(x) and tail are the same objects in every Q_p,
-    so `ok` fails whenever lhs != rhs and only the bound is per prime.  Ints where integral."""
+    """One certificate per prime off an identity check at a nonzero integer x: partial = lhs,
+    target = V_k(x) and tail are its values as built, ints for an integer x, and the same
+    objects in every Q_p, so `ok` fails whenever lhs != rhs and only the bound is per prime."""
     k, N, x, n = check.k, check.N, check.x, _integer(check.x, nonzero=True)
-    partial, target, tail = check.lhs, check.rhs - check.tail, check.tail
-    if not type(partial) is type(target) is type(tail) is int:  # a check of Fractions
-        partial, target, tail = (q.numerator if q.denominator == 1 else q
-                                 for q in (partial, target, tail))
+    partial, target, tail = check.lhs, check.target, check.tail
     return [SumCertificate(k, N, x, p, partial, target, tail, _bound(N, n, p))
             for p in primes]
 

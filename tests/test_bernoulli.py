@@ -74,6 +74,8 @@ class TestBernoulliNumbers:
     def test_length(self):
         for n in range(6):
             assert len(bernoulli_numbers(n)) == n + 1
+        with pytest.raises(ValueError, match="nmax must be nonnegative"):
+            bernoulli_numbers(-1)
 
     def test_von_staudt_clausen(self):
         # B_n + sum of 1/p over the primes p with (p - 1) | n is an integer

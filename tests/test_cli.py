@@ -774,6 +774,17 @@ class TestWorkLimit:
         assert captured.err == ("error: --k, --x-set, --n-max and --p-list: cost 1800000 "
                                 "exceeds work limit 1000000\n")
 
+    def test_limit_past_maxsize_refuses_a_span_len_cannot_count(self, capsys, monkeypatch):
+        # read as sys.maxsize; a 10^19-value span once ended in OverflowError from len()
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", str(10**29))
+        refuse_work(monkeypatch, "verify")
+        code = main(["--format", "machine", "verify", "--k", "1", "--n-max", "1",
+                     f"--x-set=1..{10**19}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: --x-set: ")
+        assert captured.err.endswith(f"exceeds work limit {sys.maxsize}\n")  # 2^63 - 1 on 64 bits
+
 
 class TestHumanOutput:
     # digests of human-mode stdout; the verify grid holds ok, rejected and
@@ -847,6 +858,8 @@ class TestUsageErrors:
              "--C: invalid literal for int() with base 10: ''"),
             (("verify", "--k", "1", "--n-max", "1", "--x-set", "1", "--p-list", ""),
              "--p-list: invalid literal for int() with base 10: ''"),
+            # a mode without its modifier
+            (("bernoulli", "--identity", "2"), "--identity needs --N"),
         ],
     )
     def test_malformed_value_names_the_flag(self, capsys, argv, err):

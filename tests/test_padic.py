@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from padicsum import (
     padic_expand,
     vp,
 )
-from padicsum.padic import _int_valuation
+from padicsum.padic import _int_valuation, work_limit
 
 PRIMES = [Prime(p) for p in (2, 3, 5, 7, 11)]
 
@@ -342,6 +343,14 @@ class TestPadicExpand:
     def test_canonical_form_rejected(self):
         with pytest.raises(ValueError):
             PadicExpansion(Prime(3), 0, (0, 2))
+
+
+def test_work_limit_is_capped_at_maxsize(monkeypatch):
+    # a limit past sys.maxsize would admit a span whose len() overflows
+    monkeypatch.setenv("PADICSUM_WORK_LIMIT", str(10**29))
+    assert work_limit() == sys.maxsize
+    monkeypatch.setenv("PADICSUM_WORK_LIMIT", "241999")
+    assert work_limit() == 241999
 
 
 class TestRecords:

@@ -281,6 +281,8 @@ class TestTelescope:
 
 def test_compute_A_family_base_case():
     assert compute_A_family(0) == [BivarPoly.make([[1]])]
+    with pytest.raises(ValueError, match="kmax must be nonnegative"):
+        compute_A_family(-1)
 
 
 def test_summation_triple_record():

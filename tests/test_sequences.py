@@ -196,7 +196,7 @@ class TestKurepaScans:
         assert time.perf_counter() - start < 1
         # the cost is B bitlen(B)^2: 2000 * 11^2 = 242000
         monkeypatch.setenv("PADICSUM_WORK_LIMIT", "241999")
-        with pytest.raises(ValueError, match="a Kurepa table to 2000 exceeds"):
+        with pytest.raises(ValueError, match="a Kurepa table to 2000: cost 242000 exceeds"):
             kurepa_gcd_scan(2000)
 
     def test_work_limit_is_inclusive(self, monkeypatch):
@@ -211,6 +211,8 @@ class TestPaperSequences:
         assert seqs["neg_vbar"] == [1, 3, 9, 31, 121, 523]
         assert seqs["u"] == [0, 1, -1, -2, 9, -9]
         assert seqs["neg_ubar"][:5] == [2, 5, 15, 52, 203]
+        with pytest.raises(ValueError, match="kmax must be >= 1"):
+            paper_sequences(0)
 
     def test_bell_number_oracle(self):
         bells = bell_numbers(16)

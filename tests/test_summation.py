@@ -170,6 +170,8 @@ class TestIdentityKernel:
             next(identity_checks(0, 1, 5))
         with pytest.raises(ValueError):
             next(identity_checks(1, 1, 0))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            partial_sum_Sk(1, 0, 1)
 
     def test_rejects_C_not_matching_k(self):
         with pytest.raises(ValueError, match="C must list exactly k coefficients"):
@@ -607,6 +609,9 @@ class TestRecords:
         assert check.target == invariant_sum(2, 3)
         assert vars(check) == fields
         assert check == IdentityCheck(**fields) != IdentityCheck(**dict(fields, N=5))
+        # a record of another class is not compared field by field
+        assert check.__eq__(build_triple(2)) is NotImplemented
+        assert verify_identity(2, 4, 3) != build_triple(2)
 
     def test_sum_certificate(self):
         good = truncated_padic_sum(1, 1, Prime(5), 10)
