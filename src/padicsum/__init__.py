@@ -22,7 +22,6 @@ from .recurrences import (
     build_triple,
     compute_A_family,
     family_residual,
-    solve_triple,
     telescope,
 )
 from .summation import (
@@ -68,7 +67,6 @@ __all__ = [
     "build_triple",
     "compute_A_family",
     "family_residual",
-    "solve_triple",
     "telescope",
     "IdentityCheck",
     "SumCertificate",

@@ -138,10 +138,17 @@ def _int_valuation(n: int, p: int) -> int:
     # n != 0; n & -n is the lowest set bit of n, also for n < 0
     if p == 2:
         return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    # divide by p, p^2, p^4, .. while the power divides, then by each of them that
+    # still does on the way back down: O(log v) big-int divisions, not v
+    powers, v = [p], 0
+    while not (qr := divmod(n, powers[-1]))[1]:
+        n, v = qr[0], v + (1 << len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in range(len(powers) - 2, -1, -1):
+        if not (qr := divmod(n, powers[i]))[1]:
+            n, v = qr[0], v + (1 << i)
     return v
 
 

@@ -7,10 +7,11 @@ N! x^N A_{k-1}(N; x) telescopes: it holds for every N exactly when
 
 whose polynomial solution A_{k-1} in n is unique (the polynomial-solution
 step of Gosper's algorithm).  `telescope` solves it for any P(n) at one
-point x, as every numeric path does; `solve_triple` in polynomials in x.
+point x, as every numeric path does; `TripleFamily` builds the triples in
+polynomials in x one k at a time from the one before (`_step`).
 `compute_A_family` is the reference route, the paper's recurrence over the
 whole A-family on integer coefficient rows; no command runs it, and the tests
-hold `solve_triple` to it.
+hold the stepped triples to it.
 """
 
 from __future__ import annotations
@@ -114,42 +115,39 @@ def unit_combo(k: int) -> tuple[int, ...]:
     return tuple(int(j == k) for j in range(1, k + 1))
 
 
-def solve_triple(k: int) -> SummationTriple:
-    """(U_k, V_k, A_{k-1}), the solve of `telescope` for P = n^k x^k in
-    polynomials in x: U_k = -u, V_k = -A_{k-1}(0; x).  a_m has no x-power
-    below x^m, so dividing by x is an exact shift of integer lists."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    # a[m][i]: coefficient of n^m x^i, zero unless m <= i < k
-    a = [[0] * k for _ in range(k)]
-    a[k - 1][k - 1] = 1
-    for m in range(k - 1, 0, -1):
-        row = a[m - 1]
-        row[m - 1 : k - 1] = a[m][m:]
-        for j in range(m, k):
-            c, aj = comb(j + 1, m), a[j]
-            for i in range(j, k):
-                row[i] -= c * aj[i]
-    at0, at1 = a[0], [sum(col) for col in zip(*a)]
-    U = _trim([-at0[0]] + [s - c for s, c in zip(at1, at0[1:] + [0])])
-    V = _trim(-c for c in at0)
-    A = BivarPoly.make([[a[m][l] for m in range(l + 1)] for l in range(k)])
-    return SummationTriple(k, U, V, A)
+def _step(trip: SummationTriple) -> SummationTriple:
+    """Triple k+1 from triple k in O(k^2) integer steps: A_k = x (n - k) A_{k-1}
+    + x^2 dA_{k-1}/dx - U_k, U_{k+1} = (1 - (k+1) x) U_k + x^2 dU_k/dx and V_{k+1}
+    = -A_k(0; x).  Putting in the equation for A_{k-1} and x^2 times its
+    x-derivative shows that A_k solves it at k+1, and its solution is unique."""
+    k, U = trip.k, trip.U
+    A = [(1,)]  # layer i: (n - (k+1-i)) times layer i-1 of A_{k-1}, less U_{k,i}
+    for i, lay in enumerate(trip.A.layers, 1):
+        row = [a - (k + 1 - i) * b for a, b in zip((0,) + lay, lay + (0,))]
+        row[0] -= U[i]
+        A.append(row)
+    U = tuple(a - (k + 2 - j) * b for j, (a, b) in enumerate(zip(U + (0,), (0,) + U)))
+    return SummationTriple(k + 1, U, _trim(-lay[0] for lay in A), BivarPoly.make(A))
 
 
 class TripleFamily:
-    """Memo of solved triples: `triple(k)` solves k once and then returns
-    the same object."""
+    """Memo of the triples asked for: `triple(k)` steps up from the largest k below
+    it that the memo holds, from k = 0 at first (U_0 = -1, V_0 = A_{-1} = 0)."""
 
     def __init__(self):
-        self._triples: dict[int, SummationTriple] = {}
+        self._triples = {0: SummationTriple(0, (-1,), (), BivarPoly(()))}
 
     def triple(self, k: int) -> SummationTriple:
         """(U_k, V_k, A_{k-1}) as polynomials in x, for `triples` and the
         Bernoulli image; the numeric paths solve at their point by `telescope`."""
+        if k < 1:
+            raise ValueError("k must be positive")
         trip = self._triples.get(k)
         if trip is None:
-            trip = self._triples.setdefault(k, solve_triple(k))
+            trip = self._triples[max(j for j in self._triples if j < k)]
+            while trip.k < k:
+                trip = _step(trip)
+            self._triples[k] = trip
         return trip
 
 

@@ -1,8 +1,9 @@
 """Slow reference routes that the tests hold the library to.
 
 They take paths the library does not: U_k and V_k from the whole A-family
-or from their own recurrences, in polynomial arithmetic of their own on
-coefficient tuples (`lin`), Bell numbers from their recurrence, left factorials as one
+or from their own recurrences, and each triple solved from scratch
+(`solve_triple`), in polynomial arithmetic of their own on coefficient
+tuples (`lin`), Bell numbers from their recurrence, left factorials as one
 factorial-series sum each, the Kurepa gcd scan from bigint gcds of !n and
 n!, and Bernoulli numbers from their defining recurrence.
 """
@@ -11,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from padicsum import BivarPoly, KurepaReport, factorial_series
+from padicsum import BivarPoly, KurepaReport, SummationTriple, factorial_series
 
 
 def lin(*terms) -> tuple:
@@ -70,6 +71,30 @@ def compute_V_by_recurrence(kmax: int) -> list[tuple]:
         vs.append(lin((1, 0, vs[k - 1]),
                       *((-math.comb(k + 1, l), k - l + 1, vs[l - 1]) for l in range(1, k + 1))))
     return vs
+
+
+def solve_triple(k: int) -> SummationTriple:
+    """(U_k, V_k, A_{k-1}) from the telescoping equation (n+1) x A(n+1) - A(n) =
+    n^k x^k + U_k(x) alone, in O(k^3) steps: the n^m coefficients a_m of A, from
+    m = k-1 down, are a_{m-1} = a_m / x - sum_{j=m}^{k-1} C(j+1, m) a_j with
+    a_{k-1} = x^(k-1); then U_k = x A(1) - A(0) and V_k = -A(0).  a_m has no
+    x-power below x^m, so dividing by x is an exact shift of integer lists."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    # a[m][i]: coefficient of n^m x^i, zero unless m <= i < k
+    a = [[0] * k for _ in range(k)]
+    a[k - 1][k - 1] = 1
+    for m in range(k - 1, 0, -1):
+        row = a[m - 1]
+        row[m - 1 : k - 1] = a[m][m:]
+        for j in range(m, k):
+            c, aj = math.comb(j + 1, m), a[j]
+            for i in range(j, k):
+                row[i] -= c * aj[i]
+    at0, at1 = a[0], [sum(col) for col in zip(*a)]
+    U = lin((1, 1, at1), (-1, 0, at0))
+    A = BivarPoly.make([[a[m][l] for m in range(l + 1)] for l in range(k)])
+    return SummationTriple(k, U, lin((-1, 0, at0)), A)
 
 
 def bell_numbers(nmax: int) -> list[int]:

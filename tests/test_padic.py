@@ -220,6 +220,15 @@ class TestVp:
             assert _int_valuation(n, 2) == loop_valuation(n, 2)
         assert _int_valuation(1 << 200, 2) == 200 and _int_valuation(-(3 << 70), 2) == 70
 
+    @pytest.mark.parametrize("pi", [3, 5, 7, 11, 101])
+    def test_odd_primes_by_repeated_squaring_match_the_loop(self, pi):
+        # +-u p^e for units u: every e to 300 takes its own way up through p,
+        # p^2, p^4, .. and back down
+        for e in range(301):
+            for u in (1, pi - 1, pi**40 + 1):
+                n = u * pi**e
+                assert _int_valuation(n, pi) == _int_valuation(-n, pi) == loop_valuation(n, pi) == e
+
     def test_negative_ints_for_odd_primes(self):
         for pi in (3, 5, 7):
             for n in range(1, 400):

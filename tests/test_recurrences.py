@@ -12,7 +12,6 @@ from padicsum import (
     family_residual,
     horner,
     paper_sequences,
-    solve_triple,
     telescope,
 )
 from padicsum.cli import main
@@ -23,6 +22,7 @@ from oracles import (
     compute_V,
     compute_V_by_recurrence,
     lin,
+    solve_triple,
 )
 from test_padic import check_record
 
@@ -183,20 +183,54 @@ class TestBuildTriple:
 
 class TestIncrementalFamily:
     def test_triples_and_sequences_build_only_what_they_read(self, monkeypatch):
-        solved = []
-        original = recurrences.solve_triple
+        built = []
+        original = recurrences._step
 
-        def spy(k):
-            solved.append(k)
-            return original(k)
+        def spy(trip):
+            built.append(trip.k + 1)
+            return original(trip)
 
-        monkeypatch.setattr(recurrences, "solve_triple", spy)
+        monkeypatch.setattr(recurrences, "_step", spy)
         monkeypatch.setattr(recurrences, "_shared", TripleFamily())
-        # each k is solved once, and the sequences then read the memo
+        # one step per k, each from the one before, and the sequences build none
         assert main(["--format", "machine", "triples", "--kmax", "6"]) == 0
-        assert solved == [1, 2, 3, 4, 5, 6]
+        assert built == [1, 2, 3, 4, 5, 6]
         paper_sequences(6)
-        assert solved == [1, 2, 3, 4, 5, 6]
+        assert built == [1, 2, 3, 4, 5, 6]
+
+
+class TestStep:
+    def test_matches_the_reference_routes_to_60(self):
+        kmax = 60
+        fam = TripleFamily()
+        stepped = [fam.triple(k) for k in range(1, kmax + 1)]
+        family = compute_A_family(kmax - 1)
+        us, vs = compute_U_by_recurrence(kmax), compute_V_by_recurrence(kmax)
+        for k, t in enumerate(stepped, 1):
+            assert t == solve_triple(k), k
+            assert (t.A, t.U, t.V) == (family[k - 1], us[k - 1], vs[k - 1]), k
+        A = [t.A for t in stepped]
+        assert all(family_residual(A, k).layers == () for k in range(1, kmax)), kmax
+
+    def test_any_order_equals_an_ascending_build(self, monkeypatch):
+        ascending = TripleFamily()
+        want = {k: ascending.triple(k) for k in range(1, 11)}
+        steps = []
+        original = recurrences._step
+
+        def spy(trip):
+            steps.append(trip.k)
+            return original(trip)
+
+        monkeypatch.setattr(recurrences, "_step", spy)
+        fam = TripleFamily()
+        # each k steps up from the largest k below it that the memo holds, else from 0
+        got = [fam.triple(k) for k in (9, 4, 1, 9)]
+        assert got == [want[k] for k in (9, 4, 1, 9)] and got[3] is got[0]
+        assert steps == list(range(9)) + list(range(4)) + [0]
+        steps.clear()
+        assert (fam.triple(10), fam.triple(5)) == (want[10], want[5])
+        assert steps == [9, 4]
 
 
 class TestSolveTriple:

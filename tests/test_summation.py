@@ -574,11 +574,11 @@ class TestTelescope:
     def test_no_triple_on_the_numeric_paths(self, monkeypatch):
         # identity checks, certificates, combinations, invariant sums and the
         # sequences solve at the point; none of them builds a bivariate triple
-        def refuse(k):
-            raise AssertionError(f"triple {k} built")
+        def refuse(trip):
+            raise AssertionError(f"triple {trip.k + 1} built")
 
         monkeypatch.setattr(recurrences, "_shared", recurrences.TripleFamily())
-        monkeypatch.setattr(recurrences, "solve_triple", refuse)
+        monkeypatch.setattr(recurrences, "_step", refuse)
         assert paper_sequences(8)["neg_ubar"][:3] == [2, 5, 15]
         assert all(c.ok for c in identity_checks(6, Fraction(-5, 4), 12))
         assert truncated_padic_sum(4, 2, Prime(3), 9).ok
