@@ -23,7 +23,7 @@ from .bernoulli import (
 )
 from .padic import Prime, in_convergence_domain, padic_expand, require_within_limit
 from .poly import render_poly
-from .recurrences import build_triple
+from .recurrences import iter_triples
 from .sequences import kurepa_scans, paper_sequences
 from .summation import certificates_from_check, identity_checks, invariant_sum
 # not called here; they stay importable from this module, where perfbench/spans.py
@@ -121,8 +121,7 @@ def cmd_triples(args, em: Emitter) -> None:
     require_at_least({"--kmax": (args.kmax, 1)})
     # grows as the output, O(kmax^4 log kmax) digits, not as the kmax^3 steps that build it
     require_within_limit("--kmax", args.kmax**4 * args.kmax.bit_length() // 4)
-    for k in range(1, args.kmax + 1):
-        trip = build_triple(k)
+    for k, trip in enumerate(iter_triples(args.kmax), 1):  # one triple held at a time
         result = {"k": k, "U": trip.U, "V": trip.V, "A": trip.A.layers}
         em.record({"k": k}, result, True, lambda: f"U_{k} = {render_poly(trip.U)}; "
                   f"V_{k} = {render_poly(trip.V)}; A_{k - 1} = {trip.A}")
@@ -137,16 +136,15 @@ def cmd_verify(args, em: Emitter) -> None:
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
     # the cost from the lists' lengths and ends, repeats included, before a range's values
     # are built.  Per (k, x): kmax^2 + n (kmax + #p) steps and records; n steps on values of
-    # up to B bits, and their text; per odd p, a valuation charged as N (1/2 + X / log2 3)
-    # divisions at step N, more than its O(log v) ones, X the bit length of the
-    # largest |a| b of an x = a/b.  Per x: the telescopes, sum_k k^3 (kmax + 8 X) / 256
+    # up to B bits, and their text; per odd p, a valuation by p, p^2, p^4, .. of up to
+    # N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b.  Per x: the telescopes
     kmax, n, P = max(ends), args.n_max, count(ps)
     X = max((abs(v.numerator) * v.denominator).bit_length() for x in xs for v in (x[0], x[-1]))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
     k3 = sum((k[-1] * (k[-1] + 1) // 2) ** 2 - ((k[0] - 1) * k[0] // 2) ** 2 for k in ks)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * (
         k3 * (kmax + 8 * X) // 256 + count(ks) * (kmax * kmax + n * (kmax + P) + n * B * (
-            B * (1 + P) + 100 * n * (1 + X) * (P - ps.count((2,)))) // 8192)))
+            B * (1 + P) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
     primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])

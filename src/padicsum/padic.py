@@ -93,11 +93,8 @@ def is_prime(n: int) -> bool:
         return True
     if n >= _PSI_13:
         raise ValueError("primality test only deterministic below 3.3e24")
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = _int_valuation(n - 1, 2)  # n - 1 = 2^r d, d odd
+    d = (n - 1) >> r
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -186,8 +183,7 @@ class PadicExpansion(_Record):
         self.__dict__.update(p=p, valuation=valuation, digits=digits)
 
     def __str__(self) -> str:
-        body = ",".join(str(d) for d in self.digits)
-        return f"({body})*{self.p}^{self.valuation}"
+        return f"({','.join(map(str, self.digits))})*{self.p}^{self.valuation}"
 
 
 def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
@@ -205,9 +201,7 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
     v = vp(q, p)
     unit = q / Fraction(p) ** v
     modulus = p**precision
-    num = unit.numerator % modulus
-    den_inv = pow(unit.denominator, -1, modulus)
-    t = num * den_inv % modulus
+    t = unit.numerator % modulus * pow(unit.denominator, -1, modulus) % modulus
     digits = []
     for _ in range(precision):
         t, d = divmod(t, p)

@@ -7,8 +7,8 @@ N! x^N A_{k-1}(N; x) telescopes: it holds for every N exactly when
 
 whose polynomial solution A_{k-1} in n is unique (the polynomial-solution
 step of Gosper's algorithm).  `telescope` solves it for any P(n) at one
-point x, as every numeric path does; `TripleFamily` builds the triples in
-polynomials in x one k at a time from the one before (`_step`).
+point x, as every numeric path does; `iter_triples` streams the triples in x,
+each by `_step` from the one before, and `TripleFamily` keeps those asked for.
 `compute_A_family` is the reference route, the paper's recurrence over the
 whole A-family on integer coefficient rows; no command runs it, and the tests
 hold the stepped triples to it.
@@ -130,25 +130,33 @@ def _step(trip: SummationTriple) -> SummationTriple:
     return SummationTriple(k + 1, U, _trim(-lay[0] for lay in A), BivarPoly.make(A))
 
 
+_ZERO = SummationTriple(0, (-1,), (), BivarPoly(()))  # U_0 = -1, V_0 = A_{-1} = 0
+
+
+def iter_triples(kmax, trip=_ZERO):
+    """Triples trip.k + 1 .. kmax in order, each by `_step` from the one before; only
+    the current one is held."""
+    while trip.k < kmax:
+        trip = _step(trip)
+        yield trip
+
+
 class TripleFamily:
-    """Memo of the triples asked for: `triple(k)` steps up from the largest k below
-    it that the memo holds, from k = 0 at first (U_0 = -1, V_0 = A_{-1} = 0)."""
+    """Memo of the triples asked for, each stepped up from the largest k it holds."""
 
     def __init__(self):
-        self._triples = {0: SummationTriple(0, (-1,), (), BivarPoly(()))}
+        self._triples = {0: _ZERO}
 
     def triple(self, k: int) -> SummationTriple:
-        """(U_k, V_k, A_{k-1}) as polynomials in x, for `triples` and the
-        Bernoulli image; the numeric paths solve at their point by `telescope`."""
+        """(U_k, V_k, A_{k-1}) as polynomials in x, for the Bernoulli image; `triples`
+        streams them, and the numeric paths solve at their point by `telescope`."""
         if k < 1:
             raise ValueError("k must be positive")
-        trip = self._triples.get(k)
-        if trip is None:
-            trip = self._triples[max(j for j in self._triples if j < k)]
-            while trip.k < k:
-                trip = _step(trip)
+        if k not in self._triples:
+            for trip in iter_triples(k, self._triples[max(j for j in self._triples if j < k)]):
+                pass
             self._triples[k] = trip
-        return trip
+        return self._triples[k]
 
 
 _shared = TripleFamily()

@@ -104,8 +104,7 @@ def kurepa_gcd_scan(nmax: int) -> KurepaReport:
 def kurepa_digit(p: Prime) -> int:
     """0th p-adic digit of sum_j j!, i.e. (sum_{j<p} j!) mod p; the terms
     with j >= p vanish mod p, since p divides j!."""
-    total = 0
-    fact = 1
+    total, fact = 0, 1
     for j in range(p):
         total = (total + fact) % p
         fact = fact * (j + 1) % p
@@ -127,8 +126,8 @@ def paper_sequences(kmax: int) -> dict[str, list[int]]:
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    # (U_k(x), A_{k-1}(n; x)) for k = 1..kmax, at x = 1 and at x = -1
-    plus, minus = ([telescope_combo(unit_combo(k), x) for k in range(1, kmax + 1)]
-                   for x in (1, -1))
-    return {"neg_v": [A[0] for _, A in plus], "neg_vbar": [A[0] for _, A in minus],
+    # (U_k(x), A_{k-1}(0; x)) for k = 1..kmax at x = 1 and x = -1, the rest of each A dropped
+    plus, minus = ([(U, A[0]) for k in range(1, kmax + 1)
+                    for U, A in [telescope_combo(unit_combo(k), x)]] for x in (1, -1))
+    return {"neg_v": [a for _, a in plus], "neg_vbar": [a for _, a in minus],
             "u": [U for U, _ in plus], "neg_ubar": [-U for U, _ in minus]}

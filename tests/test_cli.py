@@ -633,7 +633,7 @@ class Reached(Exception):
 def refuse_work(monkeypatch, command):
     def reached(*args, **kwargs):
         raise Reached(command)
-    names = {"triples": ["build_triple"], "verify": ["identity_checks"],
+    names = {"triples": ["iter_triples"], "verify": ["identity_checks"],
              "sum": ["invariant_sum"], "sequences": ["paper_sequences"],
              "bernoulli": ["bernoulli_numbers", "bernoulli_identity_partial", "volkenborn_level"],
              "padic": ["padic_expand"]}[command]
@@ -643,7 +643,7 @@ def refuse_work(monkeypatch, command):
 
 class TestWorkLimit:
     # costs: verify (#x)(sum_k k^3 (kmax + 8 X) // 256 + (#k)(kmax^2 + n (kmax + #p)
-    # + n B (B (1 + #p) + 100 n (1 + X) #odd p) // 8192)), the lists' lengths counted
+    # + n B (B (1 + #p) + 3 n (1 + X) #odd p) // 8192)), the lists' lengths counted
     # with repeats, X the largest bitlen(|a| b) of an x = a/b and B = n (bitlen(n) + X)
     # + kmax (bitlen(kmax) + bitlen(n) + X), sum k^3 (k + 20 bitlen(x)) // 500, triples
     # kmax^4 bitlen(kmax) // 4, sequences kmax^4, bernoulli --nmax nmax^3 // 32,
@@ -679,13 +679,14 @@ class TestWorkLimit:
             (["sum", "--k", "200", "--x", str(10**3000)], "--k and --x"),
             # these passed (#k)(#x)(kmax^2 + n_max (kmax + #p)), the form before the
             # bits of a step, the valuation of each odd p and the telescopes counted:
-            # more than a day extrapolated from --n-max 2000 (0.8 s) as n^3, then 13.7 s,
-            # 9.4 s, and 20 minutes extrapolated from --k 1..200 (0.75 s) as k^5
+            # more than a day extrapolated from --n-max 2000 (0.8 s) as n^3, then 5.2 s,
+            # 4.9 s (both with the O(log v) valuation), and 20 minutes extrapolated
+            # from --k 1..200 (0.75 s) as k^5
             (["verify", "--k", "1", "--n-max", "100000", "--x-set", "2"],
              "--k, --x-set, --n-max and --p-list"),
-            (["verify", "--k", "1", "--n-max", "2000", "--x-set", "2", "--p-list", "2,3,5,7"],
+            (["verify", "--k", "1", "--n-max", "2500", "--x-set", "2", "--p-list", "2,3,5,7"],
              "--k, --x-set, --n-max and --p-list"),
-            (["verify", "--k", "1", "--n-max", "500", "--x-set", str(3**20), "--p-list", "3"],
+            (["verify", "--k", "1", "--n-max", "1050", "--x-set", str(3**20), "--p-list", "3"],
              "--k, --x-set, --n-max and --p-list"),
             (["verify", "--k", "1..900", "--n-max", "1", "--x-set", "2"],
              "--k, --x-set, --n-max and --p-list"),
@@ -744,9 +745,9 @@ class TestWorkLimit:
             # spans and single values mixed in each list; a single k counts k^3 in the
             # telescope term, and a 3..3 span is not the prime 2
             (["verify", "--k", "2..3,5", "--n-max", "4", "--x-set=-4..1,3/2",
-              "--p-list", "2,3"], 2499),
+              "--p-list", "2,3"], 1407),
             (["verify", "--k", "1..3,7,2..2", "--n-max", "5", "--x-set=5,-7/3,0..2",
-              "--p-list", "5,2,3..3"], 14355),
+              "--p-list", "5,2,3..3"], 3980),
         ],
     )
     def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from padicsum import (
     telescope,
 )
 from padicsum.cli import main
-from padicsum.recurrences import telescope_combo, unit_combo
+from padicsum.recurrences import iter_triples, telescope_combo, unit_combo
 from oracles import (
     compute_U,
     compute_U_by_recurrence,
@@ -231,6 +232,42 @@ class TestStep:
         steps.clear()
         assert (fam.triple(10), fam.triple(5)) == (want[10], want[5])
         assert steps == [9, 4]
+
+
+class TestStream:
+    def test_equals_the_memo_and_the_oracle_to_60(self):
+        fam = TripleFamily()
+        streamed = list(iter_triples(60))
+        assert [t.k for t in streamed] == list(range(1, 61))
+        for t in streamed:
+            assert t == fam.triple(t.k) == solve_triple(t.k), t.k
+
+    def test_resumes_from_a_given_triple(self):
+        start = build_triple(4)
+        assert list(iter_triples(7, start)) == [build_triple(k) for k in (5, 6, 7)]
+        assert list(iter_triples(4, start)) == list(iter_triples(0)) == []
+
+    def test_holds_one_triple(self):
+        refs = []
+        for trip in iter_triples(20):
+            refs.append(weakref.ref(trip))
+            # drawing triple k let go of triple k - 2 and every one below it
+            assert all(ref() is None for ref in refs[:-2]), trip.k
+        assert len(refs) == 20
+
+    def test_triples_command_keeps_none(self, capsys, monkeypatch):
+        refs = []
+        original = recurrences._step
+
+        def spy(trip):
+            trip = original(trip)
+            refs.append(weakref.ref(trip))
+            return trip
+
+        monkeypatch.setattr(recurrences, "_step", spy)
+        assert main(["--format", "machine", "triples", "--kmax", "8"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(refs) == 8
+        assert all(ref() is None for ref in refs)
 
 
 class TestSolveTriple:
