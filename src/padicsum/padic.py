@@ -135,11 +135,13 @@ def _int_valuation(n: int, p: int) -> int:
     # n != 0; n & -n is the lowest set bit of n, also for n < 0
     if p == 2:
         return (n & -n).bit_length() - 1
-    if n % p:
-        return 0
-    # divide by p, p^2, p^4, .. while the power divides, then by each of them that
-    # still does on the way back down: O(log v) big-int divisions, not v
-    powers, v = [p], 0
+    # one factor of p at a time up to 3, most valuations being small, then by p, p^2,
+    # p^4, .. while it divides and back down by each that still does: O(log v), not v
+    for v in range(4):
+        if (qr := divmod(n, p))[1]:
+            return v
+        n = qr[0]
+    powers, v = [p], 4
     while not (qr := divmod(n, powers[-1]))[1]:
         n, v = qr[0], v + (1 << len(powers) - 1)
         powers.append(powers[-1] ** 2)

@@ -7,13 +7,21 @@ structured data (first_failure) instead of raising.
 
 from __future__ import annotations
 
+import decimal
 import math
 from bisect import bisect_right
 from itertools import compress
+from operator import mul
 
 from .padic import Prime, _Record, require_within_limit
 from .padic import is_prime  # noqa: F401  perfbench/spans.py traces it here
 from .recurrences import telescope_combo, unit_combo
+
+
+# kurepa_digits runs on Decimal from this largest prime up, on int below it
+DECIMAL_FROM = 150_000
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 
 
 class KurepaReport(_Record):
@@ -34,32 +42,42 @@ def kurepa_digits(primes: list[int]) -> list[int]:
     """!p mod p for each p of an ascending list of primes, in one pass.
 
     (!n, n!) advances by [[1, 1], [0, n+1]]; a span's product [[1, b], [0, d]]
-    is carried as (b, d).  walk() takes (!n, n!) at n = primes[lo - 1] (n = 0 at
-    lo = 0) down a remainder tree (Costa, Gerbicz, Harvey 2014) depth first,
-    and returns the span's product from there to primes[hi - 1] if `span`.
-    Nothing reads the spans of the root and of the nodes down its right
-    edge, the largest products in the tree, so they are never built."""
-    digits = [0] * len(primes)
+    is carried as (b, d).  walk() takes (!n, n!) depth first down a remainder
+    tree (Costa, Gerbicz, Harvey 2014) on a kept product tree of 16-prime blocks;
+    a leaf block makes one pass over its gaps, reading each digit.  A node's span
+    is read only modulo `after`, the product of the moduli to its right: on int a
+    larger span is reduced by it, and on the right edge, after = 1, none is built.
+    From the prime DECIMAL_FROM up the nodes run on libmpdec's Decimal, exact under
+    _EXACT, with spans unreduced and only block-sized values converted to and from int."""
+    if not primes:
+        return []
+    digits, num = [0] * len(primes), decimal.Decimal if primes[-1] >= DECIMAL_FROM else int
 
-    def walk(lo: int, hi: int, lf: int, fact: int, span: bool) -> tuple[int, int] | None:
-        m = math.prod(primes[lo:hi])
-        lf, fact = lf % m, fact % m
-        if hi - lo == 1:
-            b, d = 0, 1
-            for n in range(primes[lo - 1] if lo else 0, m):
-                b, d = b + d, d * (n + 1)
-            digits[lo] = (lf + b * fact) % m
-            return b, d
-        mid = (lo + hi) // 2
-        bl, dl = walk(lo, mid, lf, fact, True)
-        right = walk(mid, hi, lf + bl * fact, dl * fact, span)
-        if span:
-            br, dr = right
-            return bl + br * dl, dl * dr
-        return None
+    def walk(k: int, i: int, lf, fact, after) -> tuple:
+        lf, fact = lf % (m := tree[k][i]), fact % m
+        if k == 0:
+            lf, fact, b, d, n = int(lf), int(fact), 0, 1, primes[16 * i - 1] if i else 0
+            for j in range(16 * i, min(16 * i + 16, len(primes))):
+                for n in range(n + 1, primes[j] + 1):
+                    b, d = b + d, d * n
+                digits[j] = (lf + b * fact) % primes[j]
+            b, d = num(b), num(d)
+        elif 2 * i + 1 == len(tree[k - 1]):  # a lone child, on the right edge
+            return walk(k - 1, 2 * i, lf, fact, after)
+        else:
+            mr = tree[k - 1][2 * i + 1]  # on Decimal, after only marks the right edge
+            bl, dl = walk(k - 1, 2 * i, lf, fact, mr * after if num is int else mr)
+            br, dr = walk(k - 1, 2 * i + 1, lf + bl * fact, dl * fact, after)
+            b, d = (bl + br * dl, dl * dr) if after != 1 else (0, 0)  # 0 modulo 1
+        if num is int and d > after:
+            b, d = b % after, d % after
+        return b, d
 
-    if primes:
-        walk(0, len(primes), 0, 1, False)
+    with decimal.localcontext(_EXACT):
+        tree = [[num(math.prod(primes[j : j + 16])) for j in range(0, len(primes), 16)]]
+        while len(row := tree[-1]) > 1:
+            tree.append([*map(mul, row[::2], row[1::2]), *row[len(row) & ~1 :]])
+        walk(len(tree) - 1, 0, 0, 1, 1)
     return digits
 
 

@@ -17,6 +17,7 @@ from padicsum import (
     padic_expand,
     vp,
 )
+from padicsum import padic
 from padicsum.padic import _int_valuation, work_limit
 
 PRIMES = [Prime(p) for p in (2, 3, 5, 7, 11)]
@@ -228,6 +229,21 @@ class TestVp:
             for u in (1, pi - 1, pi**40 + 1):
                 n = u * pi**e
                 assert _int_valuation(n, pi) == _int_valuation(-n, pi) == loop_valuation(n, pi) == e
+
+    def test_large_valuations_take_logarithmically_many_divisions(self, monkeypatch):
+        # a module-level divmod shadows the builtin the valuation calls, so each
+        # big-int division is counted: a loop over the factors would take v of them
+        calls = []
+        monkeypatch.setattr(padic, "divmod", lambda n, d: calls.append(d) or divmod(n, d),
+                            raising=False)
+        for pi, e, u in ((3, 100_000, 2), (3, 4, 2), (5, 2**14 - 1, 7), (101, 777, 100)):
+            calls.clear()
+            assert _int_valuation(u * pi**e, pi) == e
+            assert len(calls) <= 6 + 2 * math.log2(e), (pi, e, len(calls))
+        # a small valuation divides by p once per factor, and once more
+        for e in range(4):
+            calls.clear()
+            assert _int_valuation(2 * 3**e, 3) == e and calls == [3] * (e + 1)
 
     def test_negative_ints_for_odd_primes(self):
         for pi in (3, 5, 7):

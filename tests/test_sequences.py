@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -27,6 +29,16 @@ from oracles import (
     left_factorial,
 )
 from test_padic import check_record
+
+# the DECIMAL_FROM that puts kurepa_digits on int, and on Decimal, for any primes
+ROUTES = {"int": sys.maxsize, "Decimal": 0}
+
+
+def on_routes(monkeypatch):
+    """Each route's name in turn, with kurepa_digits forced onto that route."""
+    for route, decimal_from in ROUTES.items():
+        monkeypatch.setattr(sequences, "DECIMAL_FROM", decimal_from)
+        yield route
 
 
 class TestLeftFactorial:
@@ -99,14 +111,36 @@ class TestKurepaDigit:
             extended = sum(math.factorial(j) for j in range(q + 10)) % q
             assert base == extended
 
-    def test_tree_matches_the_one_prime_digit(self):
+    def test_tree_matches_the_one_prime_digit(self, monkeypatch):
         odd_primes = [q for q in range(3, 2000, 2) if is_prime(q)]
-        # the tree's shape depends only on the number of primes: lengths
-        # 0..64 give every shape up to 64 leaves
+        # the tree's shape depends only on the number of primes, in blocks of
+        # 16: lengths 0..64 cross the block edges at 16, 32, 48 and 64, and
+        # give every shape up to 4 leaves
         prefixes = [odd_primes[:n] for n in range(65)]
         for primes in (*prefixes, odd_primes, [7919]):
             want = [kurepa_digit(Prime(q)) for q in primes]
-            assert sequences.kurepa_digits(primes) == want
+            for route in on_routes(monkeypatch):
+                assert sequences.kurepa_digits(primes) == want, (route, len(primes))
+
+    def test_decimal_route_raises_on_any_rounding(self, monkeypatch):
+        # the route's context traps Inexact and Rounded, so a copy too narrow
+        # for the tree's values raises where it would give wrong digits; the
+        # int route does not read the context
+        narrow = sequences._EXACT.copy()
+        narrow.prec = 20
+        with pytest.raises(decimal.Inexact):
+            narrow.multiply(10**15 + 1, 10**15 + 3)
+        with pytest.raises(decimal.Rounded):
+            narrow.multiply(10**15, 10**15)
+        primes = sequences.odd_primes(2000)
+        want = [kurepa_digit(Prime(q)) for q in primes]
+        monkeypatch.setattr(sequences, "_EXACT", narrow)
+        for route in on_routes(monkeypatch):
+            if route == "Decimal":
+                with pytest.raises((decimal.Inexact, decimal.Rounded)):
+                    sequences.kurepa_digits(primes)
+            else:
+                assert sequences.kurepa_digits(primes) == want
 
     def test_forced_failure_at_17(self, monkeypatch):
         tree = sequences.kurepa_digits
@@ -118,10 +152,11 @@ class TestKurepaDigit:
             return [0 if q == 17 else d for q, d in zip(primes, digits)]
 
         monkeypatch.setattr(sequences, "kurepa_digits", forced)
-        report = kurepa_gcd_scan(100)
-        assert report.first_failure == 17 and report.gcd_ok_up_to == 16
-        report = kurepa_digit_scan(100)
-        assert report.first_failure == 17 and report.digit_checked_primes == 6
+        for _ in on_routes(monkeypatch):
+            report = kurepa_gcd_scan(100)
+            assert report.first_failure == 17 and report.gcd_ok_up_to == 16
+            report = kurepa_digit_scan(100)
+            assert report.first_failure == 17 and report.digit_checked_primes == 6
 
     def test_digit_scan(self):
         report = kurepa_digit_scan(500)
@@ -155,13 +190,14 @@ class TestKurepaScans:
 
     @pytest.mark.parametrize("gcd_max, digit_max", GRID)
     def test_one_table_matches_the_separate_scans(self, monkeypatch, gcd_max, digit_max):
-        want = kurepa_gcd_scan(gcd_max), kurepa_digit_scan(digit_max)
-        assert self.scans(monkeypatch, gcd_max, digit_max) == want
-        assert self.scans(monkeypatch, gcd_max, None) == (want[0], None)
-        assert self.scans(monkeypatch, None, digit_max) == (None, want[1])
-        assert want[0] == kurepa_gcd_scan_bigint(gcd_max)
         odd = sum(1 for q in range(3, digit_max + 1, 2) if is_prime(q))
-        assert want[1] == KurepaReport(digit_max, 0, odd)
+        for _ in on_routes(monkeypatch):
+            want = kurepa_gcd_scan(gcd_max), kurepa_digit_scan(digit_max)
+            assert self.scans(monkeypatch, gcd_max, digit_max) == want
+            assert self.scans(monkeypatch, gcd_max, None) == (want[0], None)
+            assert self.scans(monkeypatch, None, digit_max) == (None, want[1])
+            assert want[0] == kurepa_gcd_scan_bigint(gcd_max)
+            assert want[1] == KurepaReport(digit_max, 0, odd)
 
     @pytest.mark.parametrize("gcd_max, digit_max", [(16, 17), (10, 100), (17, 17),
                                                     (17, 100), (100, 17), (200, 30)])
@@ -169,14 +205,15 @@ class TestKurepaScans:
         tree = sequences.kurepa_digits
         monkeypatch.setattr(sequences, "kurepa_digits", lambda primes: [
             0 if q == 17 else d for q, d in zip(primes, tree(primes))])
-        gcd, digit = sequences.kurepa_scans(gcd_max, digit_max)
-        assert (gcd, digit) == (kurepa_gcd_scan(gcd_max), kurepa_digit_scan(digit_max))
-        # the 6th odd prime fails both scans once a bound reaches it
-        assert gcd == (KurepaReport(gcd_max, 16, 0, 17) if gcd_max >= 17
-                       else KurepaReport(gcd_max, gcd_max, 0))
         primes_to_d = sum(1 for q in range(3, digit_max + 1, 2) if is_prime(q))
-        assert digit == (KurepaReport(digit_max, 0, 6, 17) if digit_max >= 17
-                         else KurepaReport(digit_max, 0, primes_to_d))
+        for _ in on_routes(monkeypatch):
+            gcd, digit = sequences.kurepa_scans(gcd_max, digit_max)
+            assert (gcd, digit) == (kurepa_gcd_scan(gcd_max), kurepa_digit_scan(digit_max))
+            # the 6th odd prime fails both scans once a bound reaches it
+            assert gcd == (KurepaReport(gcd_max, 16, 0, 17) if gcd_max >= 17
+                           else KurepaReport(gcd_max, gcd_max, 0))
+            assert digit == (KurepaReport(digit_max, 0, 6, 17) if digit_max >= 17
+                             else KurepaReport(digit_max, 0, primes_to_d))
 
     @pytest.mark.parametrize("gcd_max, digit_max", [(1, None), (None, 2), (1, 100), (100, 2)])
     def test_rejects_bad_bound(self, gcd_max, digit_max):
