@@ -136,15 +136,15 @@ def cmd_verify(args, em: Emitter) -> None:
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
     # the cost from the lists' lengths and ends, repeats included, before a range's values
     # are built.  Per (k, x): kmax^2 + n (kmax + #p) steps and records; n steps on values of
-    # up to B bits, and their text; per odd p, a valuation by p, p^2, p^4, .. of up to
-    # N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b.  Per x: the telescopes
+    # up to B bits and their text, shared by all p; per odd p, a valuation by p, p^2, .. of
+    # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b.  Per x: the telescopes
     kmax, n, P = max(ends), args.n_max, count(ps)
     X = max((abs(v.numerator) * v.denominator).bit_length() for x in xs for v in (x[0], x[-1]))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
     k3 = sum((k[-1] * (k[-1] + 1) // 2) ** 2 - ((k[0] - 1) * k[0] // 2) ** 2 for k in ks)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * (
         k3 * (kmax + 8 * X) // 256 + count(ks) * (kmax * kmax + n * (kmax + P) + n * B * (
-            B * (1 + P) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)))
+            B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
     primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])

@@ -93,7 +93,7 @@ def is_prime(n: int) -> bool:
         return True
     if n >= _PSI_13:
         raise ValueError("primality test only deterministic below 3.3e24")
-    r = _int_valuation(n - 1, 2)  # n - 1 = 2^r d, d odd
+    r = vp(n - 1, 2)  # n - 1 = 2^r d, d odd
     d = (n - 1) >> r
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
@@ -131,26 +131,6 @@ def factorial_norm_exponent(n: int, p: Prime) -> int:
     return e
 
 
-def _int_valuation(n: int, p: int) -> int:
-    # n != 0; n & -n is the lowest set bit of n, also for n < 0
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    # one factor of p at a time up to 3, most valuations being small, then by p, p^2,
-    # p^4, .. while it divides and back down by each that still does: O(log v), not v
-    for v in range(4):
-        if (qr := divmod(n, p))[1]:
-            return v
-        n = qr[0]
-    powers, v = [p], 4
-    while not (qr := divmod(n, powers[-1]))[1]:
-        n, v = qr[0], v + (1 << len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for i in range(len(powers) - 2, -1, -1):
-        if not (qr := divmod(n, powers[i]))[1]:
-            n, v = qr[0], v + (1 << i)
-    return v
-
-
 def _rational(q) -> Fraction | int:
     """An int or a Fraction as it is, a float refused, anything else through Fraction."""
     if isinstance(q, float):
@@ -159,11 +139,25 @@ def _rational(q) -> Fraction | int:
 
 
 def vp(q: Fraction | int, p: Prime) -> int | None:
-    """p-adic valuation of a rational; None for v_p(0) = +infinity."""
-    q = _rational(q)
-    if q == 0:
+    """p-adic valuation of a rational; None for v_p(0) = +infinity.  An int is read
+    directly, anything else through Fraction as v_p(numerator) - v_p(denominator)."""
+    if not isinstance(q, int):
+        q = _rational(q)
+        return vp(q.numerator, p) - vp(q.denominator, p) if q else None
+    if not q:
         return None
-    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
+    if p == 2:  # q & -q is the lowest set bit of q, also for q < 0
+        return (q & -q).bit_length() - 1
+    # by p, p^2, p^4, .. while it divides and back down by each that still does:
+    # O(log v) divisions, not v
+    powers, v = [p], 0
+    while not (qr := divmod(q, powers[-1]))[1]:
+        q, v = qr[0], v + (1 << len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in range(len(powers) - 2, -1, -1):
+        if not (qr := divmod(q, powers[i]))[1]:
+            q, v = qr[0], v + (1 << i)
+    return v
 
 
 def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 
-from .padic import Prime, _int_valuation, _rational, _Record, factorial_norm_exponent, vp
+from .padic import Prime, _rational, _Record, factorial_norm_exponent, vp
 from .poly import horner
 from .recurrences import telescope_combo, unit_combo
 
@@ -32,20 +32,16 @@ class SumCertificate(_Record):
     certificate computes `difference` = partial - target and its valuation
     `distance_exponent` (None when partial = target) from its own fields, and
     `ok` reads them, so a forged one fails.  Neither is a field.  partial, target
-    and tail are its identity check's values, ints for an integer x; an int
-    difference takes its valuation directly, anything else through vp.
+    and tail are its identity check's values, ints for an integer x; every
+    difference takes its valuation through vp, which reads an int directly.
     """
 
     def __init__(self, k: int, N: int, x: Fraction, p: Prime, partial: Fraction | int,
                  target: Fraction | int, tail: Fraction | int, bound_exponent: int):
         difference = partial - target
-        if type(difference) is int:
-            e = _int_valuation(difference, p) if difference else None
-        else:
-            e = vp(difference, p)
         self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
                              tail=tail, bound_exponent=bound_exponent, difference=difference,
-                             distance_exponent=e)
+                             distance_exponent=vp(difference, p))
 
     @property
     def ok(self) -> bool:
@@ -161,7 +157,7 @@ def _integer(x: Fraction | int, nonzero: bool = False) -> int:
 @lru_cache(maxsize=4096)
 def _bound(N: int, n: int, p: Prime) -> int:
     """v_p(N!) + N v_p(n), the bound exponent at x = n, shared by every k."""
-    return factorial_norm_exponent(N, p) + N * _int_valuation(n, p)
+    return factorial_norm_exponent(N, p) + N * vp(n, p)
 
 
 def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[SumCertificate]:

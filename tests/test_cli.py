@@ -647,7 +647,7 @@ def refuse_work(monkeypatch, command):
 
 class TestWorkLimit:
     # costs: verify (#x)(sum_k k^3 (kmax + 8 X) // 256 + (#k)(kmax^2 + n (kmax + #p)
-    # + n B (B (1 + #p) + 3 n (1 + X) #odd p) // 8192)), the lists' lengths counted
+    # + n B (B (1 + min(#p, 1)) + 3 n (1 + X) #odd p) // 8192)), the lists' lengths counted
     # with repeats, X the largest bitlen(|a| b) of an x = a/b and B = n (bitlen(n) + X)
     # + kmax (bitlen(kmax) + bitlen(n) + X), sum k^3 (k + 20 bitlen(x)) // 500, triples
     # kmax^4 bitlen(kmax) // 4, sequences kmax^4, bernoulli --nmax nmax^3 // 32,
@@ -749,9 +749,9 @@ class TestWorkLimit:
             # spans and single values mixed in each list; a single k counts k^3 in the
             # telescope term, and a 3..3 span is not the prime 2
             (["verify", "--k", "2..3,5", "--n-max", "4", "--x-set=-4..1,3/2",
-              "--p-list", "2,3"], 1407),
+              "--p-list", "2,3"], 1365),
             (["verify", "--k", "1..3,7,2..2", "--n-max", "5", "--x-set=5,-7/3,0..2",
-              "--p-list", "5,2,3..3"], 3980),
+              "--p-list", "5,2,3..3"], 3555),
         ],
     )
     def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):

@@ -18,7 +18,7 @@ from padicsum import (
     vp,
 )
 from padicsum import padic
-from padicsum.padic import _int_valuation, work_limit
+from padicsum.padic import work_limit
 
 PRIMES = [Prime(p) for p in (2, 3, 5, 7, 11)]
 
@@ -218,8 +218,8 @@ class TestVp:
     def test_two_adic_shortcut_matches_the_loop(self, m, e):
         # the lowest set bit reads v_2 in O(1), also for negatives and past 2^64
         for n in (m << e, -(m << e), m, -m):
-            assert _int_valuation(n, 2) == loop_valuation(n, 2)
-        assert _int_valuation(1 << 200, 2) == 200 and _int_valuation(-(3 << 70), 2) == 70
+            assert vp(n, 2) == loop_valuation(n, 2)
+        assert vp(1 << 200, 2) == 200 and vp(-(3 << 70), 2) == 70
 
     @pytest.mark.parametrize("pi", [3, 5, 7, 11, 101])
     def test_odd_primes_by_repeated_squaring_match_the_loop(self, pi):
@@ -228,27 +228,35 @@ class TestVp:
         for e in range(301):
             for u in (1, pi - 1, pi**40 + 1):
                 n = u * pi**e
-                assert _int_valuation(n, pi) == _int_valuation(-n, pi) == loop_valuation(n, pi) == e
+                assert vp(n, pi) == vp(-n, pi) == loop_valuation(n, pi) == e
 
     def test_large_valuations_take_logarithmically_many_divisions(self, monkeypatch):
         # a module-level divmod shadows the builtin the valuation calls, so each
-        # big-int division is counted: a loop over the factors would take v of them
+        # big-int division is counted: a loop over the factors would take v of them.
+        # A rational that is not an integer is v_p(numerator) - v_p(denominator), so
+        # a large |v| in either place takes the same ladder
         calls = []
         monkeypatch.setattr(padic, "divmod", lambda n, d: calls.append(d) or divmod(n, d),
                             raising=False)
-        for pi, e, u in ((3, 100_000, 2), (3, 4, 2), (5, 2**14 - 1, 7), (101, 777, 100)):
+        for q, pi, e in ((2 * 3**100_000, 3, 100_000), (2 * 3**4, 3, 4),
+                         (7 * 5 ** (2**14 - 1), 5, 2**14 - 1), (100 * 101**777, 101, 777),
+                         (Fraction(2, 3**100_000), 3, -100_000),
+                         (Fraction(7 * 5**16_383, 11), 5, 16_383),
+                         (Fraction(4, 9 * 101**777), 101, -777)):
             calls.clear()
-            assert _int_valuation(u * pi**e, pi) == e
-            assert len(calls) <= 6 + 2 * math.log2(e), (pi, e, len(calls))
-        # a small valuation divides by p once per factor, and once more
-        for e in range(4):
+            assert vp(q, pi) == e
+            assert len(calls) <= 6 + 2 * math.log2(abs(e)), (pi, e, len(calls))
+        # a small valuation takes the same ladder: up while each power divides, the
+        # first that does not included, then back down from the one below it
+        ladders = [[3], [3, 9, 3], [3, 9, 3], [3, 9, 81, 9, 3]]
+        for e, ladder in enumerate(ladders):
             calls.clear()
-            assert _int_valuation(2 * 3**e, 3) == e and calls == [3] * (e + 1)
+            assert vp(2 * 3**e, 3) == e and calls == ladder
 
     def test_negative_ints_for_odd_primes(self):
         for pi in (3, 5, 7):
             for n in range(1, 400):
-                assert _int_valuation(-n, pi) == _int_valuation(n, pi) == loop_valuation(n, pi)
+                assert vp(-n, pi) == vp(n, pi) == loop_valuation(n, pi)
 
 
 class TestFloatsAreRefused:

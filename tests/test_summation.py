@@ -367,8 +367,9 @@ class TestCertificates:
 
     def test_int_distance_matches_the_loop_oracle(self, monkeypatch):
         # int differences u * p^v, u prime to p, of either sign and v up to 60,
-        # take their valuation without vp
-        monkeypatch.setattr(summation, "vp", None)
+        # reach vp as the ints they are
+        calls = []
+        monkeypatch.setattr(summation, "vp", lambda q, p: calls.append(q) or vp(q, p))
         rng = random.Random(21)
         for pi in (2, 3, 5, 7, 31):
             p = Prime(pi)
@@ -378,7 +379,9 @@ class TestCertificates:
                     d = rng.choice((-1, 1)) * u * pi**v
                     target = rng.randrange(-10**40, 10**40)
                     for bound in (v - 1, v, v + 1):
+                        calls.clear()
                         cert = SumCertificate(1, 7, Fraction(3), p, target + d, target, d, bound)
+                        assert calls == [d] and type(calls[0]) is int
                         assert cert.difference == d and type(cert.distance_exponent) is int
                         assert cert.distance_exponent == loop_valuation(d, pi) == v
                         assert cert.ok is (bound <= v)
@@ -396,8 +399,8 @@ class TestCertificates:
         assert cert.distance_exponent == 2 and cert.ok
         assert SumCertificate(1, 1, 1, Prime(3), Fraction(1, 3), 0, 0, 0).distance_exponent == -1
         assert len(calls) == 2
-        SumCertificate(1, 1, 1, Prime(3), 12, 3, 9, 2)  # int fields: vp is not read
-        assert len(calls) == 2
+        SumCertificate(1, 1, 1, Prime(3), 12, 3, 9, 2)  # int fields: vp reads the int
+        assert len(calls) == 3 and calls[2] == 9 and type(calls[2]) is int
         with pytest.raises(TypeError, match="float"):
             SumCertificate(1, 1, 1, Prime(3), 12.0, 3, 9, 2)
 
