@@ -9,18 +9,15 @@ error, 141 stdout closed by its reader.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from types import SimpleNamespace
 
-from .bernoulli import (
-    bernoulli_identity_partial,
-    bernoulli_numbers,
-    volkenborn_level,
-)
+from .bernoulli import bernoulli_identity_partial, bernoulli_numbers, volkenborn_level
 from .padic import Prime, in_convergence_domain, padic_expand, require_within_limit
 from .poly import render_poly
 from .recurrences import iter_triples
@@ -78,6 +75,15 @@ def count(parts: list) -> int:
 def expand(parts: list, kind=int) -> list:
     """The values `parts` lists, in order, each as `kind`."""
     return [kind(v) for part in parts for v in part]
+
+
+def rationals(text: str) -> str:
+    """The text of a flag's rationals, refused before Fraction builds any when their d digits,
+    with each exponent's zeros (1e300000 is 10^300000), cost d^2 // 128 past the work limit;
+    at 1e300000, verify --x-set took 4.1 s, padic --value 2.1 s and sum --x 1.4 s."""
+    d = len(text) + sum(abs(int(e)) for e in re.findall(r"e([-+]?\d+(?:_\d+)*)", text, re.I))
+    require_within_limit(f"about {d} digits", d * d // 128)
+    return text
 
 
 def parse_exact(flag: str, text, parse: Callable = Fraction):
@@ -216,31 +222,33 @@ def cmd_sum(args, em: Emitter) -> None:
 
 
 def cmd_padic(args, em: Emitter) -> None:
-    require_at_least({"--digits": (args.digits, 1)})
+    digits = 10 if args.digits is None else args.digits
+    require_at_least({"--digits": (digits, 1)})
     q = parse_exact("--value", args.value)
     p = parse_exact("--p", args.p, Prime)
     # D divmods of a residue of D log2(p) bits
-    require_within_limit("--digits", args.digits**2 * (p - 1).bit_length() // 32)
-    exp = padic_expand(q, p, args.digits)
+    require_within_limit("--digits", digits**2 * (p - 1).bit_length() // 32)
+    exp = padic_expand(q, p, digits)
     in_Zp = in_convergence_domain(q, p)
     result = {"valuation": "inf" if q == 0 else exp.valuation, "digits": list(exp.digits),
               "in_Zp": in_Zp}
     note = "" if in_Zp else "  [outside Z_p: negative valuation]"
-    em.record({"value": fmt_q(q), "p": p, "digits": args.digits}, result, True,
+    em.record({"value": fmt_q(q), "p": p, "digits": digits}, result, True,
               lambda: f"{fmt_q(q)} = {exp}{note}")
 
 
 def cmd_bernoulli(args, em: Emitter) -> None:
-    if args.N is not None and args.identity is None:
-        raise ValueError("--N needs --identity")
+    if [args.nmax, args.identity, args.level].count(None) != 2:
+        raise ValueError("bernoulli takes exactly one of --nmax, --identity and --level")
+    if (args.N is None) != (args.identity is None):
+        raise ValueError("--N needs --identity" if args.identity is None
+                         else "--identity needs --N")
     if args.poly is not None and args.level is None:
         raise ValueError("--poly needs --level")
     p_raw, m = args.level or (None, None)
     require_at_least({"--nmax": (args.nmax, 0), "--identity": (args.identity, 1),
                       "--N": (args.N, 1), "--level M": (m, 1)})
     if args.identity is not None:
-        if args.N is None:
-            raise ValueError("--identity needs --N")
         k, N = args.identity, args.N
         # the table to N + k - 1, as for --nmax, and the k-th triple
         require_within_limit("--identity and --N", (N + k - 1) ** 3 // 32 + k**4 // 24)
@@ -249,7 +257,7 @@ def cmd_bernoulli(args, em: Emitter) -> None:
         em.record({"k": k, "N": N}, {"lhs": fmt_q(lhs), "rhs": fmt_q(rhs)}, ok,
                   lambda: f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} "
                   f"rhs={fmt_q(rhs)} {'ok' if ok else 'FAIL'}")
-    elif args.level:
+    elif args.level is not None:
         p = parse_exact("--level P", p_raw, Prime)
         parts = parse_exact("--poly", "0,1" if args.poly is None else args.poly, parse_parts)
         # a sum of Fractions for each degree below d, of about d log2(p^m d) bits
@@ -312,69 +320,73 @@ def cmd_sequences(args, em: Emitter) -> None:
                   lambda: f"{labels[name]}: {', '.join(str(v) for v in values)}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="padicsum",
-        description="Exact p-adic invariant summation of factorial series.",
-    )
-    ap.add_argument(
-        "--format",
-        choices=("human", "machine"),
-        default="human",
-        help="machine mode prints one JSON record per line",
-    )
-    sub = ap.add_subparsers(dest="cmd", required=True)
+# each command's help and flags: a flag reads one value of its type, or one value of
+# each type of a tuple (--level P M), and a flag not given reads None
+COMMANDS = {
+    "triples": ("render the U_k, V_k, A_{k-1} families", {"--kmax": int}),
+    "verify": ("check the finite identity on a grid",
+               {"--k": str, "--n-max": int, "--x-set": rationals, "--p-list": str}),
+    "sum": ("p-adic invariant sum V_k(x) or combo Q(x)",
+            {"--k": int, "--x": rationals, "--C": str}),
+    "padic": ("canonical p-adic expansion of a rational",
+              {"--value": rationals, "--p": int, "--digits": int}),
+    "bernoulli": ("Bernoulli table / identity / level sums", {
+        "--nmax": int, "--identity": int, "--N": int, "--level": (int, int), "--poly": str}),
+    "kurepa": ("left-factorial hypothesis scans", {"--gcd-max": int, "--digit-max": int}),
+    "sequences": ("the four U/V sequences at x = +-1", {"--kmax": int}),
+}
+REQUIRED = {"--kmax", "--k", "--n-max", "--x-set", "--x", "--value", "--p"}
 
-    p = sub.add_parser("triples", help="render the U_k, V_k, A_{k-1} families")
-    p.add_argument("--kmax", type=int, required=True)
 
-    p = sub.add_parser("verify", help="check the finite identity on a grid")
-    p.add_argument("--k", required=True, help="k values: comma list or a..b")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--x-set", required=True, help="rationals: comma list or a..b")
-    p.add_argument("--p-list", help="primes for truncation certificates")
-
-    p = sub.add_parser("sum", help="p-adic invariant sum V_k(x) or combo Q(x)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--C", help="comma list C_1..C_k for a linear combination")
-
-    p = sub.add_parser("padic", help="canonical p-adic expansion of a rational")
-    p.add_argument("--value", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--digits", type=int, default=10)
-
-    p = sub.add_parser("bernoulli", help="Bernoulli table / identity / level sums")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--nmax", type=int)
-    mode.add_argument("--identity", type=int, metavar="K")
-    mode.add_argument("--level", type=int, nargs=2, metavar=("P", "M"))
-    p.add_argument("--N", type=int, help="with --identity")
-    p.add_argument("--poly", help="with --level: integer coefficients, ascending powers")
-
-    p = sub.add_parser("kurepa", help="left-factorial hypothesis scans")
-    p.add_argument("--gcd-max", type=int)
-    p.add_argument("--digit-max", type=int)
-
-    p = sub.add_parser("sequences", help="the four U/V sequences at x = +-1")
-    p.add_argument("--kmax", type=int, required=True)
-
-    return ap
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """argv's command and flags, each under its name less the dashes (--n-max as n_max),
+    or the help text -h or --help asks for.  A flag is spelled in full, its value follows
+    after = or a space, even one starting with -, and a repeated flag keeps its last."""
+    cmd, flags, given = None, {"--format": str}, {"--format": "human"}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):  # every command's flags, the required ones bare
+            return ("usage: padicsum [--format human|machine] <command> [flags], each flag "
+                    "with one value (--level with two: P M)\n" + "".join(
+                        f"  {name} {' '.join(f if f in REQUIRED else f'[{f}]' for f in names)}\n"
+                        f"      {about}\n" for name, (about, names) in COMMANDS.items()))
+        if cmd is None and not token.startswith("-"):
+            if token not in COMMANDS:
+                raise ValueError(f"unknown command {token!r}: one of {', '.join(COMMANDS)}")
+            cmd, flags = token, COMMANDS[token][1]
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{cmd or 'padicsum'} has no flag {flag}")
+        kinds = flags[flag] if type(flags[flag]) is tuple else (flags[flag],)
+        texts = [text] if eq else []
+        texts += [next(tokens, None) for _ in range(len(kinds) - len(texts))]
+        if None in texts or not flags.keys().isdisjoint(texts):
+            raise ValueError(f"{flag} needs {len(kinds)} value" + "s" * (len(kinds) > 1))
+        values = [parse_exact(flag, text, kind) for kind, text in zip(kinds, texts)]
+        given[flag] = values if len(kinds) > 1 else values[0]
+    if cmd is None:
+        raise ValueError(f"need a command: one of {', '.join(COMMANDS)}")
+    if given["--format"] not in ("human", "machine"):
+        raise ValueError("--format must be human or machine")
+    if missing := [flag for flag in flags if flag in REQUIRED and flag not in given]:
+        raise ValueError(f"{cmd} needs {', '.join(missing)}")
+    return SimpleNamespace(cmd=cmd, format=given["--format"], **{
+        flag[2:].replace("-", "_"): given.get(flag) for flag in flags})
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    em = Emitter(args.cmd, args.format == "machine")
     # exact output prints integers of any length, past CPython's cap on
     # decimal conversion (from 3.10.7; B_n passes it at n = 2064)
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     set_cap = getattr(sys, "set_int_max_str_digits", lambda digits: None)
     set_cap(0)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
+        em = Emitter(args.cmd, args.format == "machine")
         globals()[f"cmd_{args.cmd}"](args, em)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

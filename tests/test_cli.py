@@ -52,6 +52,29 @@ class TestFlagParsing:
         xs = parse_set("0..2", Fraction)
         assert xs == [0, 1, 2] and all(type(x) is Fraction for x in xs)
 
+    def test_rationals_are_charged_for_every_exponent(self, monkeypatch):
+        monkeypatch.delenv("PADICSUM_WORK_LIMIT", raising=False)
+        # d^2 // 128 at d = len(text) + |exponent|, read as Fraction reads one:
+        # 357,770 digits pass, 357,771 do not
+        assert cli.rationals("1e357762") == "1e357762"
+        with pytest.raises(ValueError, match="^about 357771 digits: cost 1000000690 exceeds"):
+            cli.rationals("1e357763")
+        with pytest.raises(ValueError, match="^about 357771 digits"):
+            cli.rationals("-1E-357_760")
+        # every exponent of a list counts: each of these passes alone, not both together
+        assert cli.rationals("1e200000") == "1e200000"
+        with pytest.raises(ValueError, match="^about 400019 digits"):
+            cli.rationals("1e200000,1E+200_000")
+        assert cli.rationals("-3..3,1/2,0.25") == "-3..3,1/2,0.25"
+
+    def test_exponents_read_as_fraction_reads_them(self, capsys):
+        code, out = run(capsys, "--format", "machine", "padic", "--value", "1e5", "--p", "3")
+        assert code == 0 and machine_records(out)[0]["params"]["value"] == 100000
+        code, out = run(capsys, "--format", "machine", "verify", "--k", "1", "--n-max", "1",
+                        "--x-set", "1e2,-2.5e-1,1_0E-1")
+        assert code == 0
+        assert [rec["params"]["x"] for rec in machine_records(out)] == [100, "-1/4", 1]
+
     @pytest.mark.parametrize("text", ["5..1", "1..2..3", "a..2", "1..", "3,2..1"])
     def test_bad_ranges_raise(self, text):
         with pytest.raises(ValueError, match="range"):
@@ -509,7 +532,8 @@ class TestBernoulli:
             code = main(["--format", fmt, "bernoulli", *argv])
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, "")
-            assert "error: " in captured.err
+            assert captured.err == (
+                "error: bernoulli takes exactly one of --nmax, --identity and --level\n")
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no int digit cap"
@@ -694,6 +718,20 @@ class TestWorkLimit:
              "--k, --x-set, --n-max and --p-list"),
             (["verify", "--k", "1..900", "--n-max", "1", "--x-set", "2"],
              "--k, --x-set, --n-max and --p-list"),
+            # an exponent's zeros are charged before Fraction builds the value: these
+            # ran more than 60 s, more than 60 s and 44 s (to build 10^30000000)
+            (["padic", "--value", "1e3000000", "--p", "2", "--digits", "1"],
+             "--value: about 3000009 digits"),
+            (["sum", "--k", "1", "--x", "1e3000000"], "--x: about 3000009 digits"),
+            (["verify", "--k", "1", "--n-max", "1", "--x-set", "1e30000000"],
+             "--x-set: about 30000010 digits"),
+            (["padic", "--value", "1e3_000_000", "--p", "2"], "--value: about 3000011 digits"),
+            (["verify", "--k", "1", "--n-max", "1", "--x-set=0,-1E-3000000"],
+             "--x-set: about 3000013 digits"),
+            # the whole list is charged before any value is built; each value charged
+            # alone passes, and building the 50 took about 1.5 s
+            (["verify", "--k", "1", "--n-max", "1", "--x-set", ",".join(["1e300000"] * 50)],
+             "--x-set: about 15000449 digits"),
         ],
     )
     def test_over_budget_is_usage_error_before_any_work(
@@ -752,6 +790,8 @@ class TestWorkLimit:
               "--p-list", "2,3"], 1365),
             (["verify", "--k", "1..3,7,2..2", "--n-max", "5", "--x-set=5,-7/3,0..2",
               "--p-list", "5,2,3..3"], 3555),
+            # a rational flag's d = len(text) + |exponent|: (8 + 100)^2 // 128
+            (["padic", "--value", "-1e-1_00", "--p", "2", "--digits", "1"], 91),
         ],
     )
     def test_limit_is_inclusive(self, capsys, monkeypatch, argv, cost):
@@ -865,6 +905,28 @@ class TestUsageErrors:
              "--p-list: invalid literal for int() with base 10: ''"),
             # a mode without its modifier
             (("bernoulli", "--identity", "2"), "--identity needs --N"),
+            # the flags themselves: a required one missing, an unknown one, a prefix
+            # (argparse read --km as --kmax), a flag without its value or values, a
+            # flag's name read as a value, a non-int value and a bad --format
+            (("verify", "--k", "1", "--x-set", "1"), "verify needs --n-max"),
+            (("verify", "--x-set", "1"), "verify needs --k, --n-max"),
+            (("padic", "--value", "1"), "padic needs --p"),
+            (("triples", "--kmax", "2", "--bogus", "1"), "triples has no flag --bogus"),
+            (("triples", "--km", "2"), "triples has no flag --km"),
+            (("sum", "--k", "1", "--x=1", "--c", "1"), "sum has no flag --c"),
+            (("triples", "--kmax"), "--kmax needs 1 value"),
+            (("triples", "--kmax="), "--kmax: invalid literal for int() with base 10: ''"),
+            (("bernoulli", "--level", "3"), "--level needs 2 values"),
+            (("verify", "--k", "--n-max", "3", "--x-set", "1"), "--k needs 1 value"),
+            (("triples", "--kmax", "2.0"),
+             "--kmax: invalid literal for int() with base 10: '2.0'"),
+            (("bernoulli", "--level", "3", "x"),
+             "--level: invalid literal for int() with base 10: 'x'"),
+            (("--format", "json", "triples", "--kmax", "1"), "--format must be human or machine"),
+            (("frobnicate",), "unknown command 'frobnicate': one of triples, verify, sum, padic, "
+             "bernoulli, kurepa, sequences"),
+            ((), "need a command: one of triples, verify, sum, padic, bernoulli, kurepa, "
+             "sequences"),
         ],
     )
     def test_malformed_value_names_the_flag(self, capsys, argv, err):
@@ -872,6 +934,42 @@ class TestUsageErrors:
             code = main(["--format", fmt, *argv])
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"], ["--format", "machine", "--help"]])
+    def test_help_lists_every_command_and_flag(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        lines = captured.out.splitlines()
+        for name, (about, flags) in cli.COMMANDS.items():
+            # each command's line names every flag it reads, optional ones in []
+            words = next(line.split() for line in lines if line.startswith(f"  {name} "))
+            assert [w.strip("[]") for w in words[1:]] == list(flags)
+            assert all((f"[{w}]" in words) == (w not in cli.REQUIRED) for w in flags)
+            assert f"      {about}" in lines
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "padicsum.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, captured.out, "")
+
+    @pytest.mark.parametrize(
+        "spaced, joined",
+        [
+            (["padic", "--value", "-6/5", "--p", "2", "--digits", "12"],
+             ["padic", "--value=-6/5", "--p=2", "--digits=12"]),
+            (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "-3..3", "--p-list", "2,3"],
+             ["verify", "--k=1..2", "--n-max=3", "--x-set=-3..3", "--p-list=2,3"]),
+            (["sum", "--k", "2", "--x", "-1"], ["sum", "--k=2", "--x=-1"]),
+            (["bernoulli", "--level", "5", "2", "--poly", "-1,2"],
+             ["bernoulli", "--level=5", "2", "--poly=-1,2"]),
+        ],
+    )
+    def test_a_value_starting_with_minus_may_follow_a_space(self, capsys, spaced, joined):
+        # argparse took -6/5 and -3..3 for flags, so these needed --flag=value
+        for fmt in ("human", "machine"):
+            code, out = run(capsys, "--format", fmt, *spaced)
+            assert code == 0 and out
+            assert run(capsys, "--format", fmt, *joined) == (code, out)
 
     def test_human_and_machine_same_numbers(self, capsys):
         _, human = run(capsys, "sum", "--k", "3", "--x", "-1")
@@ -968,3 +1066,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def test_main_loads_no_argparse_gettext_or_locale():
+    # argparse, and gettext and locale on its first message lookup, took about
+    # 3.5 ms of every run; locale was loaded inside main, not at import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import padicsum.cli; "
+            "padicsum.cli.main(['--format', 'machine', 'sequences', '--kmax', '1']); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
