@@ -27,7 +27,7 @@ from .recurrences import (
 from .summation import (
     IdentityCheck,
     SumCertificate,
-    certificates_from_check,
+    certificate_from_check,
     factorial_series,
     identity_checks,
     invariant_sum,
@@ -70,7 +70,7 @@ __all__ = [
     "telescope",
     "IdentityCheck",
     "SumCertificate",
-    "certificates_from_check",
+    "certificate_from_check",
     "factorial_series",
     "identity_checks",
     "invariant_sum",

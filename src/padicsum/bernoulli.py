@@ -100,7 +100,7 @@ def bernoulli_identity_partial(k: int, N: int) -> tuple[Fraction, Fraction]:
 
 
 def bernoulli_series_certificate(k: int, p: Prime, N: int) -> SumCertificate:
-    """Certificate that the Bernoulli-weighted partial sum approaches
+    """Certificate at the one prime p that the Bernoulli-weighted partial sum approaches
     volkenborn_poly(V_k) with exponent at least v_p(N!) - 1.
 
     The -1 slack comes from |B_n|_p <= p.
@@ -109,4 +109,4 @@ def bernoulli_series_certificate(k: int, p: Prime, N: int) -> SumCertificate:
     target = volkenborn_poly(build_triple(k).V)
     tail = rhs - target  # == N! sum_l A_{k-1,l}(N) B_{N+l}
     bound = factorial_norm_exponent(N, p) - 1
-    return SumCertificate(k, N, Fraction(1), p, lhs, target, tail, bound)
+    return SumCertificate(k, N, Fraction(1), (p,), lhs, target, tail, (bound,))

@@ -22,7 +22,7 @@ from .padic import Prime, in_convergence_domain, padic_expand, require_within_li
 from .poly import render_poly
 from .recurrences import iter_triples
 from .sequences import kurepa_scans, paper_sequences
-from .summation import certificates_from_check, identity_checks, invariant_sum
+from .summation import certificate_from_check, identity_checks, invariant_sum
 # not called here; they stay importable from this module, where perfbench/spans.py
 # traces them
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan  # noqa: F401
@@ -141,23 +141,30 @@ def cmd_verify(args, em: Emitter) -> None:
     ends = [e for k in ks for e in (k[0], k[-1])]
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
     # the cost from the lists' lengths and ends, repeats included, before a range's values
-    # are built.  Per (k, x): kmax^2 + n (kmax + #p) steps and records; n steps on values of
-    # up to B bits and their text, shared by all p; per odd p, a valuation by p, p^2, .. of
-    # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b.  Per x: the telescopes
+    # are built: per x, the larger of its work, 5 ns a unit, and what it holds while a k runs,
+    # 5 units a byte.  Work per (k, x): a stream, kmax^2 steps, n steps of 1 + #p records and
+    # on values of up to B bits and their text, shared by all p, and per odd p a valuation of
+    # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b; per x, the telescopes.
+    # Held: its stream, of kmax + 4 values of up to B bits, and a step's 1 + #p record texts
     kmax, n, P = max(ends), args.n_max, count(ps)
     X = max((abs(v.numerator) * v.denominator).bit_length() for x in xs for v in (x[0], x[-1]))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
     k3 = sum((k[-1] * (k[-1] + 1) // 2) ** 2 - ((k[0] - 1) * k[0] // 2) ** 2 for k in ks)
-    require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * (
-        k3 * (kmax + 8 * X) // 256 + count(ks) * (kmax * kmax + n * (kmax + P) + n * B * (
-            B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)))
+    work = k3 * (kmax + 8 * X) // 256 + count(ks) * (2500 + kmax * kmax + n * (
+        kmax + 700 + 700 * min(P, 1) + 500 * P) + n * B * (
+        B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)
+    held = 10600 + (kmax + 4) * (B + 170) + (1 + P) * (4000 + 16 * B)
+    require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * max(work, held))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
-    primes = parse_exact("--p-list", ps, lambda ps: [Prime(p) for p in dict.fromkeys(expand(ps))])
+    primes = parse_exact("--p-list", ps, lambda ps: tuple(map(Prime, dict.fromkeys(expand(ps)))))
     x_texts = [json_q(x) for x in xs]
     # a machine line is json.dumps of {command, params, result, ok}, spliced from fields
-    # formatted once: each x, a check's head, and its certificates' shared values
-    q_text = json_q if machine else str
+    # formatted once: per grid, each x and each p's rejection; per check, its head and values
+    q_text, inf = (json_q, '"inf"') if machine else (str, "inf")
+    rejected = [f', "p": {p}}}, "result": {{"rejected": true, "reason": "x not in Z_{p}"}}, '
+                '"ok": true}' if machine else f" p={p}: rejected (x not in Z_{p})"
+                for p in primes]
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order
         for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
@@ -166,7 +173,8 @@ def cmd_verify(args, em: Emitter) -> None:
                 x, N, ok = check.x, check.N, check.ok
                 step_ok = step_ok and ok
                 head = ('{"command": "verify", "params": '
-                        f'{{"k": {k}, "N": {N}, "x": {x_text}')
+                        f'{{"k": {k}, "N": {N}, "x": {x_text}' if machine else
+                        f"certificate k={k} N={N} x={x}")
                 lhs = q_text(check.lhs)  # equal values print the same text
                 rhs = lhs if ok else q_text(check.rhs)
                 lines.append(
@@ -174,32 +182,21 @@ def cmd_verify(args, em: Emitter) -> None:
                     f'{json_q(check.tail)}}}, "ok": {"true" if ok else "false"}}}' if machine else
                     f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
                 if x.denominator != 1:
-                    lines += [
-                        f'{head}, "p": {p}}}, "result": {{"rejected": true, "reason": '
-                        f'"x not in Z_{p}"}}, "ok": true}}' if machine else
-                        f"certificate k={k} N={N} x={x} p={p}: rejected (x not in Z_{p})"
-                        for p in primes]
-                    continue
-                partial = target = tail = None  # the fields `text` formats
-                for p, cert in zip(primes, certificates_from_check(check, primes)
-                                   if primes and x else ()):
-                    cert_ok = cert.ok
-                    step_ok = step_ok and cert_ok
-                    e = cert.distance_exponent
-                    achieved = '"inf"' if e is None else e
-                    if not (cert.partial is partial and cert.target is target
-                            and cert.tail is tail):
-                        partial, target, tail = cert.partial, cert.target, cert.tail
-                        text = (f'"partial": {json_q(partial)}, "target": {json_q(target)}, '
-                                f'"tail": {json_q(tail)}' if machine else
-                                f"partial={partial} target={target}")
-                    lines.append(
-                        f'{head}, "p": {p}}}, "result": {{{text}, "achieved_exponent": '
-                        f'{achieved}, "bound_exponent": '
-                        f'{cert.bound_exponent}}}, "ok": {"true" if cert_ok else "false"}}}'
-                        if machine else f"certificate k={k} N={N} x={x} p={p}: {text} "
-                        f"achieved={'inf' if e is None else e} "
-                        f"bound={cert.bound_exponent} {'ok' if cert_ok else 'FAIL'}")
+                    lines += [head + suffix for suffix in rejected]
+                elif primes and x:
+                    cert = certificate_from_check(check, primes)
+                    text = (f'"partial": {json_q(cert.partial)}, "target": '
+                            f'{json_q(cert.target)}, "tail": {json_q(cert.tail)}' if machine
+                            else f"partial={cert.partial} target={cert.target}")
+                    for p, e, bound, cert_ok in zip(cert.primes, cert.distance_exponents,
+                                                    cert.bound_exponents, cert.oks):
+                        step_ok = step_ok and cert_ok
+                        lines.append(
+                            f'{head}, "p": {p}}}, "result": {{{text}, "achieved_exponent": '
+                            f'{inf if e is None else e}, "bound_exponent": {bound}}}, "ok": '
+                            f'{"true" if cert_ok else "false"}}}' if machine else
+                            f"{head} p={p}: {text} achieved={inf if e is None else e} "
+                            f"bound={bound} {'ok' if cert_ok else 'FAIL'}")
             em.emit("\n".join(lines), step_ok)
 
 

@@ -6,9 +6,9 @@ The central identity is
 
 which holds as an exact polynomial statement for any rational x.  For
 integer x the tail vanishes p-adically, so the truncated sum converges to
-V_k(x) in every Q_p at the same value; certificates record the achieved
-p-adic distance exponent together with the provable lower bound
-v_p(N!) + N*v_p(x).
+V_k(x) in every Q_p at the same value; one certificate per partial sum records,
+at each of its primes, the achieved p-adic distance exponent together with the
+provable lower bound v_p(N!) + N*v_p(x).
 """
 
 from __future__ import annotations
@@ -24,29 +24,37 @@ from .recurrences import telescope_combo, unit_combo
 
 
 class SumCertificate(_Record):
-    """Exact witness for one truncated p-adic summation.
+    """Exact witness for one truncated summation, in Q_p for every p of `primes`.
 
-    tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so
-    partial - target = tail holds exactly, and the p-adic distance from the
-    partial sum to the target is at most p^(-bound_exponent).  Building the
-    certificate computes `difference` = partial - target and its valuation
-    `distance_exponent` (None when partial = target) from its own fields, and
-    `ok` reads them, so a forged one fails.  Neither is a field.  partial, target
-    and tail are its identity check's values, ints for an integer x; every
-    difference takes its valuation through vp, which reads an int directly.
+    tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so partial - target = tail
+    holds exactly, the same rationals in every Q_p, and the p-adic distance from the partial
+    sum to the target is at most p^(-b), b the bound exponent of p.  Building the certificate
+    computes `difference` = partial - target once and, per prime, its valuation in
+    `distance_exponents` (None when partial = target) from its own fields, and `oks` reads
+    them, so a forged one fails.  Neither is a field.  partial, target and tail are its
+    identity check's values, ints for an integer x; vp reads an int directly.
     """
 
-    def __init__(self, k: int, N: int, x: Fraction, p: Prime, partial: Fraction | int,
-                 target: Fraction | int, tail: Fraction | int, bound_exponent: int):
+    def __init__(self, k: int, N: int, x: Fraction, primes: tuple[Prime, ...],
+                 partial: Fraction | int, target: Fraction | int, tail: Fraction | int,
+                 bound_exponents: tuple[int, ...]):
+        if not primes or len(primes) != len(bound_exponents):
+            raise ValueError("a certificate needs a prime, and one bound exponent for each")
         difference = partial - target
-        self.__dict__.update(k=k, N=N, x=x, p=p, partial=partial, target=target,
-                             tail=tail, bound_exponent=bound_exponent, difference=difference,
-                             distance_exponent=vp(difference, p))
+        self.__dict__.update(k=k, N=N, x=x, primes=primes, partial=partial, target=target,
+                             tail=tail, bound_exponents=bound_exponents, difference=difference,
+                             distance_exponents=tuple(vp(difference, p) for p in primes))
+
+    @property
+    def oks(self) -> tuple[bool, ...]:
+        """One verdict per prime: difference == tail, and the distance meets the bound."""
+        exact = self.difference == self.tail
+        return tuple(exact and (e is None or e >= b)
+                     for e, b in zip(self.distance_exponents, self.bound_exponents))
 
     @property
     def ok(self) -> bool:
-        e = self.distance_exponent
-        return self.difference == self.tail and (e is None or e >= self.bound_exponent)
+        return all(self.oks)
 
 
 class IdentityCheck(_Record):
@@ -137,11 +145,8 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
 
 
 def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:
-    """Evaluate both sides of the finite identity exactly and compare.
-
-    Inequality can only arise from an implementation bug; the identity
-    itself holds for every rational x.
-    """
+    """Both sides of the finite identity at (k, N, x), evaluated exactly; they differ only
+    through a bug, since the identity holds for every rational x."""
     *_, check = identity_checks(k, x, N)
     return check
 
@@ -160,14 +165,12 @@ def _bound(N: int, n: int, p: Prime) -> int:
     return factorial_norm_exponent(N, p) + N * vp(n, p)
 
 
-def certificates_from_check(check: IdentityCheck, primes: list[Prime]) -> list[SumCertificate]:
-    """One certificate per prime off an identity check at a nonzero integer x: partial = lhs,
-    target = V_k(x) and tail are its values as built, ints for an integer x, and the same
-    objects in every Q_p, so `ok` fails whenever lhs != rhs and only the bound is per prime."""
-    k, N, x, n = check.k, check.N, check.x, _integer(check.x, nonzero=True)
-    partial, target, tail = check.lhs, check.target, check.tail
-    return [SumCertificate(k, N, x, p, partial, target, tail, _bound(N, n, p))
-            for p in primes]
+def certificate_from_check(check: IdentityCheck, primes: tuple[Prime, ...]) -> SumCertificate:
+    """The certificate at every prime of primes off an identity check at a nonzero integer x:
+    its lhs, target V_k(x) and tail, the same in every Q_p; only the bounds are per prime."""
+    N, n = check.N, _integer(check.x, nonzero=True)
+    return SumCertificate(check.k, N, check.x, primes, check.lhs, check.target, check.tail,
+                          tuple(_bound(N, n, p) for p in primes))
 
 
 def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:
@@ -177,7 +180,7 @@ def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -
 
 
 def truncated_padic_sum(k: int, x: Fraction | int, p: Prime, N: int) -> SumCertificate:
-    """Certificate that the N-term partial sum is p-adically close to V_k(x)."""
+    """Certificate at the one prime p that the N-term partial sum is p-adically close to V_k(x)."""
     return truncated_combo_sum(unit_combo(k), x, p, N)
 
 
@@ -188,4 +191,4 @@ def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
     p-adically close to sum_j C_j V_j(x), from one telescope of
     P = sum_j C_j x^j n^j."""
     *_, check = identity_checks(len(C), _integer(x, nonzero=True), N, C)  # x checked first
-    return certificates_from_check(check, [p])[0]
+    return certificate_from_check(check, (p,))

@@ -157,9 +157,9 @@ def test_criterion_6_padic_certificates():
                     cert = truncated_padic_sum(k, x, p, N)
                     want = factorial_norm_exponent(N, p) + N * vp(x, p)
                     # None (infinite) where the tail is 0, e.g. k = 2, x = 1, N = 1
-                    e = cert.distance_exponent
+                    (e,) = cert.distance_exponents
                     ok &= e is None or e >= want
-                    ok &= cert.bound_exponent == want
+                    ok &= cert.bound_exponents == (want,)
                     ok &= cert.ok
                     checked += 1
                 targets.add(cert.target)

@@ -218,8 +218,9 @@ class TestBernoulliCertificates:
     def test_k1_p5_N10(self):
         cert = bernoulli_series_certificate(1, Prime(5), 10)
         assert cert.target == -1
-        assert cert.bound_exponent == factorial_norm_exponent(10, Prime(5)) - 1 == 1
-        assert cert.distance_exponent >= 1
+        assert cert.primes == (Prime(5),)
+        assert cert.bound_exponents == (factorial_norm_exponent(10, Prime(5)) - 1,) == (1,)
+        assert cert.distance_exponents[0] >= 1
 
     def test_targets(self):
         for k, target in ((1, -1), (2, -2), (3, -4)):
@@ -236,8 +237,8 @@ class TestBernoulliCertificates:
                 for N in (1, 4, 9, 15):
                     cert = bernoulli_series_certificate(k, Prime(pi), N)
                     # None (infinite) at k = 1, N = 9 and 15, where the tail is 0
-                    e = cert.distance_exponent
-                    assert e is None or e >= cert.bound_exponent
+                    (e,), (bound,) = cert.distance_exponents, cert.bound_exponents
+                    assert e is None or e >= bound
                     assert cert.ok
 
     def test_fails_when_identity_fails(self, monkeypatch):

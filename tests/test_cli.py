@@ -189,7 +189,7 @@ class TestVerify:
                             continue
                         else:
                             cert = truncated_padic_sum(k, int(x), Prime(p), N)
-                            e = cert.distance_exponent
+                            (e,) = cert.distance_exponents
                             result = {
                                 "partial": fmt_q(cert.partial),
                                 "target": fmt_q(cert.target),
@@ -219,13 +219,14 @@ class TestVerify:
             assert [w.count("\n") for w in writes] == [7] * 6 and writes[0].endswith("\n")
 
     def test_failed_certificate_is_reported(self, capsys, monkeypatch):
-        real = cli.certificates_from_check
+        real = cli.certificate_from_check
 
         def forged(check, primes):
-            return [SumCertificate(c.k, c.N, c.x, c.p, c.partial, c.target, c.tail, 99)
-                    for c in real(check, primes)]
+            c = real(check, primes)
+            return SumCertificate(c.k, c.N, c.x, c.primes, c.partial, c.target, c.tail,
+                                  (99,) * len(c.primes))
 
-        monkeypatch.setattr(cli, "certificates_from_check", forged)
+        monkeypatch.setattr(cli, "certificate_from_check", forged)
         argv = ("verify", "--k", "1", "--n-max", "2", "--x-set", "1", "--p-list", "2")
         code, out = run(capsys, "--format", "machine", *argv)
         assert code == 1
@@ -237,19 +238,23 @@ class TestVerify:
         assert out.count("bound=99 FAIL") == 2
 
     def test_spliced_lines_are_json_dumps(self, capsys, monkeypatch):
-        real = cli.certificates_from_check
+        real = cli.certificate_from_check
 
-        def forge(c):
-            if int(c.p) == 2:  # partial - target != tail: ok false
-                return SumCertificate(c.k, c.N, c.x, c.p, c.partial + 1, c.target, c.tail,
-                                      c.bound_exponent)
-            if int(c.p) == 3:  # partial == target and tail 0: achieved exponent inf
-                return SumCertificate(c.k, c.N, c.x, c.p, c.target, c.target, 0, c.bound_exponent)
+        def forge(check, primes):
+            c = real(check, primes)
+            if c.x == -2:  # partial - target != tail: ok false at every prime
+                return SumCertificate(c.k, c.N, c.x, c.primes, c.partial + 1, c.target, c.tail,
+                                      c.bound_exponents)
+            if c.x == -1:  # partial == target and tail 0: achieved exponent inf at every prime
+                return SumCertificate(c.k, c.N, c.x, c.primes, c.target, c.target, 0,
+                                      c.bound_exponents)
+            if c.x == 1:  # a bound of 99 at p = 2 alone
+                return SumCertificate(c.k, c.N, c.x, c.primes, c.partial, c.target, c.tail,
+                                      (99,) + c.bound_exponents[1:])
             return c
 
-        # one prime's forgery shows in that prime's record alone
-        monkeypatch.setattr(cli, "certificates_from_check",
-                            lambda check, primes: [forge(c) for c in real(check, primes)])
+        # a forged bound at one prime shows in that prime's record alone
+        monkeypatch.setattr(cli, "certificate_from_check", forge)
         code, out = run(
             capsys, "--format", "machine", "verify", "--k", "1..2", "--n-max", "3",
             "--x-set=-2..1,3/2,-5/4", "--p-list", "2,3,5",
@@ -262,12 +267,17 @@ class TestVerify:
             assert json.dumps(json.loads(line)) == line
         recs = machine_records(out)
         assert {r["params"]["x"] for r in recs} == {-2, -1, 0, 1, "3/2", "-5/4"}
-        certs = {p: [r for r in recs if r["params"].get("p") == p
-                     and "partial" in r["result"]] for p in (2, 3, 5)}
-        assert not any(r["ok"] for r in certs[2])
+        certs = {x: [r for r in recs if r["params"]["x"] == x and "partial" in r["result"]]
+                 for x in (-2, -1, 1)}
+        assert all(len(certs[x]) == 6 * 3 for x in certs)
+        assert not any(r["ok"] for r in certs[-2])
         assert all(r["ok"] and r["result"]["achieved_exponent"] == "inf"
-                   and r["result"]["tail"] == 0 for r in certs[3])
-        assert all(r["ok"] for r in certs[5])
+                   and r["result"]["tail"] == 0 for r in certs[-1])
+        # at p = 2 only an infinite distance, where k = 2 and N = 1 leave tail 0, meets 99
+        assert all(r["ok"] is (r["params"]["p"] != 2 or r["result"]["achieved_exponent"] == "inf")
+                   and (r["result"]["bound_exponent"] == 99) is (r["params"]["p"] == 2)
+                   for r in certs[1])
+        assert sum(not r["ok"] for r in certs[1]) == 5
         assert any(isinstance(r["result"].get("lhs"), str) for r in recs)
         assert all(r["result"] == {"rejected": True, "reason": f"x not in Z_{r['params']['p']}"}
                    for r in recs if r["params"]["x"] in ("3/2", "-5/4") and "p" in r["params"])
@@ -277,29 +287,32 @@ class TestVerify:
             "--p-list", "2,3,5",
         )
         assert code == 1
-        human = {p: [line for line in out.splitlines() if f" p={p}: partial=" in line]
-                 for p in (2, 3, 5)}
-        assert len(human[2]) == len(human[3]) == len(human[5]) == 6 * 3
-        assert all(line.endswith(" FAIL") for line in human[2])
-        assert all(" achieved=inf " in line and line.endswith(" ok") for line in human[3])
-        assert all(line.endswith(" ok") for line in human[5])
+        human = {x: [line for line in out.splitlines()
+                     if line.startswith("certificate ") and f" x={x} p=" in line
+                     and ": partial=" in line] for x in (-2, -1, 1)}
+        assert all(len(human[x]) == 6 * 3 for x in human)
+        assert all(line.endswith(" FAIL") for line in human[-2])
+        assert all(" achieved=inf " in line and line.endswith(" ok") for line in human[-1])
+        assert all(line.endswith(" bound=99 FAIL" if " p=2:" in line and " achieved=inf "
+                                 not in line else " ok") for line in human[1])
+        assert sum(line.endswith(" FAIL") for line in human[1]) == 5
 
     def test_each_certificate_prints_its_own_fields(self, capsys, monkeypatch):
-        real = cli.certificates_from_check
+        real = cli.certificate_from_check
 
-        def forge(c):  # the middle prime of three: partial - target != tail
-            if int(c.p) != 3:
+        def forge(check, primes):  # the middle x of three: partial - target != tail
+            c = real(check, primes)
+            if c.x != 1:
                 return c
-            return SumCertificate(c.k, c.N, c.x, c.p, c.partial + 1, c.target - 1, c.tail + 3,
-                                  c.bound_exponent)
+            return SumCertificate(c.k, c.N, c.x, c.primes, c.partial + 1, c.target - 1,
+                                  c.tail + 3, c.bound_exponents)
 
-        monkeypatch.setattr(cli, "certificates_from_check",
-                            lambda check, primes: [forge(c) for c in real(check, primes)])
+        monkeypatch.setattr(cli, "certificate_from_check", forge)
         argv = ("verify", "--k", "1..2", "--n-max", "3", "--x-set=-2,1,3", "--p-list", "2,3,5")
 
         def expected(k, N, x, p):
             c = verify_identity(k, N, x)
-            shift = (1, -1, 3) if p == 3 else (0, 0, 0)
+            shift = (1, -1, 3) if x == 1 else (0, 0, 0)
             return tuple(v + s for v, s in zip((c.lhs, c.target, c.tail), shift))
 
         code, out = run(capsys, "--format", "machine", *argv)
@@ -309,7 +322,7 @@ class TestVerify:
         for r in certs:
             shown = tuple(r["result"][f] for f in ("partial", "target", "tail"))
             assert shown == expected(*r["params"].values())
-            assert r["ok"] is (r["params"]["p"] != 3)
+            assert r["ok"] is (r["params"]["x"] != 1)
         # human mode prints partial and target
         code, out = run(capsys, *argv)
         assert code == 1
@@ -320,7 +333,21 @@ class TestVerify:
             k, N, x, p = (int(word.split("=")[1]) for word in head.split()[1:])
             partial, target, _ = expected(k, N, x, p)
             assert rest.startswith(f"partial={partial} target={target} achieved=")
-            assert rest.endswith(" FAIL" if p == 3 else " ok")
+            assert rest.endswith(" FAIL" if x == 1 else " ok")
+
+    def test_one_certificate_per_check_on_the_benchmark_grid(self, capsys, monkeypatch):
+        # the seed-0 verify workload: k 1..10 and N 1..15 at six nonzero integer x
+        # build 900 certificates, each for all four primes, and print 3,600 records
+        built = []
+        init = SumCertificate.__init__
+        monkeypatch.setattr(SumCertificate, "__init__",
+                            lambda self, *args: built.append(args[3]) or init(self, *args))
+        code, out = run(capsys, "--format", "machine", "verify", "--k", "1..10", "--n-max",
+                        "15", "--x-set=-3..3,-6/5,-6/7", "--p-list", "2,3,5,7")
+        assert code == 0
+        assert len(built) == 10 * 15 * 6 == 900
+        assert set(built) == {(2, 3, 5, 7)}
+        assert sum('"achieved_exponent"' in line for line in out.splitlines()) == 4 * 900
 
     def test_repeated_grid_values_are_read_once(self, capsys):
         # k, x (by value) and p each once: a repeat adds no record
@@ -670,10 +697,12 @@ def refuse_work(monkeypatch, command):
 
 
 class TestWorkLimit:
-    # costs: verify (#x)(sum_k k^3 (kmax + 8 X) // 256 + (#k)(kmax^2 + n (kmax + #p)
-    # + n B (B (1 + min(#p, 1)) + 3 n (1 + X) #odd p) // 8192)), the lists' lengths counted
-    # with repeats, X the largest bitlen(|a| b) of an x = a/b and B = n (bitlen(n) + X)
-    # + kmax (bitlen(kmax) + bitlen(n) + X), sum k^3 (k + 20 bitlen(x)) // 500, triples
+    # costs: verify (#x) max(work, held), work = sum_k k^3 (kmax + 8 X) // 256 + (#k)(2500
+    # + kmax^2 + n (kmax + 700 + 700 min(#p, 1) + 500 #p) + n B (B (1 + min(#p, 1))
+    # + 3 n (1 + X) #odd p) // 8192) and held = 10600 + (kmax + 4)(B + 170) + (1 + #p)(4000
+    # + 16 B), the lists' lengths counted with repeats, X the largest bitlen(|a| b) of an
+    # x = a/b and B = n (bitlen(n) + X) + kmax (bitlen(kmax) + bitlen(n) + X), sum
+    # k^3 (k + 20 bitlen(x)) // 500, triples
     # kmax^4 bitlen(kmax) // 4, sequences kmax^4, bernoulli --nmax nmax^3 // 32,
     # --identity K --N N (N + K - 1)^3 // 32 + K^4 // 24, --level P M with a
     # d-coefficient --poly d^3 (M bitlen(P) + bitlen(d)) // 5, padic D^2 bitlen(p - 1) // 32
@@ -732,6 +761,12 @@ class TestWorkLimit:
             # alone passes, and building the 50 took about 1.5 s
             (["verify", "--k", "1", "--n-max", "1", "--x-set", ",".join(["1e300000"] * 50)],
              "--x-set: about 15000449 digits"),
+            # these passed at about 2 units an x, each x's stream and step held at once:
+            # 10^5 values ran 1.65 s and peaked at 288 MB, and 10^6 would need about 2.7 GB
+            (["verify", "--k", "1", "--n-max", "1", "--x-set=1..100000"],
+             "--k, --x-set, --n-max and --p-list"),
+            (["verify", "--k", "1", "--n-max", "1", "--x-set=1..1000000"],
+             "--k, --x-set, --n-max and --p-list"),
         ],
     )
     def test_over_budget_is_usage_error_before_any_work(
@@ -775,9 +810,12 @@ class TestWorkLimit:
             (["sequences", "--kmax", "3"], 81),
             (["sum", "--k", "3", "--x", "256"], 9),  # 3^3 (3 + 20 * 9) // 500
             (["sum", "--k", "2", "--C", "1,1", "--x", "4096"], 4),  # 2^3 (2 + 20 * 13) // 500
-            # 2 k * 2 x * (2^2 + 3 * (2 + 1 prime)); the telescope and bit terms round to 0
-            (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"], 52),
-            (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 10),
+            # 2 x * held, 10600 + (2 + 4)(24 + 170) + 2 (4000 + 16 * 24) at B = 24, above
+            # the work 2 k * (2500 + 2^2 + 3 (2 + 700 + 700 + 500 * 1 prime)) + 13
+            (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"],
+             41064),
+            # held, 10600 + (2 + 4)(24 + 170) + 4000 + 16 * 24, above the work 4610
+            (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 16148),
             (["bernoulli", "--nmax", "12"], 54),
             (["bernoulli", "--identity", "2", "--N", "6"], 10),  # 7^3 // 32 + 2^4 // 24
             (["bernoulli", "--level", "3", "1", "--poly", "1..4"], 64),  # 4^3 (2 + 3) // 5
@@ -787,9 +825,9 @@ class TestWorkLimit:
             # spans and single values mixed in each list; a single k counts k^3 in the
             # telescope term, and a 3..3 span is not the prime 2
             (["verify", "--k", "2..3,5", "--n-max", "4", "--x-set=-4..1,3/2",
-              "--p-list", "2,3"], 1365),
+              "--p-list", "2,3"], 255297),
             (["verify", "--k", "1..3,7,2..2", "--n-max", "5", "--x-set=5,-7/3,0..2",
-              "--p-list", "5,2,3..3"], 3555),
+              "--p-list", "5,2,3..3"], 428180),
             # a rational flag's d = len(text) + |exponent|: (8 + 100)^2 // 128
             (["padic", "--value", "-1e-1_00", "--p", "2", "--digits", "1"], 91),
         ],
@@ -816,7 +854,7 @@ class TestWorkLimit:
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: --k, --x-set, --n-max and --p-list: cost 1800000 "
+        assert captured.err == ("error: --k, --x-set, --n-max and --p-list: cost 14717700000 "
                                 "exceeds work limit 1000000\n")
 
     def test_limit_past_maxsize_refuses_a_span_len_cannot_count(self, capsys, monkeypatch):

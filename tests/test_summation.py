@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from padicsum import (
     Prime,
     SumCertificate,
     build_triple,
-    certificates_from_check,
+    certificate_from_check,
     factorial_norm_exponent,
     factorial_series,
     horner,
@@ -114,7 +114,7 @@ KERNEL_XS = [Fraction(v) for v in range(-3, 4)] + [
 
 # partial - target != tail, and exponent 0 against bound 99
 FORGED = SumCertificate(
-    1, 1, Fraction(1), Prime(2), Fraction(7), Fraction(1), Fraction(2), 99
+    1, 1, Fraction(1), (Prime(2),), Fraction(7), Fraction(1), Fraction(2), (99,)
 )
 
 
@@ -244,19 +244,19 @@ class TestCertificates:
         assert cert.partial == math.factorial(10) - 1
         assert cert.target == -1
         assert cert.tail == math.factorial(10)
-        assert cert.distance_exponent == 2 and cert.bound_exponent == 2
+        assert cert.distance_exponents == (2,) and cert.bound_exponents == (2,)
 
     def test_single_term(self):
         for pi in (2, 3, 7):
             cert = truncated_padic_sum(1, 1, Prime(pi), 1)
             assert cert.partial == 0 and cert.target == -1
-            assert cert.distance_exponent == 0 and cert.bound_exponent == 0
+            assert cert.distance_exponents == (0,) and cert.bound_exponents == (0,)
 
     def test_k2_xm1_p3(self):
         cert = truncated_padic_sum(2, -1, Prime(3), 9)
         assert cert.target == -3
-        assert cert.bound_exponent == 4  # v_3(9!) = 4, v_3(-1) = 0
-        assert cert.distance_exponent >= 4
+        assert cert.bound_exponents == (4,)  # v_3(9!) = 4, v_3(-1) = 0
+        assert cert.distance_exponents[0] >= 4
 
     def test_soundness_grid(self):
         for k in (1, 2, 3):
@@ -266,8 +266,8 @@ class TestCertificates:
                         cert = truncated_padic_sum(k, x, Prime(pi), N)
                         assert cert.partial - cert.target == cert.tail
                         # None (infinite) at k = 2, x = 1, N = 1, where the tail is 0
-                        e = cert.distance_exponent
-                        assert e is None or e >= cert.bound_exponent
+                        (e,), (bound,) = cert.distance_exponents, cert.bound_exponents
+                        assert e is None or e >= bound
 
     def test_p_invariance_of_target(self):
         for k in (1, 2, 4):
@@ -292,33 +292,38 @@ class TestCertificates:
                     lhs, _, tail = oracle_identity(k, c.N, x)
                     for pi in (2, 3, 5, 7):
                         p = Prime(pi)
-                        cert = certificates_from_check(c, [p])[0]
+                        cert = certificate_from_check(c, (p,))
                         for xv in (x, Fraction(x), str(x)):
                             assert cert == truncated_padic_sum(k, xv, p, c.N)
                         assert (cert.partial, cert.tail) == (lhs, tail)
                         assert cert.target == invariant_sum(k, x)
-                        assert cert.bound_exponent == (
-                            legendre_valuation(c.N, p) + c.N * vp(x, p)
+                        assert cert.bound_exponents == (
+                            legendre_valuation(c.N, p) + c.N * vp(x, p),
                         )
-                        assert cert.distance_exponent == vp(tail, p)
+                        assert cert.distance_exponents == (vp(tail, p),)
                         assert cert.ok
 
     def test_all_primes_match_a_field_by_field_oracle(self):
-        # one call per check equals, prime by prime, a certificate built field
-        # by field from verify_identity, v_p(N!) and a dividing-out v_p(x)
-        primes = [Prime(pi) for pi in (2, 3, 5, 7)]
+        # one certificate per check equals one built field by field from
+        # verify_identity, v_p(N!) and a dividing-out v_p(x), and prime by prime
+        # the certificate of that prime alone
+        primes = tuple(Prime(pi) for pi in (2, 3, 5, 7))
         for k in range(1, 7):
             for x in (-3, -2, -1, 1, 2, 3):
                 for c in identity_checks(k, x, 12):
-                    certs = certificates_from_check(c, primes)
-                    assert [cert.p for cert in certs] == primes
+                    cert = certificate_from_check(c, primes)
+                    assert cert.primes == primes
                     v = verify_identity(k, c.N, x)
-                    for p, cert in zip(primes, certs):
-                        bound = factorial_norm_exponent(c.N, p) + c.N * loop_valuation(x, p)
-                        assert cert == SumCertificate(k, c.N, x, p, v.lhs, v.rhs - v.tail,
-                                                      v.tail, bound)
-                        assert cert == certificates_from_check(c, [p])[0]
-                        assert cert.ok
+                    bounds = tuple(factorial_norm_exponent(c.N, p) + c.N * loop_valuation(x, p)
+                                   for p in primes)
+                    assert cert == SumCertificate(k, c.N, x, primes, v.lhs, v.rhs - v.tail,
+                                                  v.tail, bounds)
+                    for i, p in enumerate(primes):
+                        one = certificate_from_check(c, (p,))
+                        assert one.bound_exponents == (cert.bound_exponents[i],)
+                        assert one.distance_exponents == (cert.distance_exponents[i],)
+                        assert one.oks == (cert.oks[i],)
+                    assert cert.ok and cert.oks == (True,) * len(primes)
 
     def test_x_is_rejected_before_the_identity_pass(self, monkeypatch):
         def no_pass(*args):
@@ -335,13 +340,13 @@ class TestCertificates:
     def test_from_check_rejects_rational_or_zero_x(self):
         for x in (0, Fraction(1, 2)):
             with pytest.raises(ValueError):
-                certificates_from_check(verify_identity(2, 3, x), [Prime(3)])[0]
+                certificate_from_check(verify_identity(2, 3, x), (Prime(3),))
 
     def test_from_check_fails_when_identity_fails(self):
         # the target comes from the right-hand side, not from lhs - tail
         c = verify_identity(3, 8, 2)
         forged = IdentityCheck(c.k, c.N, c.x, c.lhs + 1, c.rhs, c.tail)
-        cert = certificates_from_check(forged, [Prime(5)])[0]
+        cert = certificate_from_check(forged, (Prime(5),))
         assert cert.target == invariant_sum(3, 2) == -3
         assert not cert.ok
 
@@ -351,17 +356,17 @@ class TestCertificates:
         assert not FORGED.ok
         # right algebra, bound above the achieved exponent v_5(10!) = 2
         assert not SumCertificate(
-            1, 10, Fraction(1), Prime(5), good.partial, good.target, good.tail, 3
+            1, 10, Fraction(1), (Prime(5),), good.partial, good.target, good.tail, (3,)
         ).ok
 
     def test_forged_int_certificates_fail(self):
-        # the forgeries above with int fields, as certificates_from_check stores them
-        assert not SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99).ok
+        # the forgeries above with int fields, as certificate_from_check stores them
+        assert not SumCertificate(1, 1, Fraction(1), (Prime(2),), 7, 1, 2, (99,)).ok
         good = truncated_padic_sum(1, 1, Prime(5), 10)
         assert (type(good.partial), type(good.target), type(good.tail)) == (int, int, int)
-        head = (good.k, good.N, good.x, good.p)
-        partial, target, tail, bound = good.partial, good.target, good.tail, good.bound_exponent
-        assert not SumCertificate(*head, partial, target, tail, 3).ok
+        head = (good.k, good.N, good.x, good.primes)
+        partial, target, tail, bound = good.partial, good.target, good.tail, good.bound_exponents
+        assert not SumCertificate(*head, partial, target, tail, (3,)).ok
         assert not SumCertificate(*head, partial, target, tail + 5**3, bound).ok
         assert not SumCertificate(*head, partial + 5**3, target, tail, bound).ok
 
@@ -380,79 +385,132 @@ class TestCertificates:
                     target = rng.randrange(-10**40, 10**40)
                     for bound in (v - 1, v, v + 1):
                         calls.clear()
-                        cert = SumCertificate(1, 7, Fraction(3), p, target + d, target, d, bound)
+                        cert = SumCertificate(1, 7, Fraction(3), (p,), target + d, target, d,
+                                              (bound,))
                         assert calls == [d] and type(calls[0]) is int
-                        assert cert.difference == d and type(cert.distance_exponent) is int
-                        assert cert.distance_exponent == loop_valuation(d, pi) == v
+                        (e,) = cert.distance_exponents
+                        assert cert.difference == d and type(e) is int
+                        assert e == loop_valuation(d, pi) == v
                         assert cert.ok is (bound <= v)
                         # the same fields with tail != difference fail at any bound
-                        assert not SumCertificate(1, 7, Fraction(3), p, target + d, target,
-                                                  d + pi ** (v + 1), bound).ok
-        exact = SumCertificate(1, 7, Fraction(3), Prime(2), 5, 5, 0, 99)
-        assert exact.distance_exponent is None and exact.ok
+                        assert not SumCertificate(1, 7, Fraction(3), (p,), target + d, target,
+                                                  d + pi ** (v + 1), (bound,)).ok
+        exact = SumCertificate(1, 7, Fraction(3), (Prime(2),), 5, 5, 0, (99,))
+        assert exact.distance_exponents == (None,) and exact.ok
 
     def test_non_int_fields_go_through_vp(self, monkeypatch):
         calls = []
         monkeypatch.setattr(summation, "vp", lambda q, p: calls.append(q) or vp(q, p))
-        cert = SumCertificate(1, 1, Fraction(1), Prime(3), Fraction(19, 2), Fraction(1, 2), 9, 2)
+        p3 = (Prime(3),)
+        cert = SumCertificate(1, 1, Fraction(1), p3, Fraction(19, 2), Fraction(1, 2), 9, (2,))
         assert calls == [9] and type(calls[0]) is Fraction
-        assert cert.distance_exponent == 2 and cert.ok
-        assert SumCertificate(1, 1, 1, Prime(3), Fraction(1, 3), 0, 0, 0).distance_exponent == -1
+        assert cert.distance_exponents == (2,) and cert.ok
+        assert SumCertificate(1, 1, 1, p3, Fraction(1, 3), 0, 0, (0,)).distance_exponents == (-1,)
         assert len(calls) == 2
-        SumCertificate(1, 1, 1, Prime(3), 12, 3, 9, 2)  # int fields: vp reads the int
+        SumCertificate(1, 1, 1, p3, 12, 3, 9, (2,))  # int fields: vp reads the int
         assert len(calls) == 3 and calls[2] == 9 and type(calls[2]) is int
         with pytest.raises(TypeError, match="float"):
-            SumCertificate(1, 1, 1, Prime(3), 12.0, 3, 9, 2)
+            SumCertificate(1, 1, 1, p3, 12.0, 3, 9, (2,))
 
     def test_from_check_keeps_a_denominator(self):
         c = verify_identity(2, 5, 3)
         forged = IdentityCheck(c.k, c.N, c.x, c.lhs + Fraction(1, 3), c.rhs, c.tail)
-        cert = certificates_from_check(forged, [Prime(3)])[0]
+        cert = certificate_from_check(forged, (Prime(3),))
         assert cert.partial == c.lhs + Fraction(1, 3)
         assert type(cert.partial) is Fraction and cert.partial.denominator == 3
-        assert cert.distance_exponent == -1
+        assert cert.distance_exponents == (-1,)
         assert not cert.ok
 
     def test_every_prime_shares_the_check_target(self):
+        primes = tuple(Prime(pi) for pi in (2, 3, 5, 7, 11))
         for k in (1, 4):
             for x in (-3, -1, 2):
                 for c in identity_checks(k, x, 10):
-                    # an integer x keeps every value an int, as the certificates do
+                    # an integer x keeps every value an int, as the certificate does
                     assert type(c.lhs) is type(c.rhs) is type(c.tail) is int
-                    for pi in (2, 3, 5, 7, 11):
-                        p = Prime(pi)
-                        cert = certificates_from_check(c, [p])[0]
-                        assert cert.target == c.rhs - c.tail == c.target
-                        assert type(cert.target) is type(cert.tail) is int
-                        assert cert.distance_exponent == vp(cert.tail, p)
-                        assert cert.ok
+                    cert = certificate_from_check(c, primes)
+                    assert cert.target == c.rhs - c.tail == c.target
+                    assert type(cert.target) is type(cert.tail) is int
+                    assert cert.distance_exponents == tuple(vp(cert.tail, p) for p in primes)
+                    assert cert.ok
 
     def test_distance_is_computed_not_stored(self):
         # partial - target == tail == 1, so the distance exponent is v_5(1) = 0
         cert = SumCertificate(
-            1, 1, Fraction(1), Prime(5), Fraction(0), Fraction(-1), Fraction(1), 99
+            1, 1, Fraction(1), (Prime(5),), Fraction(0), Fraction(-1), Fraction(1), (99,)
         )
-        assert cert.distance_exponent == 0 and type(cert.distance_exponent) is int
+        assert cert.distance_exponents == (0,) and type(cert.distance_exponents[0]) is int
         assert not cert.ok
 
     def test_infinite_distance(self):
         # partial == target: v_p(0) is None, which meets every bound, and
         # `ok` then rests on tail == 0 alone
-        exact = SumCertificate(1, 1, Fraction(1), Prime(5), -1, -1, 0, 99)
-        assert exact.distance_exponent is None and exact.ok
-        forged = SumCertificate(1, 1, Fraction(1), Prime(5), -1, -1, 1, 99)
-        assert forged.distance_exponent is None and not forged.ok
+        exact = SumCertificate(1, 1, Fraction(1), (Prime(5),), -1, -1, 0, (99,))
+        assert exact.distance_exponents == (None,) and exact.ok
+        forged = SumCertificate(1, 1, Fraction(1), (Prime(5),), -1, -1, 1, (99,))
+        assert forged.distance_exponents == (None,) and not forged.ok
+
+    def test_raised_bounds_fail_at_exactly_their_primes(self):
+        # true values, and each subset of the primes with its bound raised one past
+        # the achieved distance: `oks` is false at exactly that subset
+        primes = tuple(Prime(pi) for pi in (2, 3, 5, 7))
+        good = certificate_from_check(verify_identity(3, 8, 2), primes)
+        assert None not in good.distance_exponents and good.oks == (True,) * 4
+        for raised in product((False, True), repeat=len(primes)):
+            bounds = tuple(e + 1 if r else b for e, b, r
+                           in zip(good.distance_exponents, good.bound_exponents, raised))
+            forged = SumCertificate(good.k, good.N, good.x, primes, good.partial,
+                                    good.target, good.tail, bounds)
+            assert forged.distance_exponents == good.distance_exponents
+            assert forged.oks == tuple(not r for r in raised)
+            assert forged.ok is not any(raised)
+
+    def test_a_wrong_tail_fails_at_every_prime(self):
+        # even a shift that is p-adically small at every prime: tail must be exact
+        primes = tuple(Prime(pi) for pi in (2, 3, 5, 7))
+        for k, x, N in ((1, 1, 10), (3, 2, 8), (2, -3, 5)):
+            good = certificate_from_check(verify_identity(k, N, x), primes)
+            assert good.ok
+            for shift in (1, -1, 2**40 * 3**30 * 5**20 * 7**20):
+                forged = SumCertificate(k, N, good.x, primes, good.partial, good.target,
+                                        good.tail + shift, good.bound_exponents)
+                assert forged.distance_exponents == good.distance_exponents
+                assert forged.oks == (False,) * len(primes) and not forged.ok
+
+    def test_each_prime_reads_its_own_distance_and_bound(self):
+        primes = tuple(Prime(pi) for pi in (7, 2, 3, 5, 11))  # not in ascending order
+        for k in (1, 2, 5):
+            for x in (-6, -2, 1, 3, 10):
+                for c in identity_checks(k, x, 9):
+                    cert = certificate_from_check(c, primes)
+                    assert len(cert.distance_exponents) == len(cert.bound_exponents) == 5
+                    for p, e, bound, ok in zip(primes, cert.distance_exponents,
+                                               cert.bound_exponents, cert.oks):
+                        assert e == vp(c.tail, p)
+                        assert bound == factorial_norm_exponent(c.N, p) + c.N * vp(x, p)
+                        assert ok
+
+    def test_needs_a_prime_and_one_bound_for_each(self):
+        with pytest.raises(ValueError, match="needs a prime"):
+            SumCertificate(1, 1, 1, (), 7, 1, 6, ())
+        with pytest.raises(ValueError, match="one bound exponent for each"):
+            SumCertificate(1, 1, 1, (Prime(2), Prime(3)), 7, 1, 6, (1,))
+        with pytest.raises(ValueError, match="one bound exponent for each"):
+            SumCertificate(1, 1, 1, (Prime(2),), 7, 1, 6, (1, 1))
 
     def test_forged_certificate_fails_under_O(self):
         code = (
             "from fractions import Fraction as F\n"
             "from padicsum import Prime, SumCertificate\n"
-            "c = SumCertificate(1, 1, F(1), Prime(2), F(7), F(1), F(2), 99)\n"
+            "c = SumCertificate(1, 1, F(1), (Prime(2),), F(7), F(1), F(2), (99,))\n"
             "print(c.ok is False, c.ok is False, vars(c)['difference'])\n"
             # int fields: difference != tail, then the exponent 1 below the bound 99
-            "i = SumCertificate(1, 1, 1, Prime(2), 7, 1, 2, 99), "
-            "SumCertificate(1, 1, 1, Prime(2), 7, 1, 6, 99)\n"
-            "print([(c.ok, c.distance_exponent) for c in i])\n"
+            "i = SumCertificate(1, 1, 1, (Prime(2),), 7, 1, 2, (99,)), "
+            "SumCertificate(1, 1, 1, (Prime(2),), 7, 1, 6, (99,))\n"
+            "print([(c.ok, c.distance_exponents) for c in i])\n"
+            # two primes: v_2(6) = 1 meets its bound 1, v_3(6) = 1 misses 99
+            "t = SumCertificate(1, 1, 1, (Prime(2), Prime(3)), 7, 1, 6, (1, 99))\n"
+            "print(t.oks, t.ok)\n"
         )
         src = str(Path(padicsum.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -461,7 +519,7 @@ class TestCertificates:
             env=env, timeout=60,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout == "True True 6\n[(False, 1), (False, 1)]\n"
+        assert out.stdout == "True True 6\n[(False, (1,)), (False, (1,))]\n(True, False) False\n"
 
 
 
@@ -492,7 +550,7 @@ class TestTheorem2:
 
     def test_combo_certificates(self):
         cert = truncated_combo_sum((1,), 1, Prime(7), 7)
-        assert cert.distance_exponent >= 1  # v_7(7!) = 1
+        assert cert.distance_exponents[0] >= 1  # v_7(7!) = 1
         assert cert.ok
 
         cert = truncated_combo_sum((0, 0, 1), 1, Prime(2), 4)
@@ -618,15 +676,16 @@ class TestRecords:
 
     def test_sum_certificate(self):
         good = truncated_padic_sum(1, 1, Prime(5), 10)
-        fields = dict(k=1, N=10, x=good.x, p=good.p, partial=good.partial,
-                      target=good.target, tail=good.tail, bound_exponent=2)
+        fields = dict(k=1, N=10, x=good.x, primes=good.primes, partial=good.partial,
+                      target=good.target, tail=good.tail, bound_exponents=(2,))
         cert = check_record(SumCertificate, **fields)
         # construction stores partial - target = 10! and v_5(10!) = 2 beside
         # the fields, and equality, hash and repr leave them out
-        assert vars(cert) == {**fields, "difference": math.factorial(10), "distance_exponent": 2}
-        assert cert.ok
-        assert cert == good != SumCertificate(**dict(fields, bound_exponent=3))
+        assert vars(cert) == {**fields, "difference": math.factorial(10),
+                              "distance_exponents": (2,)}
+        assert cert.ok and cert.oks == (True,)
+        assert cert == good != SumCertificate(**dict(fields, bound_exponents=(3,)))
         # a forged certificate fails, read after read
-        forged = SumCertificate(1, 1, Fraction(1), Prime(2), 7, 1, 2, 99)
+        forged = SumCertificate(1, 1, Fraction(1), (Prime(2),), 7, 1, 2, (99,))
         assert (forged.ok, forged.ok) == (False, False)
-        assert forged.difference == 6 and forged.distance_exponent == 1
+        assert forged.difference == 6 and forged.distance_exponents == (1,)
