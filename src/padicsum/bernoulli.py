@@ -8,7 +8,6 @@ rational equality, plus certified p-adic limits (-1, -2, -4 for k = 1, 2, 3).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, lcm
 
@@ -24,6 +23,7 @@ def bernoulli_numbers(nmax: int) -> tuple[Fraction, ...]:
     B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)); odd B_n vanish for n >= 3."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
+    from fractions import Fraction
     h = nmax // 2
     T = [0] + [factorial(k) for k in range(h)]  # T[k] = (k-1)! before the sweeps
     for k in range(2, h + 1):
@@ -38,6 +38,7 @@ def bernoulli_numbers(nmax: int) -> tuple[Fraction, ...]:
 def _volkenborn(coeffs, B: tuple[Fraction, ...], shift: int = 0) -> Fraction:
     """sum_l coeffs[l] * B_{shift+l}: the Volkenborn integral (x^n -> B_n) of
     x^shift times the polynomial with these coefficients."""
+    from fractions import Fraction
     return sum((c * B[shift + l] for l, c in enumerate(coeffs)), Fraction(0))
 
 
@@ -60,6 +61,7 @@ def volkenborn_level(coeffs, p: Prime, m: int) -> Fraction:
     limit = work_limit()
     if m > limit.bit_length() or p**m > limit:
         raise ValueError(f"p^m exceeds work limit {limit} (p = {p}, m = {m})")
+    from fractions import Fraction
     M = p**m
     B = bernoulli_numbers(max(len(coeffs) - 1, 0))
     total = Fraction(0)
@@ -85,6 +87,7 @@ def bernoulli_identity_partial(k: int, N: int) -> tuple[Fraction, Fraction]:
     """
     if k < 1 or N < 1:
         raise ValueError("k and N must be >= 1")
+    from fractions import Fraction
     B = bernoulli_numbers(N + k - 1)
     trip = build_triple(k)
     L = lcm(*(q.denominator for q in B))
@@ -109,4 +112,4 @@ def bernoulli_series_certificate(k: int, p: Prime, N: int) -> SumCertificate:
     target = volkenborn_poly(build_triple(k).V)
     tail = rhs - target  # == N! sum_l A_{k-1,l}(N) B_{N+l}
     bound = factorial_norm_exponent(N, p) - 1
-    return SumCertificate(k, N, Fraction(1), (p,), lhs, target, tail, (bound,))
+    return SumCertificate(k, N, 1, (p,), lhs, target, tail, (bound,))

@@ -14,11 +14,10 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .bernoulli import bernoulli_identity_partial, bernoulli_numbers, volkenborn_level
-from .padic import Prime, in_convergence_domain, padic_expand, require_within_limit
+from .padic import Prime, _rational, in_convergence_domain, padic_expand, require_within_limit
 from .poly import render_poly
 from .recurrences import iter_triples
 from .sequences import kurepa_scans, paper_sequences
@@ -86,7 +85,7 @@ def rationals(text: str) -> str:
     return text
 
 
-def parse_exact(flag: str, text, parse: Callable = Fraction):
+def parse_exact(flag: str, text, parse: Callable):
     """`parse(text)`, with a value it refuses or a zero denominator reported
     as a usage error of `flag`."""
     try:
@@ -136,7 +135,7 @@ def cmd_triples(args, em: Emitter) -> None:
 def cmd_verify(args, em: Emitter) -> None:
     machine = em.machine
     ks = parse_exact("--k", args.k, parse_parts)
-    xs = parse_exact("--x-set", args.x_set, lambda text: parse_parts(text, Fraction))
+    xs = parse_exact("--x-set", args.x_set, lambda text: parse_parts(text, _rational))
     ps = parse_exact("--p-list", args.p_list, parse_parts) if args.p_list is not None else []
     ends = [e for k in ks for e in (k[0], k[-1])]
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
@@ -155,8 +154,9 @@ def cmd_verify(args, em: Emitter) -> None:
         B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)
     held = 10600 + (kmax + 4) * (B + 170) + (1 + P) * (4000 + 16 * B)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * max(work, held))
-    # each grid value once: k ascending, x and p in first-seen order
-    ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, Fraction)))
+    # each grid value once: k ascending, x and p in first-seen order, an integer x as an int
+    ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(
+        expand(xs, lambda x: x.numerator if x.denominator == 1 else x)))
     primes = parse_exact("--p-list", ps, lambda ps: tuple(map(Prime, dict.fromkeys(expand(ps)))))
     x_texts = [json_q(x) for x in xs]
     # a machine line is json.dumps of {command, params, result, ok}, spliced from fields
@@ -202,7 +202,7 @@ def cmd_verify(args, em: Emitter) -> None:
 
 def cmd_sum(args, em: Emitter) -> None:
     require_at_least({"--k": (args.k, 1)})
-    x = parse_exact("--x", args.x)
+    x = parse_exact("--x", args.x, _rational)
     if x.denominator != 1:
         raise ValueError("--x must be an integer (p-adic invariance)")
     # k^2 steps on ints of k (log k + bitlen x) bits; --k 800 took 4 s at x = 2
@@ -221,7 +221,7 @@ def cmd_sum(args, em: Emitter) -> None:
 def cmd_padic(args, em: Emitter) -> None:
     digits = 10 if args.digits is None else args.digits
     require_at_least({"--digits": (digits, 1)})
-    q = parse_exact("--value", args.value)
+    q = parse_exact("--value", args.value, _rational)
     p = parse_exact("--p", args.p, Prime)
     # D divmods of a residue of D log2(p) bits
     require_within_limit("--digits", digits**2 * (p - 1).bit_length() // 32)

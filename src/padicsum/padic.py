@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 
 
 class _Record:
@@ -55,6 +54,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen of them as bases, so those
 # bases decide every n below it (Sorenson and Webster, Math. Comp. 86, 2017)
 _PSI_13 = 3_317_044_064_679_887_385_961_981
+_SQUARES: dict[int, list[int]] = {}  # p -> [p, p^2, p^4, ..], vp's ladder, grown on demand
 
 
 def work_limit() -> int:
@@ -133,9 +133,12 @@ def factorial_norm_exponent(n: int, p: Prime) -> int:
 
 def _rational(q) -> Fraction | int:
     """An int or a Fraction as it is, a float refused, anything else through Fraction."""
+    if isinstance(q, int):  # before `fractions` is imported
+        return q
     if isinstance(q, float):
         raise TypeError(f"float {q!r} is inexact: pass an int, a Fraction or a string")
-    return q if isinstance(q, (int, Fraction)) else Fraction(q)
+    from fractions import Fraction
+    return q if isinstance(q, Fraction) else Fraction(q)
 
 
 def vp(q: Fraction | int, p: Prime) -> int | None:
@@ -149,12 +152,13 @@ def vp(q: Fraction | int, p: Prime) -> int | None:
     if p == 2:  # q & -q is the lowest set bit of q, also for q < 0
         return (q & -q).bit_length() - 1
     # by p, p^2, p^4, .. while it divides and back down by each that still does:
-    # O(log v) divisions, not v
-    powers, v = [p], 0
-    while not (qr := divmod(q, powers[-1]))[1]:
-        q, v = qr[0], v + (1 << len(powers) - 1)
-        powers.append(powers[-1] ** 2)
-    for i in range(len(powers) - 2, -1, -1):
+    # O(log v) divisions, not v, on p's ladder, kept from call to call
+    powers, i, v = _SQUARES.get(p) or _SQUARES.setdefault(p, [p]), 0, 0
+    while not (qr := divmod(q, powers[i]))[1]:
+        q, v, i = qr[0], v + (1 << i), i + 1
+        if i == len(powers):  # past the largest valuation yet seen at p: a longer copy
+            _SQUARES[p] = powers = [*powers, powers[-1] ** 2]
+    for i in range(i - 1, -1, -1):
         if not (qr := divmod(q, powers[i]))[1]:
             q, v = qr[0], v + (1 << i)
     return v
@@ -194,10 +198,9 @@ def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
     q = _rational(q)
     if q == 0:
         return PadicExpansion(p, 0, (0,) * precision)
-    v = vp(q, p)
-    unit = q / Fraction(p) ** v
-    modulus = p**precision
-    t = unit.numerator % modulus * pow(unit.denominator, -1, modulus) % modulus
+    v, modulus = vp(q, p), p**precision
+    # the unit part q / p^v, p^|v| dividing q's numerator or its denominator
+    t = q.numerator // p ** max(v, 0) * pow(q.denominator // p ** max(-v, 0), -1, modulus) % modulus
     digits = []
     for _ in range(precision):
         t, d = divmod(t, p)

@@ -7,7 +7,6 @@ structured data (first_failure) instead of raising.
 
 from __future__ import annotations
 
-import decimal
 import math
 from bisect import bisect_right
 from itertools import compress
@@ -20,8 +19,6 @@ from .recurrences import telescope_combo, unit_combo
 
 # kurepa_digits runs on Decimal from this largest prime up, on int below it
 DECIMAL_FROM = 150_000
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-_EXACT.traps[decimal.Inexact] = _EXACT.traps[decimal.Rounded] = True
 
 
 class KurepaReport(_Record):
@@ -39,19 +36,29 @@ class KurepaReport(_Record):
 
 
 def kurepa_digits(primes: list[int]) -> list[int]:
-    """!p mod p for each p of an ascending list of primes, in one pass.
+    """!p mod p for each p of an ascending list of primes, by `_remainder_tree`: on int,
+    or from the prime DECIMAL_FROM up on libmpdec's Decimal, at its widest precision
+    and exponent range, with Inexact and Rounded trapped, so that nothing rounds."""
+    if not primes or primes[-1] < DECIMAL_FROM:
+        return _remainder_tree(primes, int) if primes else []
+    import decimal
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
+    with decimal.localcontext(exact):
+        return _remainder_tree(primes, decimal.Decimal)
+
+
+def _remainder_tree(primes: list[int], num) -> list[int]:
+    """The digits of `kurepa_digits`, on nodes of type num, in one pass.
 
     (!n, n!) advances by [[1, 1], [0, n+1]]; a span's product [[1, b], [0, d]]
-    is carried as (b, d).  walk() takes (!n, n!) depth first down a remainder
-    tree (Costa, Gerbicz, Harvey 2014) on a kept product tree of 16-prime blocks;
-    a leaf block makes one pass over its gaps, reading each digit.  A node's span
-    is read only modulo `after`, the product of the moduli to its right: on int a
-    larger span is reduced by it, and on the right edge, after = 1, none is built.
-    From the prime DECIMAL_FROM up the nodes run on libmpdec's Decimal, exact under
-    _EXACT, with spans unreduced and only block-sized values converted to and from int."""
-    if not primes:
-        return []
-    digits, num = [0] * len(primes), decimal.Decimal if primes[-1] >= DECIMAL_FROM else int
+    is carried as (b, d).  walk() takes (!n, n!), reduced by each node's modulus,
+    depth first down a remainder tree (Costa, Gerbicz, Harvey 2014) on a kept
+    product tree of 16-prime blocks; a leaf block makes one pass over its gaps,
+    reading each digit.  A node's span is read only modulo `after`, the product of
+    the moduli to its right: on int a larger span is reduced by it, and on the
+    right edge, after = 1, none is built; on Decimal spans stay unreduced."""
+    digits = [0] * len(primes)
 
     def walk(k: int, i: int, lf, fact, after) -> tuple:
         lf, fact = lf % (m := tree[k][i]), fact % m
@@ -67,17 +74,17 @@ def kurepa_digits(primes: list[int]) -> list[int]:
         else:
             mr = tree[k - 1][2 * i + 1]  # on Decimal, after only marks the right edge
             bl, dl = walk(k - 1, 2 * i, lf, fact, mr * after if num is int else mr)
-            br, dr = walk(k - 1, 2 * i + 1, lf + bl * fact, dl * fact, after)
+            fr = fact % mr  # the right child's inputs, each already reduced by mr
+            br, dr = walk(k - 1, 2 * i + 1, lf % mr + bl % mr * fr, dl % mr * fr, after)
             b, d = (bl + br * dl, dl * dr) if after != 1 else (0, 0)  # 0 modulo 1
         if num is int and d > after:
             b, d = b % after, d % after
         return b, d
 
-    with decimal.localcontext(_EXACT):
-        tree = [[num(math.prod(primes[j : j + 16])) for j in range(0, len(primes), 16)]]
-        while len(row := tree[-1]) > 1:
-            tree.append([*map(mul, row[::2], row[1::2]), *row[len(row) & ~1 :]])
-        walk(len(tree) - 1, 0, 0, 1, 1)
+    tree = [[num(math.prod(primes[j : j + 16])) for j in range(0, len(primes), 16)]]
+    while len(row := tree[-1]) > 1:
+        tree.append([*map(mul, row[::2], row[1::2]), *row[len(row) & ~1 :]])
+    walk(len(tree) - 1, 0, 0, 1, 1)
     return digits
 
 

@@ -14,7 +14,6 @@ provable lower bound v_p(N!) + N*v_p(x).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 
@@ -35,7 +34,7 @@ class SumCertificate(_Record):
     identity check's values, ints for an integer x; vp reads an int directly.
     """
 
-    def __init__(self, k: int, N: int, x: Fraction, primes: tuple[Prime, ...],
+    def __init__(self, k: int, N: int, x: Fraction | int, primes: tuple[Prime, ...],
                  partial: Fraction | int, target: Fraction | int, tail: Fraction | int,
                  bound_exponents: tuple[int, ...]):
         if not primes or len(primes) != len(bound_exponents):
@@ -97,6 +96,7 @@ def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
     """Exact S_k(N; x) = sum_{n=0}^{N-1} n! n^k x^n, with 0^0 = 1."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    from fractions import Fraction
     x = _rational(x)
     b = x.denominator
     series = factorial_series(lambda n: n**k, x.numerator, b)
@@ -128,6 +128,7 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
     C = _combo(k, C)
     if n_max < 1:
         raise ValueError("N must be >= 1")
+    from fractions import Fraction  # once per stream, not per check
     x = _rational(x)
     a, b, k = x.numerator, x.denominator, len(C)
     Ub, A = telescope_combo(C, a, b)
@@ -176,6 +177,7 @@ def certificate_from_check(check: IdentityCheck, primes: tuple[Prime, ...]) -> S
 def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:
     """The common p-adic value V_k(x) of the infinite series, for integer x;
     with C, sum_j C_j V_j(x), that of the combination, k = len(C)."""
+    from fractions import Fraction
     return Fraction(-telescope_combo(_combo(k, C), _integer(x))[1][0])
 
 

@@ -1117,3 +1117,19 @@ def test_main_loads_no_argparse_gettext_or_locale():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_commands_without_a_rational_load_neither_fractions_nor_decimal():
+    # kurepa below the Decimal route, triples and sequences build no Fraction and no
+    # Decimal, so they load neither module, nor numbers with them: about 1.7 ms of a run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [["kurepa", "--gcd-max", "50", "--digit-max", "50"], ["triples", "--kmax", "3"],
+            ["sequences", "--kmax", "3"]]
+    code = (f"import sys; sys.path.insert(0, {src!r}); import padicsum.cli; "
+            f"codes = [padicsum.cli.main(['--format', 'machine', *argv]) for argv in {runs!r}]; "
+            "print(codes, sorted({'fractions', 'decimal', '_decimal', 'numbers'} "
+            "& set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -253,6 +253,23 @@ class TestVp:
             calls.clear()
             assert vp(2 * 3**e, 3) == e and calls == ladder
 
+    def test_each_prime_keeps_one_ladder_grown_past_its_largest_valuation(self, monkeypatch):
+        # p, p^2, p^4, .. are built once per p, across calls, and only as far as the
+        # largest valuation yet asks; Prime(3) and 3 share a ladder
+        monkeypatch.setattr(padic, "_SQUARES", {})
+        assert vp(2 * 3**5, Prime(3)) == 5 and padic._SQUARES == {3: [3, 9, 81]}
+        ladder = padic._SQUARES[3]
+        for e in (0, 1, 2, 3, 4, 5):
+            assert vp(-(7 * 3**e), 3) == e and padic._SQUARES[3] is ladder
+        assert ladder == [3, 9, 81]
+        # a longer ladder replaces the shorter, which a concurrent call may still read
+        assert vp(3**20, 3) == 20 and padic._SQUARES[3] == [3**2**i for i in range(5)]
+        assert ladder == [3, 9, 81]
+        assert vp(5**3, 5) == 3 and padic._SQUARES[5] == [5, 25, 625] and len(padic._SQUARES) == 2
+        assert vp(2**40, 2) == 40 and 2 not in padic._SQUARES  # v_2 needs no ladder
+        for e in range(70):
+            assert vp(11 * 3**e, 3) == loop_valuation(11 * 3**e, 3) == e
+
     def test_negative_ints_for_odd_primes(self):
         for pi in (3, 5, 7):
             for n in range(1, 400):
@@ -276,6 +293,17 @@ class TestFloatsAreRefused:
     def test_exact_forms_still_pass(self):
         assert vp("1/10", Prime(2)) == -1 and not in_convergence_domain("1/10", Prime(5))
         assert padic_expand("1/2", Prime(3), 3) == padic_expand(Fraction(1, 2), Prime(3), 3)
+
+    def test_an_int_is_read_without_importing_fractions(self, monkeypatch):
+        # with every import of `fractions` made to fail, an int still passes as the
+        # same object and a float is still refused; only another form needs Fraction
+        monkeypatch.setitem(sys.modules, "fractions", None)
+        for n in (0, -7, 2**100):
+            assert padic._rational(n) is n
+        with pytest.raises(TypeError, match="float"):
+            padic._rational(0.5)
+        with pytest.raises(ImportError):
+            padic._rational("1/2")
 
 
 class TestFactorialNormExponent:

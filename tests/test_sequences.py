@@ -123,24 +123,30 @@ class TestKurepaDigit:
                 assert sequences.kurepa_digits(primes) == want, (route, len(primes))
 
     def test_decimal_route_raises_on_any_rounding(self, monkeypatch):
-        # the route's context traps Inexact and Rounded, so a copy too narrow
-        # for the tree's values raises where it would give wrong digits; the
-        # int route does not read the context
-        narrow = sequences._EXACT.copy()
-        narrow.prec = 20
-        with pytest.raises(decimal.Inexact):
-            narrow.multiply(10**15 + 1, 10**15 + 3)
-        with pytest.raises(decimal.Rounded):
-            narrow.multiply(10**15, 10**15)
+        # the Decimal route enters a context that traps Inexact and Rounded, so that
+        # context narrowed raises where it would give wrong digits; the int route
+        # enters no decimal context at all
+        entered, localcontext = [], decimal.localcontext
+
+        def narrowed(context):
+            entered.append(narrow := context.copy())
+            narrow.prec = 20
+            return localcontext(narrow)
+
+        monkeypatch.setattr(decimal, "localcontext", narrowed)
         primes = sequences.odd_primes(2000)
         want = [kurepa_digit(Prime(q)) for q in primes]
-        monkeypatch.setattr(sequences, "_EXACT", narrow)
         for route in on_routes(monkeypatch):
             if route == "Decimal":
                 with pytest.raises((decimal.Inexact, decimal.Rounded)):
                     sequences.kurepa_digits(primes)
             else:
-                assert sequences.kurepa_digits(primes) == want
+                assert sequences.kurepa_digits(primes) == want and entered == []
+        [narrow] = entered
+        with pytest.raises(decimal.Inexact):
+            narrow.multiply(10**15 + 1, 10**15 + 3)
+        with pytest.raises(decimal.Rounded):
+            narrow.multiply(10**15, 10**15)
 
     def test_forced_failure_at_17(self, monkeypatch):
         tree = sequences.kurepa_digits
