@@ -8,6 +8,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -1092,6 +1093,48 @@ def test_closed_pipe_exits_141_without_traceback():
     assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_emit_writes_each_step_as_given_in_one_write(monkeypatch, capsys):
+    # a verify step's text is one line per (x, p): at --x-set=1..20000 and the 25 primes
+    # below 100 it is tens of MB, so emit writes the object it gets, with no copy
+    argv = ["--format", "machine", "verify", "--k", "1..2", "--n-max", "3", "--x-set=-1..2",
+            "--p-list", "2,3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(argv) == 0
+    assert len(writes) == 2 * 3 and all(text.endswith("\n") for text in writes)
+    assert "".join(writes) == expected
+    em, text = cli.Emitter("verify", True), "".join(["{}\n", "{}\n"])
+    em.emit(text, False)
+    assert writes[-1] is text and em.ok is False
+
+
+def test_main_freezes_the_heap_at_exit_once_a_process():
+    # finalization's collections skip a frozen heap, about 6 ms of each run; the script
+    # calls main three times in one process and checks the hook from an earlier one
+    script = Path(__file__).with_name("exit_freeze_check.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(line.endswith(" ok") for line in lines), lines
+
+
+def test_shutdown_under_dev_mode_warns_of_nothing_and_flushes_every_record():
+    # -X dev reports unclosed files and unraisable exceptions at shutdown, and -W error
+    # makes any warning fatal; the heap frozen at exit must add neither, nor lose a record
+    argv = ["--format", "machine", "bernoulli", "--nmax", "600"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-X", "dev", "-W", "error", "-m", "padicsum.cli",
+                             *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.endswith(b"\n")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 601 and records[-1]["params"] == {"n": 600}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
