@@ -31,7 +31,6 @@ from .summation import (
     factorial_series,
     identity_checks,
     invariant_sum,
-    partial_sum_Sk,
     truncated_combo_sum,
     truncated_padic_sum,
     verify_identity,
@@ -74,7 +73,6 @@ __all__ = [
     "factorial_series",
     "identity_checks",
     "invariant_sum",
-    "partial_sum_Sk",
     "truncated_combo_sum",
     "truncated_padic_sum",
     "verify_identity",

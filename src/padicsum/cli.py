@@ -16,16 +16,18 @@ import os
 import re
 import sys
 from collections.abc import Callable
+from math import gcd
 from types import SimpleNamespace
 
-from .bernoulli import bernoulli_identity_partial, bernoulli_numbers, volkenborn_level
-from .padic import Prime, _rational, in_convergence_domain, padic_expand, require_within_limit
+from .bernoulli import bernoulli_pairs, scaled_bernoulli_identity, volkenborn_level
+from .padic import (Prime, _rational, in_convergence_domain, padic_expand, ratio,
+                    require_within_limit)
 from .poly import render_poly
 from .recurrences import iter_triples
 from .sequences import kurepa_scans, paper_sequences
-from .summation import certificate_from_check, identity_checks, invariant_sum
-# not called here; they stay importable from this module, where perfbench/spans.py
-# traces them
+from .summation import IdentityCheck, certificate_from_check, invariant_sum, scaled_checks
+# not called here: importable from this module, where perfbench/spans.py traces them
+from .bernoulli import bernoulli_numbers  # noqa: F401
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan  # noqa: F401
 from .summation import truncated_padic_sum, verify_identity  # noqa: F401
 
@@ -39,14 +41,11 @@ encode_json = json.JSONEncoder().encode
 freezes_at_exit = False  # gc.freeze is registered with atexit, by main, once a process
 
 
-def fmt_q(q: Fraction | int) -> int | str:
-    """Exact rendering: plain int or 'num/den'."""
-    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def json_q(q: Fraction | int) -> str:
-    """fmt_q(q) as JSON text: 123 or "num/den"."""
-    return str(q.numerator) if q.denominator == 1 else f'"{q.numerator}/{q.denominator}"'
+def fmt_q(q: Fraction | int, den: int = 1, quote: str = "") -> int | str:
+    """Exact rendering of q, or of q / den for an int q, reduced by one gcd: plain int
+    or 'num/den', between two `quote`s."""
+    num, den = (q // (g := gcd(q, den)), den // g) if den != 1 else (q.numerator, q.denominator)
+    return num if den == 1 else f"{quote}{num}/{den}{quote}"
 
 
 def parse_range(part: str) -> range:
@@ -62,7 +61,7 @@ def parse_range(part: str) -> range:
 
 
 def parse_parts(text: str, kind=int) -> list:
-    """Comma list of `kind` values (int or Fraction) and inclusive integer
+    """Comma list of `kind` values (an int, or ratio's (num, den)) and inclusive integer
     'a..b' ranges, each part a sequence: a `range`, its values not yet built,
     or a 1-tuple."""
     return [parse_range(part) if ".." in part else (kind(part),)
@@ -139,7 +138,8 @@ def cmd_triples(args, em: Emitter) -> None:
 def cmd_verify(args, em: Emitter) -> None:
     machine = em.machine
     ks = parse_exact("--k", args.k, parse_parts)
-    xs = parse_exact("--x-set", args.x_set, lambda text: parse_parts(text, _rational))
+    xs = parse_exact("--x-set", args.x_set, lambda text: parse_parts(text, ratio))
+    pair = lambda x: x if type(x) is tuple else (x, 1)  # x = a/b as (a, b), a range's a as a/1
     ps = parse_exact("--p-list", args.p_list, parse_parts) if args.p_list is not None else []
     ends = [e for k in ks for e in (k[0], k[-1])]
     require_at_least({"--k": (min(ends), 1), "--n-max": (args.n_max, 1)})
@@ -150,7 +150,7 @@ def cmd_verify(args, em: Emitter) -> None:
     # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b; per x, the telescopes.
     # Held: its stream, of kmax + 4 values of up to B bits, and a step's 1 + #p record texts
     kmax, n, P = max(ends), args.n_max, count(ps)
-    X = max((abs(v.numerator) * v.denominator).bit_length() for x in xs for v in (x[0], x[-1]))
+    X = max((abs(a) * b).bit_length() for x in xs for a, b in map(pair, (x[0], x[-1])))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
     k3 = sum((k[-1] * (k[-1] + 1) // 2) ** 2 - ((k[0] - 1) * k[0] // 2) ** 2 for k in ks)
     work = k3 * (kmax + 8 * X) // 256 + count(ks) * (2500 + kmax * kmax + n * (
@@ -158,40 +158,40 @@ def cmd_verify(args, em: Emitter) -> None:
         B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)
     held = 10600 + (kmax + 4) * (B + 170) + (1 + P) * (4000 + 16 * B)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * max(work, held))
-    # each grid value once: k ascending, x and p in first-seen order, an integer x as an int
-    ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(
-        expand(xs, lambda x: x.numerator if x.denominator == 1 else x)))
+    # each grid value once: k ascending, x and p in first-seen order
+    ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, pair)))
     primes = parse_exact("--p-list", ps, lambda ps: tuple(map(Prime, dict.fromkeys(expand(ps)))))
-    x_texts = [json_q(x) for x in xs]
     # a machine line is json.dumps of {command, params, result, ok}, spliced from fields
     # formatted once: per grid, each x and each p's rejection; per check, its head and values
-    q_text, inf = (json_q, '"inf"') if machine else (str, "inf")
+    quote, inf = ('"', '"inf"') if machine else ("", "inf")
+    x_texts = [fmt_q(a, b, quote) for a, b in xs]
     rejected = [f', "p": {p}}}, "result": {{"rejected": true, "reason": "x not in Z_{p}"}}, '
                 '"ok": true}' if machine else f" p={p}: rejected (x not in Z_{p})"
                 for p in primes]
     for k in ks:
         # one running pass per x, advanced together so records stay in N, x order
-        for checks in zip(*(identity_checks(k, x, args.n_max) for x in xs)):
+        # the scaled sides L, R and tail T, each over D: L == R is the check
+        for steps in zip(*(scaled_checks(k, a, b, args.n_max) for a, b in xs)):
             lines, step_ok = [], True
-            for x_text, check in zip(x_texts, checks):
-                x, N, ok = check.x, check.N, check.ok
+            for (a, b), x, (N, L, R, T, D) in zip(xs, x_texts, steps):
+                ok = L == R
                 step_ok = step_ok and ok
                 head = ('{"command": "verify", "params": '
-                        f'{{"k": {k}, "N": {N}, "x": {x_text}' if machine else
+                        f'{{"k": {k}, "N": {N}, "x": {x}' if machine else
                         f"certificate k={k} N={N} x={x}")
-                lhs = q_text(check.lhs)  # equal values print the same text
-                rhs = lhs if ok else q_text(check.rhs)
+                lhs = fmt_q(L, D, quote)  # equal values print the same text
+                rhs = lhs if ok else fmt_q(R, D, quote)
                 lines.append(
                     f'{head}}}, "result": {{"lhs": {lhs}, "rhs": {rhs}, "tail": '
-                    f'{json_q(check.tail)}}}, "ok": {"true" if ok else "false"}}}' if machine else
+                    f'{fmt_q(T, D, quote)}}}, "ok": {"true" if ok else "false"}}}' if machine else
                     f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
-                if x.denominator != 1:
+                if b != 1:
                     lines += [head + suffix for suffix in rejected]
-                elif primes and x:
-                    cert = certificate_from_check(check, primes)
-                    text = (f'"partial": {json_q(cert.partial)}, "target": '
-                            f'{json_q(cert.target)}, "tail": {json_q(cert.tail)}' if machine
-                            else f"partial={cert.partial} target={cert.target}")
+                elif primes and a:  # D == 1: the certificate's fields are ints
+                    cert = certificate_from_check(IdentityCheck(k, N, a, L, R, T), primes)
+                    text = (f'"partial": {cert.partial}, "target": {cert.target}, '
+                            f'"tail": {cert.tail}' if machine else
+                            f"partial={cert.partial} target={cert.target}")
                     for p, e, bound, cert_ok in zip(cert.primes, cert.distance_exponents,
                                                     cert.bound_exponents, cert.oks):
                         step_ok = step_ok and cert_ok
@@ -254,11 +254,11 @@ def cmd_bernoulli(args, em: Emitter) -> None:
         k, N = args.identity, args.N
         # the table to N + k - 1, as for --nmax, and the k-th triple
         require_within_limit("--identity and --N", (N + k - 1) ** 3 // 32 + k**4 // 24)
-        lhs, rhs = bernoulli_identity_partial(k, N)
-        ok = lhs == rhs
-        em.record({"k": k, "N": N}, {"lhs": fmt_q(lhs), "rhs": fmt_q(rhs)}, ok,
-                  lambda: f"bernoulli identity k={k} N={N}: lhs={fmt_q(lhs)} "
-                  f"rhs={fmt_q(rhs)} {'ok' if ok else 'FAIL'}")
+        S, R, L = scaled_bernoulli_identity(k, N)  # lhs = S / L and rhs = R / L
+        ok, lhs, rhs = S == R, fmt_q(S, L), fmt_q(R, L)
+        em.record({"k": k, "N": N}, {"lhs": lhs, "rhs": rhs}, ok,
+                  lambda: f"bernoulli identity k={k} N={N}: lhs={lhs} rhs={rhs} "
+                  f"{'ok' if ok else 'FAIL'}")
     elif args.level is not None:
         p = parse_exact("--level P", p_raw, Prime)
         parts = parse_exact("--poly", "0,1" if args.poly is None else args.poly, parse_parts)
@@ -273,9 +273,9 @@ def cmd_bernoulli(args, em: Emitter) -> None:
     else:
         # the tangent sweep's nmax^2 / 8 updates on ints of up to about nmax / 3 digits
         require_within_limit("--nmax", args.nmax**3 // 32)
-        for n, b in enumerate(bernoulli_numbers(args.nmax)):
-            em.record({"n": n}, {"numerator": b.numerator, "denominator": b.denominator},
-                      True, lambda: f"B_{n} = {fmt_q(b)}")
+        for n, (num, den) in enumerate(bernoulli_pairs(args.nmax)):
+            em.record({"n": n}, {"numerator": num, "denominator": den}, True,
+                      lambda: f"B_{n} = {fmt_q(num, den)}")
 
 
 def cmd_kurepa(args, em: Emitter) -> None:

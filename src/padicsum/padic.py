@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from math import gcd
 
 
 class _Record:
@@ -139,6 +140,19 @@ def _rational(q) -> Fraction | int:
         raise TypeError(f"float {q!r} is inexact: pass an int, a Fraction or a string")
     from fractions import Fraction
     return q if isinstance(q, Fraction) else Fraction(q)
+
+
+def ratio(q) -> tuple[int, int]:
+    """q as (numerator, denominator) in lowest terms, denominator > 0: a text [+-]digits[/digits]
+    of ASCII digits by int() and one gcd, any other q (or a zero denominator) by _rational."""
+    if isinstance(q, str) and q.isascii():
+        num, slash, den = q.partition("/")
+        if (num[1:] if num[:1] in "+-" else num).isdigit() and (den.isdigit() or not slash):
+            num, den = int(num), int(den or 1)
+            if den:
+                return num // (g := gcd(num, den)), den // g
+    q = _rational(q)  # an int as it is
+    return q.numerator, q.denominator
 
 
 def vp(q: Fraction | int, p: Prime) -> int | None:

@@ -30,16 +30,12 @@ def _trim(coeffs) -> tuple:
 
 def _power(var: str, i: int) -> str:
     """var**i as text: '' for i = 0, then 'x', 'x^2', ..."""
-    if i == 0:
-        return ""
-    return var if i == 1 else f"{var}^{i}"
+    return "" if i == 0 else var if i == 1 else f"{var}^{i}"
 
 
 def _term(c, power: str) -> tuple[bool, str]:
     """(negative, body) of the nonzero c at `power`: '3', 'x' or '3*x'."""
-    if not power:
-        return c < 0, str(abs(c))
-    return c < 0, power if abs(c) == 1 else f"{abs(c)}*{power}"
+    return c < 0, str(abs(c)) if not power else power if abs(c) == 1 else f"{abs(c)}*{power}"
 
 
 def _terms(coeffs, var: str) -> list[tuple[bool, str]]:

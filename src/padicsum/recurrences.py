@@ -153,9 +153,8 @@ class TripleFamily:
         if k < 1:
             raise ValueError("k must be positive")
         if k not in self._triples:
-            for trip in iter_triples(k, self._triples[max(j for j in self._triples if j < k)]):
-                pass
-            self._triples[k] = trip
+            start = self._triples[max(j for j in self._triples if j < k)]
+            *_, self._triples[k] = iter_triples(k, start)
         return self._triples[k]
 
 

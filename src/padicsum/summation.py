@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import count, islice
 
-from .padic import Prime, _rational, _Record, factorial_norm_exponent, vp
+from .padic import Prime, _rational, _Record, factorial_norm_exponent, ratio, vp
 from .poly import horner
 from .recurrences import telescope_combo, unit_combo
 
@@ -92,18 +92,6 @@ def factorial_series(
         fa *= (N + 1) * a
 
 
-def partial_sum_Sk(k: int, N: int, x: Fraction | int) -> Fraction:
-    """Exact S_k(N; x) = sum_{n=0}^{N-1} n! n^k x^n, with 0^0 = 1."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    from fractions import Fraction
-    x = _rational(x)
-    b = x.denominator
-    series = factorial_series(lambda n: n**k, x.numerator, b)
-    _, _, S = next(islice(series, N - 1, None))
-    return Fraction(S, b ** (N - 1))
-
-
 def _combo(k: int, C: tuple[int, ...] | None) -> tuple[int, ...]:
     """C, or the unit combination of k when C is None; ValueError unless len(C) == k."""
     if C is None:
@@ -113,24 +101,20 @@ def _combo(k: int, C: tuple[int, ...] | None) -> tuple[int, ...]:
     return C
 
 
-def identity_checks(k: int, x: Fraction | int, n_max: int,
-                    C: tuple[int, ...] | None = None) -> Iterator[IdentityCheck]:
-    """Both sides of the finite identity at (k, N, x) for N = 1..n_max, in one
-    pass from one telescope at x = a/b; with C, those of the Theorem-2
-    combination sum_j C_j [n^j x^j + U_j(x)], k = len(C).  Step N scales every
-    value to an integer by D_N = b^(N-1+k), so no running sum takes a gcd:
+def scaled_checks(k: int, a: int, b: int, n_max: int,
+                  C: tuple[int, ...] | None = None) -> Iterator[tuple[int, int, int, int, int]]:
+    """(N, L_N, R_N, T_N, D_N), both sides of the finite identity at (k, N, a/b), b > 0, and
+    its tail, for N = 1..n_max, in one pass from one telescope; with C, those of the Theorem-2
+    combination sum_j C_j [n^j x^j + U_j(x)], k = len(C).  Step N scales every value to an
+    integer by D_N = b^(N-1+k), so no running sum takes a gcd:
 
         L_N = b^(N-1) sum_{n<N} n! (sum_j C_j n^j a^j b^(k-j) + U(x) b^k) (a/b)^n
         T_N = N! a^N * A(N; x) b^(k-1),  R_N = V(x) b^(k-1) * b^N + T_N
 
-    are lhs, rhs and tail times D_N; L_N does not read A, so a wrong solve fails.
-    """
+    are lhs, rhs and tail times D_N; L_N does not read A, so a wrong solve fails."""
     C = _combo(k, C)
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    from fractions import Fraction  # once per stream, not per check
-    x = _rational(x)
-    a, b, k = x.numerator, x.denominator, len(C)
     Ub, A = telescope_combo(C, a, b)
     Vb = -A[0]
     terms = [(j, c * a**j * b ** (k - j)) for j, c in enumerate(C, 1) if c]
@@ -138,11 +122,22 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
     bpow, D = b, b**k  # b^N, D_N at N = 1
     for N, fa, L in islice(series, n_max):
         T = fa * horner(A, N)
-        R = Vb * bpow + T
-        yield IdentityCheck(k, N, x, L, R, T) if D == 1 else IdentityCheck(
-            k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
+        yield N, L, Vb * bpow + T, T, D
         bpow *= b
         D *= b
+
+
+def identity_checks(k: int, x: Fraction | int, n_max: int,
+                    C: tuple[int, ...] | None = None) -> Iterator[IdentityCheck]:
+    """The checks of scaled_checks at x, each value over D_N: ints for an integer x,
+    where D_N = 1, and Fractions, which only then load `fractions`, for any other."""
+    a, b = ratio(x)
+    if b != 1:
+        from fractions import Fraction
+        x = Fraction(a, b)
+    for N, L, R, T, D in scaled_checks(k, a, b, n_max, C):
+        yield IdentityCheck(k, N, a, L, R, T) if D == 1 else IdentityCheck(
+            k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
 
 
 def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:

@@ -5,7 +5,9 @@ or from their own recurrences, and each triple solved from scratch
 (`solve_triple`), in polynomial arithmetic of their own on coefficient
 tuples (`lin`), Bell numbers from their recurrence, left factorials as one
 factorial-series sum each, the Kurepa gcd scan from bigint gcds of !n and
-n!, and Bernoulli numbers from their defining recurrence.
+n!, and Bernoulli numbers from their defining recurrence.  `partial_sum_Sk`,
+which only tests call, is S_k(N; x) as one factorial-series sum; the tests
+hold it to a term-by-term sum.
 """
 
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 from itertools import islice
 
 from padicsum import BivarPoly, KurepaReport, SummationTriple, factorial_series
+from padicsum.padic import ratio
 
 
 def lin(*terms) -> tuple:
@@ -95,6 +98,16 @@ def solve_triple(k: int) -> SummationTriple:
     U = lin((1, 1, at1), (-1, 0, at0))
     A = BivarPoly.make([[a[m][l] for m in range(l + 1)] for l in range(k)])
     return SummationTriple(k, U, lin((-1, 0, at0)), A)
+
+
+def partial_sum_Sk(k: int, N: int, x) -> Fraction:
+    """Exact S_k(N; x) = sum_{n=0}^{N-1} n! n^k x^n, with 0^0 = 1, from the library's
+    factorial_series at x = a/b; a float x is refused, as the library refuses it."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    a, b = ratio(x)
+    _, _, S = next(islice(factorial_series(lambda n: n**k, a, b), N - 1, None))
+    return Fraction(S, b ** (N - 1))
 
 
 def bell_numbers(nmax: int) -> list[int]:

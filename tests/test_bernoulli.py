@@ -6,7 +6,9 @@ import pytest
 import oracles
 import padicsum.bernoulli as bernoulli
 from padicsum import (
+    BivarPoly,
     Prime,
+    SummationTriple,
     bernoulli_identity_partial,
     bernoulli_numbers,
     bernoulli_series_certificate,
@@ -212,6 +214,43 @@ class TestBernoulliIdentity:
                 for n in range(N)
             )
             assert bernoulli_identity_partial(k, N) == (lhs, lhs), k
+
+
+class TestScaledKernels:
+    """The integer kernels that bernoulli --nmax and --identity print from."""
+
+    def test_pairs_are_the_reduced_table_to_600(self):
+        pairs = bernoulli.bernoulli_pairs(600)
+        assert [Fraction(*q) for q in pairs] == list(bernoulli_numbers(600))
+        assert pairs[:41] == tuple((q.numerator, q.denominator) for q in ORACLE)
+        for num, den in pairs:
+            assert type(num) is type(den) is int and den > 0 and math.gcd(num, den) == 1
+        for n in (0, 1, 2, 3, 38):
+            assert bernoulli.bernoulli_pairs(n) == pairs[: n + 1]
+        with pytest.raises(ValueError):
+            bernoulli.bernoulli_pairs(-1)
+
+    def test_scaled_identity_is_exact_and_matches_its_view(self):
+        for k in range(1, 7):
+            for N in range(1, 41):
+                S, R, L = bernoulli.scaled_bernoulli_identity(k, N)
+                assert S == R, (k, N)
+                assert L == math.lcm(*(q.denominator for q in bernoulli_numbers(N + k - 1)))
+                assert bernoulli_identity_partial(k, N) == (Fraction(S, L), Fraction(R, L))
+
+    def test_lhs_reads_no_A(self, monkeypatch):
+        # a triple whose A is wrong moves rhs only, so the identity fails
+        true = {k: bernoulli.scaled_bernoulli_identity(k, 9) for k in (2, 4)}
+        def wrong_A(k):
+            t = build_triple(k)
+            layers = [list(lay) for lay in t.A.layers]
+            layers[-1][0] += 1
+            return SummationTriple(k, t.U, t.V, BivarPoly.make(layers))
+
+        monkeypatch.setattr(bernoulli, "build_triple", wrong_A)
+        for k, (S, R, L) in true.items():
+            S2, R2, L2 = bernoulli.scaled_bernoulli_identity(k, 9)
+            assert (S2, L2) == (S, L) and R2 != R
 
 
 class TestBernoulliCertificates:

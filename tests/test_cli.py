@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import padicsum.cli as cli
 import padicsum.sequences as sequences
 from padicsum import (
-    Prime, SumCertificate, bernoulli_numbers, factorial_norm_exponent, truncated_padic_sum,
-    verify_identity, vp,
+    Prime, SumCertificate, bernoulli_identity_partial, bernoulli_numbers, factorial_norm_exponent,
+    truncated_padic_sum, verify_identity, vp,
 )
 from padicsum.cli import count, expand, fmt_q, main, parse_parts
 from test_sequences import on_routes
@@ -689,9 +689,12 @@ class Reached(Exception):
 def refuse_work(monkeypatch, command):
     def reached(*args, **kwargs):
         raise Reached(command)
-    names = {"triples": ["iter_triples"], "verify": ["identity_checks"],
+    # the kernels each command calls: verify and bernoulli --nmax/--identity run on scaled
+    # ints, not on the Fraction views identity_checks, bernoulli_numbers and
+    # bernoulli_identity_partial
+    names = {"triples": ["iter_triples"], "verify": ["scaled_checks"],
              "sum": ["invariant_sum"], "sequences": ["paper_sequences"],
-             "bernoulli": ["bernoulli_numbers", "bernoulli_identity_partial", "volkenborn_level"],
+             "bernoulli": ["bernoulli_pairs", "scaled_bernoulli_identity", "volkenborn_level"],
              "padic": ["padic_expand"]}[command]
     for name in names:
         monkeypatch.setattr(cli, name, reached)
@@ -868,6 +871,48 @@ class TestWorkLimit:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: --x-set: ")
         assert captured.err.endswith(f"exceeds work limit {sys.maxsize}\n")  # 2^63 - 1 on 64 bits
+
+
+class TestKernelFailures:
+    """A wrong lhs from the integer kernels reaches the record and the exit code."""
+
+    def test_verify_with_a_shifted_lhs_fails(self, capsys, monkeypatch):
+        true_checks = cli.scaled_checks
+
+        def shifted(k, a, b, n_max):  # lhs off by one at N = 3
+            for N, L, R, T, D in true_checks(k, a, b, n_max):
+                yield N, L + D * (N == 3), R, T, D
+
+        monkeypatch.setattr(cli, "scaled_checks", shifted)
+        argv = ["verify", "--k", "1..2", "--n-max", "4", "--x-set=-6/5,2", "--p-list", "3"]
+        code, out = run(capsys, "--format", "machine", *argv)
+        assert code == 1
+        recs = machine_records(out)
+        assert [(r["params"]["N"], r["params"]["x"], "p" in r["params"]) for r in recs
+                if not r["ok"]] == [(3, "-6/5", False), (3, 2, False), (3, 2, True)] * 2
+        for r in recs:
+            if not r["ok"] and "lhs" in r["result"]:
+                lhs, rhs = (Fraction(r["result"][side]) for side in ("lhs", "rhs"))
+                assert lhs == rhs + 1
+        code, out = run(capsys, *argv)
+        assert code == 1 and sum(line.endswith(" FAIL") for line in out.splitlines()) == 6
+
+    def test_bernoulli_identity_with_a_shifted_lhs_fails(self, capsys, monkeypatch):
+        true_identity = cli.scaled_bernoulli_identity
+
+        def shifted(k, N):
+            S, R, L = true_identity(k, N)
+            return S + 1, R, L
+
+        monkeypatch.setattr(cli, "scaled_bernoulli_identity", shifted)
+        code, out = run(capsys, "--format", "machine", "bernoulli", "--identity", "3", "--N", "20")
+        assert code == 1
+        (rec,) = machine_records(out)
+        (lhs, rhs), L = bernoulli_identity_partial(3, 20), true_identity(3, 20)[2]
+        assert rec["ok"] is False
+        assert rec["result"] == {"lhs": fmt_q(lhs + Fraction(1, L)), "rhs": fmt_q(rhs)}
+        code, out = run(capsys, "bernoulli", "--identity", "3", "--N", "20")
+        assert code == 1 and out.endswith(" FAIL\n")
 
 
 class TestHumanOutput:
@@ -1164,10 +1209,14 @@ def test_main_loads_no_argparse_gettext_or_locale():
 
 def test_commands_without_a_rational_load_neither_fractions_nor_decimal():
     # kurepa below the Decimal route, triples and sequences build no Fraction and no
-    # Decimal, so they load neither module, nor numbers with them: about 1.7 ms of a run
+    # Decimal, and verify with integer and a/b x and bernoulli --nmax and --identity
+    # compute on scaled ints and print each value reduced by one gcd, so none loads
+    # either module, nor numbers with them: about 2 ms of a run, 10 ms under -S
     src = str(Path(cli.__file__).resolve().parents[1])
     runs = [["kurepa", "--gcd-max", "50", "--digit-max", "50"], ["triples", "--kmax", "3"],
-            ["sequences", "--kmax", "3"]]
+            ["sequences", "--kmax", "3"],
+            ["verify", "--k", "1..3", "--n-max", "6", "--x-set=-3..3,-6/5", "--p-list", "2,3"],
+            ["bernoulli", "--nmax", "30"], ["bernoulli", "--identity", "3", "--N", "20"]]
     code = (f"import sys; sys.path.insert(0, {src!r}); import padicsum.cli; "
             f"codes = [padicsum.cli.main(['--format', 'machine', *argv]) for argv in {runs!r}]; "
             "print(codes, sorted({'fractions', 'decimal', '_decimal', 'numbers'} "
@@ -1175,4 +1224,4 @@ def test_commands_without_a_rational_load_neither_fractions_nor_decimal():
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

@@ -306,6 +306,53 @@ class TestFloatsAreRefused:
             padic._rational("1/2")
 
 
+class TestRatio:
+    """padic.ratio against Fraction: one (numerator, denominator) in lowest terms."""
+
+    SIMPLE = ["0", "-0", "+0", "7", "+7", "-7", "007", "-0042", "3/4", "-3/4", "+3/4", "0/5",
+              "-0/9", "6/4", "-6/5", "4/2", "-12/3", "0010/0004", str(3**90),
+              f"-{2**80}/{6**40}"]
+    FALLBACK = ["1.5", "-2e1", "1_000", " 3/4 ", "\u0663/\u0664", "-.5", "1E-3", "3/4_0"]
+
+    @staticmethod
+    def as_fraction(q):
+        f = Fraction(q)
+        return f.numerator, f.denominator
+
+    def test_simple_forms_match_fraction(self):
+        for text in self.SIMPLE:
+            num, den = padic.ratio(text)
+            assert (num, den) == self.as_fraction(text), text
+            assert den > 0 and math.gcd(num, den) == 1 and type(num) is type(den) is int
+
+    def test_fallback_forms_match_fraction(self):
+        for q in self.FALLBACK + [Fraction(-6, 4), Fraction(5)]:
+            assert padic.ratio(q) == self.as_fraction(q), q
+        for n in (0, -7, 2**100):
+            assert padic.ratio(n) == (n, 1)
+
+    def test_errors_match_fraction(self):
+        for text, error in (("3/-4", ValueError), ("5/", ValueError), ("/5", ValueError),
+                            ("3/0", ZeroDivisionError), ("-7/000", ZeroDivisionError),
+                            ("", ValueError), ("+", ValueError), ("1/2/3", ValueError),
+                            ("3 / 4", ValueError), ("\u00b2", ValueError)):
+            with pytest.raises(error):
+                Fraction(text)
+            with pytest.raises(error):
+                padic.ratio(text)
+        with pytest.raises(TypeError, match="float"):
+            padic.ratio(0.5)
+
+    def test_simple_forms_parse_without_fractions(self, monkeypatch):
+        # every import of `fractions` fails: the simple forms never reach it, the others do
+        expected = {text: self.as_fraction(text) for text in self.SIMPLE}
+        monkeypatch.setitem(sys.modules, "fractions", None)
+        for text, pair in expected.items():
+            assert padic.ratio(text) == pair
+        with pytest.raises(ImportError):
+            padic.ratio("1.5")
+
+
 class TestFactorialNormExponent:
     def test_examples(self):
         assert factorial_norm_exponent(0, Prime(3)) == 0

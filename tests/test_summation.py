@@ -26,7 +26,6 @@ from padicsum import (
     in_convergence_domain,
     invariant_sum,
     paper_sequences,
-    partial_sum_Sk,
     telescope,
     truncated_combo_sum,
     truncated_padic_sum,
@@ -36,6 +35,7 @@ from padicsum import (
 import padicsum.recurrences as recurrences
 import padicsum.summation as summation
 from padicsum.recurrences import telescope_combo, unit_combo
+from oracles import partial_sum_Sk
 from test_padic import check_record, legendre_valuation, loop_valuation
 
 
@@ -176,6 +176,31 @@ class TestIdentityKernel:
     def test_rejects_C_not_matching_k(self):
         with pytest.raises(ValueError, match="C must list exactly k coefficients"):
             next(identity_checks(7, 2, 1, (1,)))
+
+
+class TestScaledChecks:
+    """The integer kernel that verify prints from, and identity_checks is the view of."""
+
+    def test_fields_reduce_to_identity_checks(self):
+        for x in [Fraction(-6, 5), Fraction(1, 2), *map(Fraction, range(-3, 4))]:
+            a, b = x.numerator, x.denominator
+            for k, C in ((1, None), (3, None), (5, None), (3, (2, 0, -1))):
+                scaled = list(summation.scaled_checks(k, a, b, 12, C))
+                checks = list(identity_checks(k, x, 12, C))
+                assert [s[0] for s in scaled] == [c.N for c in checks] == list(range(1, 13))
+                for (N, L, R, T, D), c in zip(scaled, checks):
+                    assert all(type(v) is int for v in (L, R, T, D))
+                    assert D == b ** (N - 1 + k)
+                    assert (Fraction(L, D), Fraction(R, D), Fraction(T, D)) == (
+                        c.lhs, c.rhs, c.tail)
+                    assert (L == R) is c.ok is True
+
+    def test_an_integer_x_builds_no_fraction(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "fractions", None)
+        for x in (-3, 0, 2, "5", "-4/2"):
+            assert all(c.ok and type(c.lhs) is int for c in identity_checks(3, x, 6))
+        with pytest.raises(ImportError):
+            next(identity_checks(3, "1/2", 6))
 
 
 class TestVerifyIdentity:
