@@ -85,10 +85,10 @@ def scaled_bernoulli_identity(k: int, N: int) -> tuple[int, int, int]:
     L = lcm(*(den for _, den in B))
     BL = [num * (L // den) for num, den in B]
 
-    def c(n: int) -> int:
-        return n**k * BL[n + k] + sum(u * BL[n + l] for l, u in enumerate(trip.U))
+    def c(n: int) -> list[int]:
+        return [n**k * BL[n + k] + sum(u * BL[n + l] for l, u in enumerate(trip.U))]
 
-    _, fact, S = next(islice(factorial_series(c), N - 1, None))  # fact == N!
+    _, (fact,), (S,) = next(islice(factorial_series(c), N - 1, None))  # fact == N!
     return S, sum(map(mul, trip.V, BL)) + fact * sum(map(mul, trip.A.eval_n(N), BL[N:])), L
 
 

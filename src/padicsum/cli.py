@@ -13,19 +13,17 @@ import atexit
 import gc
 import json
 import os
-import re
 import sys
-from collections.abc import Callable
 from math import gcd
 from types import SimpleNamespace
 
 from .bernoulli import bernoulli_pairs, scaled_bernoulli_identity, volkenborn_level
-from .padic import (Prime, _rational, in_convergence_domain, padic_expand, ratio,
+from .padic import (Prime, _rational, in_convergence_domain, padic_expand, ratio, rationals,
                     require_within_limit)
 from .poly import render_poly
 from .recurrences import iter_triples
 from .sequences import kurepa_scans, paper_sequences
-from .summation import IdentityCheck, certificate_from_check, invariant_sum, scaled_checks
+from .summation import certify, invariant_sum, scaled_checks
 # not called here: importable from this module, where perfbench/spans.py traces them
 from .bernoulli import bernoulli_numbers  # noqa: F401
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan  # noqa: F401
@@ -76,15 +74,6 @@ def count(parts: list) -> int:
 def expand(parts: list, kind=int) -> list:
     """The values `parts` lists, in order, each as `kind`."""
     return [kind(v) for part in parts for v in part]
-
-
-def rationals(text: str) -> str:
-    """The text of a flag's rationals, refused before Fraction builds any when their d digits,
-    with each exponent's zeros (1e300000 is 10^300000), cost d^2 // 128 past the work limit;
-    at 1e300000, verify --x-set took 4.1 s, padic --value 2.1 s and sum --x 1.4 s."""
-    d = len(text) + sum(abs(int(e)) for e in re.findall(r"e([-+]?\d+(?:_\d+)*)", text, re.I))
-    require_within_limit(f"about {d} digits", d * d // 128)
-    return text
 
 
 def parse_exact(flag: str, text, parse: Callable):
@@ -148,7 +137,7 @@ def cmd_verify(args, em: Emitter) -> None:
     # 5 units a byte.  Work per (k, x): a stream, kmax^2 steps, n steps of 1 + #p records and
     # on values of up to B bits and their text, shared by all p, and per odd p a valuation of
     # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b; per x, the telescopes.
-    # Held: its stream, of kmax + 4 values of up to B bits, and a step's 1 + #p record texts
+    # Held: its state in the one pass, kmax + 4 values of up to B bits, and 1 + #p record texts
     kmax, n, P = max(ends), args.n_max, count(ps)
     X = max((abs(a) * b).bit_length() for x in xs for a, b in map(pair, (x[0], x[-1])))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
@@ -156,7 +145,7 @@ def cmd_verify(args, em: Emitter) -> None:
     work = k3 * (kmax + 8 * X) // 256 + count(ks) * (2500 + kmax * kmax + n * (
         kmax + 700 + 700 * min(P, 1) + 500 * P) + n * B * (
         B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)
-    held = 10600 + (kmax + 4) * (B + 170) + (1 + P) * (4000 + 16 * B)
+    held = 3000 + (kmax + 4) * (B + 170) + (1 + P) * (4000 + 16 * B)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * max(work, held))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, pair)))
@@ -169,29 +158,29 @@ def cmd_verify(args, em: Emitter) -> None:
                 '"ok": true}' if machine else f" p={p}: rejected (x not in Z_{p})"
                 for p in primes]
     for k in ks:
-        # one running pass per x, advanced together so records stay in N, x order
-        # the scaled sides L, R and tail T, each over D: L == R is the check
-        for steps in zip(*(scaled_checks(k, a, b, args.n_max) for a, b in xs)):
+        # every x in one pass: the scaled sides L, R and tail T, each over D; L == R is the check
+        for N, Ls, Rs, Ts, Ds in scaled_checks(k, xs, args.n_max):
             lines, step_ok = [], True
-            for (a, b), x, (N, L, R, T, D) in zip(xs, x_texts, steps):
+            at = (f'{{"command": "verify", "params": {{"k": {k}, "N": {N}, "x": ' if machine
+                  else f"certificate k={k} N={N} x=")
+            for (a, b), x, L, R, T, D in zip(xs, x_texts, Ls, Rs, Ts, Ds):
                 ok = L == R
                 step_ok = step_ok and ok
-                head = ('{"command": "verify", "params": '
-                        f'{{"k": {k}, "N": {N}, "x": {x}' if machine else
-                        f"certificate k={k} N={N} x={x}")
-                lhs = fmt_q(L, D, quote)  # equal values print the same text
-                rhs = lhs if ok else fmt_q(R, D, quote)
+                head = f"{at}{x}"
+                lhs, tail = (str(L), str(T)) if D == 1 else (fmt_q(L, D, quote), fmt_q(T, D, quote))
+                rhs = lhs if ok else fmt_q(R, D, quote)  # equal values print the same text
                 lines.append(
                     f'{head}}}, "result": {{"lhs": {lhs}, "rhs": {rhs}, "tail": '
-                    f'{fmt_q(T, D, quote)}}}, "ok": {"true" if ok else "false"}}}' if machine else
+                    f'{tail}}}, "ok": {"true" if ok else "false"}}}' if machine else
                     f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
                 if b != 1:
                     lines += [head + suffix for suffix in rejected]
                 elif primes and a:  # D == 1: the certificate's fields are ints
-                    cert = certificate_from_check(IdentityCheck(k, N, a, L, R, T), primes)
-                    text = (f'"partial": {cert.partial}, "target": {cert.target}, '
-                            f'"tail": {cert.tail}' if machine else
-                            f"partial={cert.partial} target={cert.target}")
+                    cert = certify(k, N, a, primes, L, R - T, T)
+                    partial = lhs if cert.partial is L else cert.partial  # the text of L, reused
+                    text = (f'"partial": {partial}, "target": {cert.target}, "tail": '
+                            f'{tail if cert.tail is T else cert.tail}' if machine else
+                            f"partial={partial} target={cert.target}")
                     for p, e, bound, cert_ok in zip(cert.primes, cert.distance_exponents,
                                                     cert.bound_exponents, cert.oks):
                         step_ok = step_ok and cert_ok

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from itertools import takewhile
 from math import gcd
 
 
@@ -155,9 +156,21 @@ def ratio(q) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def vp(q: Fraction | int, p: Prime) -> int | None:
-    """p-adic valuation of a rational; None for v_p(0) = +infinity.  An int is read
-    directly, anything else through Fraction as v_p(numerator) - v_p(denominator)."""
+def rationals(text: str) -> str:
+    """The text of a flag's rationals, refused before Fraction builds any when their d digits,
+    with each exponent's zeros (after e or E, a sign and digits in groups joined by single "_"),
+    cost d^2 // 128 past the work limit; 1e300000 took 4.1 s in verify --x-set, 2.1 s in padic."""
+    tails = (part[part[:1] in "+-":] for part in text.replace("E", "e").split("e")[1:])
+    runs = ("".join(takewhile(lambda c: c.isdecimal() or c == "_", t)) for t in tails)
+    d = len(text) + sum(int(r.split("__")[0].rstrip("_")) for r in runs if r[:1].isdecimal())
+    require_within_limit(f"about {d} digits", d * d // 128)
+    return text
+
+
+def vp(q: Fraction | int, p: Prime, at: int = 0) -> int | None:
+    """p-adic valuation of a rational; None for v_p(0) = +infinity.  An int is read directly,
+    anything else through Fraction as v_p(numerator) - v_p(denominator).  An int at an odd p
+    starts with one division by p^at, 0 < at < bitlen(q), and counts on from an exact quotient."""
     if not isinstance(q, int):
         q = _rational(q)
         return vp(q.numerator, p) - vp(q.denominator, p) if q else None
@@ -165,9 +178,12 @@ def vp(q: Fraction | int, p: Prime) -> int | None:
         return None
     if p == 2:  # q & -q is the lowest set bit of q, also for q < 0
         return (q & -q).bit_length() - 1
+    q, v = (qr[0], at) if 0 < at < q.bit_length() and not (qr := divmod(q, p**at))[1] else (q, 0)
+    if v and q % p:  # p^at divides q and p^(at+1) does not, as in most certificates
+        return v
     # by p, p^2, p^4, .. while it divides and back down by each that still does:
     # O(log v) divisions, not v, on p's ladder, kept from call to call
-    powers, i, v = _SQUARES.get(p) or _SQUARES.setdefault(p, [p]), 0, 0
+    powers, i = _SQUARES.get(p) or _SQUARES.setdefault(p, [p]), 0
     while not (qr := divmod(q, powers[i]))[1]:
         q, v, i = qr[0], v + (1 << i), i + 1
         if i == len(powers):  # past the largest valuation yet seen at p: a longer copy

@@ -13,13 +13,14 @@ provable lower bound v_p(N!) + N*v_p(x).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from functools import lru_cache
-from itertools import count, islice
+from itertools import count, islice, repeat
+from operator import ge
 
 from .padic import Prime, _rational, _Record, factorial_norm_exponent, ratio, vp
 from .poly import horner
 from .recurrences import telescope_combo, unit_combo
+
+_BOUNDS: dict = {}  # certify's memo: (N, n, primes) -> bound exponents, emptied at 4,096
 
 
 class SumCertificate(_Record):
@@ -27,11 +28,10 @@ class SumCertificate(_Record):
 
     tail is the finite-identity remainder N! x^N A_{k-1}(N; x), so partial - target = tail
     holds exactly, the same rationals in every Q_p, and the p-adic distance from the partial
-    sum to the target is at most p^(-b), b the bound exponent of p.  Building the certificate
-    computes `difference` = partial - target once and, per prime, its valuation in
-    `distance_exponents` (None when partial = target) from its own fields, and `oks` reads
-    them, so a forged one fails.  Neither is a field.  partial, target and tail are its
-    identity check's values, ints for an integer x; vp reads an int directly.
+    sum to the target is at most p^(-b), b the bound exponent of p.  Construction computes,
+    once and from the fields, `difference` = partial - target, its valuation per prime in
+    `distance_exponents` (vp's guess is b; None, which meets any b, when partial = target), `oks`,
+    per prime difference == tail and the distance meets b, and `ok` = all(oks).
     """
 
     def __init__(self, k: int, N: int, x: Fraction | int, primes: tuple[Prime, ...],
@@ -40,20 +40,12 @@ class SumCertificate(_Record):
         if not primes or len(primes) != len(bound_exponents):
             raise ValueError("a certificate needs a prime, and one bound exponent for each")
         difference = partial - target
+        distances = tuple(map(vp, repeat(difference), primes, bound_exponents))
+        oks = ((False,) * len(primes) if difference != tail else
+               tuple(map(ge, distances, bound_exponents)) if difference else (True,) * len(primes))
         self.__dict__.update(k=k, N=N, x=x, primes=primes, partial=partial, target=target,
                              tail=tail, bound_exponents=bound_exponents, difference=difference,
-                             distance_exponents=tuple(vp(difference, p) for p in primes))
-
-    @property
-    def oks(self) -> tuple[bool, ...]:
-        """One verdict per prime: difference == tail, and the distance meets the bound."""
-        exact = self.difference == self.tail
-        return tuple(exact and (e is None or e >= b)
-                     for e, b in zip(self.distance_exponents, self.bound_exponents))
-
-    @property
-    def ok(self) -> bool:
-        return all(self.oks)
+                             distance_exponents=distances, oks=oks, ok=all(oks))
 
 
 class IdentityCheck(_Record):
@@ -73,23 +65,21 @@ class IdentityCheck(_Record):
         return self.rhs - self.tail
 
 
-def factorial_series(
-    c: Callable[[int], int | Fraction], a: int = 1, b: int = 1
-) -> Iterator[tuple[int, int, int | Fraction]]:
-    """The factorial series sum_n n! c(n) x^n at x = a/b, one N at a time.
-
-    Yields (N, N! a^N, S_N) for N = 1, 2, ..., where
+def factorial_series(c: Callable[[int], list],
+                     points: list[tuple[int, int]] = ((1, 1),)) -> Iterator[tuple[int, list, list]]:
+    """The factorial series sum_n n! c(n) x^n at every x = a/b of points, stepped together one
+    N at a time, c(n) listing its value at each point.  Yields (N, F, S) for N = 1, 2, ...,
+    where F lists N! a^N and S lists
 
         S_N = b^(N-1) sum_{n<N} n! c(n) (a/b)^n,  S_{N+1} = b S_N + N! a^N c(N),
 
-    so integer c, a and b keep every S_N an integer and no step takes a
-    gcd.  c(N) is evaluated only when S_{N+1} is requested.
-    """
-    S, fa = c(0), a  # S_1 and 1! a^1
+    one entry per point, so integer c, a and b keep every S_N an integer and no step takes a
+    gcd.  c(N) is evaluated only when S_{N+1} is requested."""
+    S, F = c(0), [a for a, _ in points]  # S_1 and 1! a^1
     for N in count(1):
-        yield N, fa, S
-        S = b * S + fa * c(N)
-        fa *= (N + 1) * a
+        yield N, F, S
+        S = [b * s + f * v for (_, b), s, f, v in zip(points, S, F, c(N))]
+        F = [f * (N + 1) * a for (a, _), f in zip(points, F)]
 
 
 def _combo(k: int, C: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -101,10 +91,11 @@ def _combo(k: int, C: tuple[int, ...] | None) -> tuple[int, ...]:
     return C
 
 
-def scaled_checks(k: int, a: int, b: int, n_max: int,
-                  C: tuple[int, ...] | None = None) -> Iterator[tuple[int, int, int, int, int]]:
-    """(N, L_N, R_N, T_N, D_N), both sides of the finite identity at (k, N, a/b), b > 0, and
-    its tail, for N = 1..n_max, in one pass from one telescope; with C, those of the Theorem-2
+def scaled_checks(k: int, points: list[tuple[int, int]], n_max: int,
+                  C: tuple[int, ...] | None = None) -> Iterator[tuple[int, list, list, list, list]]:
+    """(N, L, R, T, D) for N = 1..n_max, where L, R, T and D list, at each x = a/b of points
+    (b > 0), both sides of the finite identity at (k, N, x), its tail and their scale, from
+    one telescope per x and one pass that steps every x; with C, those of the Theorem-2
     combination sum_j C_j [n^j x^j + U_j(x)], k = len(C).  Step N scales every value to an
     integer by D_N = b^(N-1+k), so no running sum takes a gcd:
 
@@ -115,16 +106,16 @@ def scaled_checks(k: int, a: int, b: int, n_max: int,
     C = _combo(k, C)
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    Ub, A = telescope_combo(C, a, b)
-    Vb = -A[0]
-    terms = [(j, c * a**j * b ** (k - j)) for j, c in enumerate(C, 1) if c]
-    series = factorial_series(lambda n: sum(c * n**j for j, c in terms) + Ub, a, b)
-    bpow, D = b, b**k  # b^N, D_N at N = 1
-    for N, fa, L in islice(series, n_max):
-        T = fa * horner(A, N)
-        yield N, L, Vb * bpow + T, T, D
-        bpow *= b
-        D *= b
+    A, P = [], []  # per x: A(n; x) b^(k-1), and U(x) b^k + sum_j C_j a^j b^(k-j) n^j in n
+    for a, b in points:
+        Ub, Ax = telescope_combo(C, a, b)
+        A.append(Ax)
+        P.append((Ub, *(c * a**j * b ** (k - j) for j, c in enumerate(C, 1))))
+    W, D = [-Ax[0] * b for Ax, (_, b) in zip(A, points)], [b**k for _, b in points]  # at N = 1
+    for N, F, L in islice(factorial_series(lambda n: [horner(Px, n) for Px in P], points), n_max):
+        T = [f * horner(Ax, N) for f, Ax in zip(F, A)]
+        yield N, L, [w + t for w, t in zip(W, T)], T, D  # W = V(x) b^(k-1) b^N
+        W, D = [w * b for w, (_, b) in zip(W, points)], [d * b for d, (_, b) in zip(D, points)]
 
 
 def identity_checks(k: int, x: Fraction | int, n_max: int,
@@ -135,7 +126,7 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
     if b != 1:
         from fractions import Fraction
         x = Fraction(a, b)
-    for N, L, R, T, D in scaled_checks(k, a, b, n_max, C):
+    for N, (L,), (R,), (T,), (D,) in scaled_checks(k, [(a, b)], n_max, C):
         yield IdentityCheck(k, N, a, L, R, T) if D == 1 else IdentityCheck(
             k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
 
@@ -155,18 +146,22 @@ def _integer(x: Fraction | int, nonzero: bool = False) -> int:
     return x.numerator
 
 
-@lru_cache(maxsize=4096)
-def _bound(N: int, n: int, p: Prime) -> int:
-    """v_p(N!) + N v_p(n), the bound exponent at x = n, shared by every k."""
-    return factorial_norm_exponent(N, p) + N * vp(n, p)
+def certify(k: int, N: int, x: Fraction | int, primes: tuple[Prime, ...], partial: Fraction | int,
+            target: Fraction | int, tail: Fraction | int) -> SumCertificate:
+    """The certificate at every prime of primes that the N-term partial sum at a nonzero
+    integer x is close to target = V_k(x), tail the finite-identity remainder; only the bounds
+    v_p(N!) + N v_p(x) are per prime, memoised per (N, x, primes) for every k to share."""
+    n = _integer(x, nonzero=True)
+    if (bounds := _BOUNDS.get(key := (N, n, primes))) is None:
+        if len(_BOUNDS) >= 4096:
+            _BOUNDS.clear()
+        bounds = _BOUNDS[key] = tuple(factorial_norm_exponent(N, p) + N * vp(n, p) for p in primes)
+    return SumCertificate(k, N, x, primes, partial, target, tail, bounds)
 
 
 def certificate_from_check(check: IdentityCheck, primes: tuple[Prime, ...]) -> SumCertificate:
-    """The certificate at every prime of primes off an identity check at a nonzero integer x:
-    its lhs, target V_k(x) and tail, the same in every Q_p; only the bounds are per prime."""
-    N, n = check.N, _integer(check.x, nonzero=True)
-    return SumCertificate(check.k, N, check.x, primes, check.lhs, check.target, check.tail,
-                          tuple(_bound(N, n, p) for p in primes))
+    """certify at an identity check's lhs, target and tail."""
+    return certify(check.k, check.N, check.x, primes, check.lhs, check.target, check.tail)
 
 
 def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:

@@ -106,7 +106,7 @@ def partial_sum_Sk(k: int, N: int, x) -> Fraction:
     if N < 1:
         raise ValueError("N must be >= 1")
     a, b = ratio(x)
-    _, _, S = next(islice(factorial_series(lambda n: n**k, a, b), N - 1, None))
+    _, _, (S,) = next(islice(factorial_series(lambda n: [n**k], [(a, b)]), N - 1, None))
     return Fraction(S, b ** (N - 1))
 
 
@@ -125,7 +125,7 @@ def left_factorial(n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 0
-    _, _, total = next(islice(factorial_series(lambda j: 1), n - 1, None))
+    _, _, (total,) = next(islice(factorial_series(lambda j: [1]), n - 1, None))
     return total
 
 
@@ -136,7 +136,7 @@ def kurepa_gcd_scan_bigint(nmax: int) -> KurepaReport:
     first_failure = None
     ok_up_to = 1
     # (n, n!, !n) for n = 2..nmax
-    for n, fact, lf in islice(factorial_series(lambda j: 1), 1, nmax):
+    for n, (fact,), (lf,) in islice(factorial_series(lambda j: [1]), 1, nmax):
         if math.gcd(lf, fact) != 2:
             first_failure = n
             break

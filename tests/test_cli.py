@@ -68,6 +68,26 @@ class TestFlagParsing:
             cli.rationals("1e200000,1E+200_000")
         assert cli.rationals("-3..3,1/2,0.25") == "-3..3,1/2,0.25"
 
+    def test_exponent_scan_matches_the_regex(self, monkeypatch):
+        # rationals reads each exponent with str operations exactly as the regex below reads
+        # it: every string of this file, its rationals texts among them, and Fraction's
+        # underscore, sign, upper-case E and non-ASCII digit forms (a superscript is no digit)
+        import ast
+        import re
+        texts = {node.value for node in ast.walk(ast.parse(Path(__file__).read_text()))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        texts |= {"1_0e1_0", "+1e+1_0", "-2.5E-3", "1E5", "1e__5", "1e_5", "1e5_", "1e5__6",
+                  "1e+-5", "1e-+5", "1e+_5", "e", "E", "1e", "2e3e4", "1.5e1_2_3", "-1E-0_07",
+                  "\u0661e\u0661\u0662", "1e\u0662_\u0663", "1e\u00b2", "1e5\u00b2",
+                  ",".join(["1e300000"] * 3)}
+        monkeypatch.setenv("PADICSUM_WORK_LIMIT", "-1")  # every charge refused, d in its error
+        for text in sorted(texts):
+            exponents = re.findall(r"e([-+]?\d+(?:_\d+)*)", text, re.I)
+            d = len(text) + sum(abs(int(e)) for e in exponents)
+            with pytest.raises(ValueError, match=f"^about {d} digits: "):
+                cli.rationals(text)
+        assert len(texts) > 300 and "re" not in vars(cli)
+
     def test_exponents_read_as_fraction_reads_them(self, capsys):
         code, out = run(capsys, "--format", "machine", "padic", "--value", "1e5", "--p", "3")
         assert code == 0 and machine_records(out)[0]["params"]["value"] == 100000
@@ -220,14 +240,14 @@ class TestVerify:
             assert [w.count("\n") for w in writes] == [7] * 6 and writes[0].endswith("\n")
 
     def test_failed_certificate_is_reported(self, capsys, monkeypatch):
-        real = cli.certificate_from_check
+        real = cli.certify
 
-        def forged(check, primes):
-            c = real(check, primes)
+        def forged(*args):
+            c = real(*args)
             return SumCertificate(c.k, c.N, c.x, c.primes, c.partial, c.target, c.tail,
                                   (99,) * len(c.primes))
 
-        monkeypatch.setattr(cli, "certificate_from_check", forged)
+        monkeypatch.setattr(cli, "certify", forged)
         argv = ("verify", "--k", "1", "--n-max", "2", "--x-set", "1", "--p-list", "2")
         code, out = run(capsys, "--format", "machine", *argv)
         assert code == 1
@@ -239,10 +259,10 @@ class TestVerify:
         assert out.count("bound=99 FAIL") == 2
 
     def test_spliced_lines_are_json_dumps(self, capsys, monkeypatch):
-        real = cli.certificate_from_check
+        real = cli.certify
 
-        def forge(check, primes):
-            c = real(check, primes)
+        def forge(*args):
+            c = real(*args)
             if c.x == -2:  # partial - target != tail: ok false at every prime
                 return SumCertificate(c.k, c.N, c.x, c.primes, c.partial + 1, c.target, c.tail,
                                       c.bound_exponents)
@@ -255,7 +275,7 @@ class TestVerify:
             return c
 
         # a forged bound at one prime shows in that prime's record alone
-        monkeypatch.setattr(cli, "certificate_from_check", forge)
+        monkeypatch.setattr(cli, "certify", forge)
         code, out = run(
             capsys, "--format", "machine", "verify", "--k", "1..2", "--n-max", "3",
             "--x-set=-2..1,3/2,-5/4", "--p-list", "2,3,5",
@@ -299,16 +319,16 @@ class TestVerify:
         assert sum(line.endswith(" FAIL") for line in human[1]) == 5
 
     def test_each_certificate_prints_its_own_fields(self, capsys, monkeypatch):
-        real = cli.certificate_from_check
+        real = cli.certify
 
-        def forge(check, primes):  # the middle x of three: partial - target != tail
-            c = real(check, primes)
+        def forge(*args):  # the middle x of three: partial - target != tail
+            c = real(*args)
             if c.x != 1:
                 return c
             return SumCertificate(c.k, c.N, c.x, c.primes, c.partial + 1, c.target - 1,
                                   c.tail + 3, c.bound_exponents)
 
-        monkeypatch.setattr(cli, "certificate_from_check", forge)
+        monkeypatch.setattr(cli, "certify", forge)
         argv = ("verify", "--k", "1..2", "--n-max", "3", "--x-set=-2,1,3", "--p-list", "2,3,5")
 
         def expected(k, N, x, p):
@@ -703,7 +723,7 @@ def refuse_work(monkeypatch, command):
 class TestWorkLimit:
     # costs: verify (#x) max(work, held), work = sum_k k^3 (kmax + 8 X) // 256 + (#k)(2500
     # + kmax^2 + n (kmax + 700 + 700 min(#p, 1) + 500 #p) + n B (B (1 + min(#p, 1))
-    # + 3 n (1 + X) #odd p) // 8192) and held = 10600 + (kmax + 4)(B + 170) + (1 + #p)(4000
+    # + 3 n (1 + X) #odd p) // 8192) and held = 3000 + (kmax + 4)(B + 170) + (1 + #p)(4000
     # + 16 B), the lists' lengths counted with repeats, X the largest bitlen(|a| b) of an
     # x = a/b and B = n (bitlen(n) + X) + kmax (bitlen(kmax) + bitlen(n) + X), sum
     # k^3 (k + 20 bitlen(x)) // 500, triples
@@ -766,8 +786,9 @@ class TestWorkLimit:
             (["verify", "--k", "1", "--n-max", "1", "--x-set", ",".join(["1e300000"] * 50)],
              "--x-set: about 15000449 digits"),
             # these passed at about 2 units an x, each x's stream and step held at once:
-            # 10^5 values ran 1.65 s and peaked at 288 MB, and 10^6 would need about 2.7 GB
-            (["verify", "--k", "1", "--n-max", "1", "--x-set=1..100000"],
+            # 10^5 values ran 1.65 s and peaked at 288 MB, and 10^6 would need about 2.7 GB;
+            # held as a few ints an x, 1..115915 is the largest admitted, at 120 MB
+            (["verify", "--k", "1", "--n-max", "1", "--x-set=1..115916"],
              "--k, --x-set, --n-max and --p-list"),
             (["verify", "--k", "1", "--n-max", "1", "--x-set=1..1000000"],
              "--k, --x-set, --n-max and --p-list"),
@@ -814,12 +835,12 @@ class TestWorkLimit:
             (["sequences", "--kmax", "3"], 81),
             (["sum", "--k", "3", "--x", "256"], 9),  # 3^3 (3 + 20 * 9) // 500
             (["sum", "--k", "2", "--C", "1,1", "--x", "4096"], 4),  # 2^3 (2 + 20 * 13) // 500
-            # 2 x * held, 10600 + (2 + 4)(24 + 170) + 2 (4000 + 16 * 24) at B = 24, above
-            # the work 2 k * (2500 + 2^2 + 3 (2 + 700 + 700 + 500 * 1 prime)) + 13
+            # 2 x * work, 2 k * (2500 + 2^2 + 3 (2 + 700 + 700 + 500 * 1 prime)), above
+            # held, 3000 + (2 + 4)(24 + 170) + 2 (4000 + 16 * 24) = 12932 at B = 24
             (["verify", "--k", "1..2", "--n-max", "3", "--x-set", "1,2", "--p-list", "2"],
-             41064),
-            # held, 10600 + (2 + 4)(24 + 170) + 4000 + 16 * 24, above the work 4610
-            (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 16148),
+             32840),
+            # held, 3000 + (2 + 4)(24 + 170) + 4000 + 16 * 24, above the work 4610
+            (["verify", "--k", "2", "--n-max", "3", "--x-set", "1/2"], 8548),
             (["bernoulli", "--nmax", "12"], 54),
             (["bernoulli", "--identity", "2", "--N", "6"], 10),  # 7^3 // 32 + 2^4 // 24
             (["bernoulli", "--level", "3", "1", "--poly", "1..4"], 64),  # 4^3 (2 + 3) // 5
@@ -858,7 +879,7 @@ class TestWorkLimit:
         assert time.perf_counter() - start < 1
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: --k, --x-set, --n-max and --p-list: cost 14717700000 "
+        assert captured.err == ("error: --k, --x-set, --n-max and --p-list: cost 7877700000 "
                                 "exceeds work limit 1000000\n")
 
     def test_limit_past_maxsize_refuses_a_span_len_cannot_count(self, capsys, monkeypatch):
@@ -879,9 +900,9 @@ class TestKernelFailures:
     def test_verify_with_a_shifted_lhs_fails(self, capsys, monkeypatch):
         true_checks = cli.scaled_checks
 
-        def shifted(k, a, b, n_max):  # lhs off by one at N = 3
-            for N, L, R, T, D in true_checks(k, a, b, n_max):
-                yield N, L + D * (N == 3), R, T, D
+        def shifted(k, points, n_max):  # lhs off by one at N = 3, at every x
+            for N, L, R, T, D in true_checks(k, points, n_max):
+                yield N, [lhs + d * (N == 3) for lhs, d in zip(L, D)], R, T, D
 
         monkeypatch.setattr(cli, "scaled_checks", shifted)
         argv = ["verify", "--k", "1..2", "--n-max", "4", "--x-set=-6/5,2", "--p-list", "3"]

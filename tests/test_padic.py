@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -269,6 +270,24 @@ class TestVp:
         assert vp(2**40, 2) == 40 and 2 not in padic._SQUARES  # v_2 needs no ladder
         for e in range(70):
             assert vp(11 * 3**e, 3) == loop_valuation(11 * 3**e, 3) == e
+
+    def test_a_guess_never_changes_the_valuation(self):
+        # one division by p^at first, at below, at or above v, and 0, negative or past the
+        # bit length of q (no division, so no p^(10^12) is built): the same valuation as
+        # without a guess, for ints of either sign with v up to 60, zero, p = 2 and odd p,
+        # and Fractions, which take no guess
+        rng = random.Random(37)
+        for pi in (2, 3, 5, 7, 31):
+            p = Prime(pi)
+            for v in [*range(8), *rng.sample(range(41, 61), 4)]:
+                u = rng.randrange(10**30) * pi + rng.randrange(1, pi)
+                for q in (u * pi**v, -u * pi**v, Fraction(u * pi**v, 7 * pi + 1)):
+                    for at in (-1, 0, 1, v - 1, v, v + 1, v + 40, 10**12):
+                        assert vp(q, p, at) == vp(q, p) == v
+                assert vp(Fraction(u, pi**v), p, v) == -v
+            assert vp(0, p, 5) is None and vp(Fraction(0), p, 5) is None
+        for e in range(70):
+            assert vp(11 * 3**e, 3, e) == vp(11 * 3**e, 3, 70 - e) == loop_valuation(11 * 3**e, 3)
 
     def test_negative_ints_for_odd_primes(self):
         for pi in (3, 5, 7):

@@ -80,11 +80,15 @@ class TestFactorialSeries:
     @pytest.mark.parametrize("name", sorted(COEFFS))
     def test_matches_brute_force(self, name):
         c = self.COEFFS[name]
-        for x in map(Fraction, (1, -3, 0, "5/2", "-4/7")):
-            a, b = x.numerator, x.denominator
-            got = list(islice(factorial_series(c, a, b), 20))
+        xs = list(map(Fraction, (1, -3, 0, "5/2", "-4/7")))
+        points = [(x.numerator, x.denominator) for x in xs]
+        # every x stepped together, and each x alone, give the same values
+        grid = list(islice(factorial_series(lambda n: [c(n)] * len(xs), points), 20))
+        for i, (x, (a, b)) in enumerate(zip(xs, points)):
+            got = list(islice(factorial_series(lambda n: [c(n)], [(a, b)]), 20))
             assert [N for N, _, _ in got] == list(range(1, 21))
-            for N, fa, S in got:
+            assert [(N, [F[i]], [S[i]]) for N, F, S in grid] == got
+            for N, (fa,), (S,) in got:
                 assert fa == math.factorial(N) * a**N
                 brute = sum(
                     (math.factorial(n) * c(n) * x**n for n in range(N)), Fraction(0)
@@ -185,7 +189,8 @@ class TestScaledChecks:
         for x in [Fraction(-6, 5), Fraction(1, 2), *map(Fraction, range(-3, 4))]:
             a, b = x.numerator, x.denominator
             for k, C in ((1, None), (3, None), (5, None), (3, (2, 0, -1))):
-                scaled = list(summation.scaled_checks(k, a, b, 12, C))
+                scaled = [(N, L, R, T, D) for N, (L,), (R,), (T,), (D,)
+                          in summation.scaled_checks(k, [(a, b)], 12, C)]
                 checks = list(identity_checks(k, x, 12, C))
                 assert [s[0] for s in scaled] == [c.N for c in checks] == list(range(1, 13))
                 for (N, L, R, T, D), c in zip(scaled, checks):
@@ -194,6 +199,30 @@ class TestScaledChecks:
                     assert (Fraction(L, D), Fraction(R, D), Fraction(T, D)) == (
                         c.lhs, c.rhs, c.tail)
                     assert (L == R) is c.ok is True
+
+    def test_grid_matches_the_per_point_oracle(self):
+        # random grids stepped together, x zero, negative, repeated or a/b, with C and
+        # without: each column is the term-by-term oracle at its x
+        rng = random.Random(37)
+        for k, C in ((1, None), (2, None), (4, None), (3, (2, 0, -1)), (2, (1, 1))):
+            combo = C or unit_combo(k)
+            trips = [build_triple(j) for j in range(1, k + 1)]
+            for _ in range(3):
+                xs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                      for _ in range(rng.randint(1, 6))]
+                xs += [Fraction(0), Fraction(-rng.randint(1, 9))] + rng.sample(xs, 1)
+                rng.shuffle(xs)
+                points = [(x.numerator, x.denominator) for x in xs]
+                for N, L, R, T, D in summation.scaled_checks(k, points, 8, C):
+                    assert len(L) == len(R) == len(T) == len(D) == len(xs)
+                    for x, (a, b), lhs, rhs, tail, d in zip(xs, points, L, R, T, D):
+                        assert all(type(v) is int for v in (lhs, rhs, tail, d))
+                        assert d == b ** (N - 1 + k)
+                        partial, target = brute_combo(combo, N, x)
+                        A = sum(c * t.A.eval(N, x) for c, t in zip(combo, trips))
+                        oracle_tail = math.factorial(N) * x**N * A
+                        assert (Fraction(lhs, d), Fraction(rhs, d), Fraction(tail, d)) == (
+                            partial, target + oracle_tail, oracle_tail)
 
     def test_an_integer_x_builds_no_fraction(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "fractions", None)
@@ -399,7 +428,7 @@ class TestCertificates:
         # int differences u * p^v, u prime to p, of either sign and v up to 60,
         # reach vp as the ints they are
         calls = []
-        monkeypatch.setattr(summation, "vp", lambda q, p: calls.append(q) or vp(q, p))
+        monkeypatch.setattr(summation, "vp", lambda q, p, at=0: calls.append(q) or vp(q, p, at))
         rng = random.Random(21)
         for pi in (2, 3, 5, 7, 31):
             p = Prime(pi)
@@ -423,9 +452,36 @@ class TestCertificates:
         exact = SumCertificate(1, 7, Fraction(3), (Prime(2),), 5, 5, 0, (99,))
         assert exact.distance_exponents == (None,) and exact.ok
 
+    def test_division_at_the_bound_matches_plain_vp(self):
+        # each distance exponent starts from one division by p^b: it is plain vp's, and the
+        # loop oracle's, for passing certificates, forged ones (tail or bound wrong), a zero
+        # difference, bound 0, p = 2 and odd p, int and Fraction fields, and v up to 60
+        rng = random.Random(37)
+        primes = tuple(Prime(pi) for pi in (2, 3, 5, 7, 31))
+        for _ in range(60):
+            vs = [rng.choice((0, 1, 2, rng.randrange(3, 61))) for _ in primes]
+            d = rng.choice((-1, 1)) * rng.randrange(1, 10**20) * math.prod(
+                pi**v for pi, v in zip(primes, vs))
+            target = rng.randrange(-10**30, 10**30)
+            exps = tuple(loop_valuation(d, p) for p in primes)
+            assert exps == tuple(vp(d, p) for p in primes)
+            for bounds in (exps, (0,) * 5, tuple(e + rng.choice((-1, 1)) for e in exps)):
+                for T in (int, Fraction):
+                    for tail in (d, d + 1):  # the true tail, and a forged one
+                        cert = SumCertificate(1, 9, 3, primes, T(target) + d, T(target),
+                                              tail, bounds)
+                        assert cert.distance_exponents == exps
+                        assert cert.oks == tuple(tail == d and e >= b
+                                                 for e, b in zip(exps, bounds))
+                        assert cert.ok is all(cert.oks)
+        for bounds in ((0,) * 5, (99,) * 5):  # a zero difference: an infinite distance
+            for tail, ok in ((0, True), (1, False)):
+                cert = SumCertificate(1, 9, 3, primes, 17, 17, tail, bounds)
+                assert cert.distance_exponents == (None,) * 5 and cert.ok is ok
+
     def test_non_int_fields_go_through_vp(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(summation, "vp", lambda q, p: calls.append(q) or vp(q, p))
+        monkeypatch.setattr(summation, "vp", lambda q, p, at=0: calls.append(q) or vp(q, p, at))
         p3 = (Prime(3),)
         cert = SumCertificate(1, 1, Fraction(1), p3, Fraction(19, 2), Fraction(1, 2), 9, (2,))
         assert calls == [9] and type(calls[0]) is Fraction
@@ -704,10 +760,10 @@ class TestRecords:
         fields = dict(k=1, N=10, x=good.x, primes=good.primes, partial=good.partial,
                       target=good.target, tail=good.tail, bound_exponents=(2,))
         cert = check_record(SumCertificate, **fields)
-        # construction stores partial - target = 10! and v_5(10!) = 2 beside
-        # the fields, and equality, hash and repr leave them out
+        # construction stores partial - target = 10!, v_5(10!) = 2 and the verdicts
+        # beside the fields, and equality, hash and repr leave them out
         assert vars(cert) == {**fields, "difference": math.factorial(10),
-                              "distance_exponents": (2,)}
+                              "distance_exponents": (2,), "oks": (True,), "ok": True}
         assert cert.ok and cert.oks == (True,)
         assert cert == good != SumCertificate(**dict(fields, bound_exponents=(3,)))
         # a forged certificate fails, read after read
