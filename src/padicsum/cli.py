@@ -23,7 +23,7 @@ from .padic import (Prime, _rational, in_convergence_domain, padic_expand, ratio
 from .poly import render_poly
 from .recurrences import iter_triples
 from .sequences import kurepa_scans, paper_sequences
-from .summation import certify, invariant_sum, scaled_checks
+from .summation import bound_table, certify, invariant_sum, scaled_checks
 # not called here: importable from this module, where perfbench/spans.py traces them
 from .bernoulli import bernoulli_numbers  # noqa: F401
 from .sequences import kurepa_digit_scan, kurepa_gcd_scan  # noqa: F401
@@ -39,7 +39,7 @@ encode_json = json.JSONEncoder().encode
 freezes_at_exit = False  # gc.freeze is registered with atexit, by main, once a process
 
 
-def fmt_q(q: Fraction | int, den: int = 1, quote: str = "") -> int | str:
+def fmt_q(q: Rational, den: int = 1, quote: str = "") -> int | str:
     """Exact rendering of q, or of q / den for an int q, reduced by one gcd: plain int
     or 'num/den', between two `quote`s."""
     num, den = (q // (g := gcd(q, den)), den // g) if den != 1 else (q.numerator, q.denominator)
@@ -136,60 +136,61 @@ def cmd_verify(args, em: Emitter) -> None:
     # are built: per x, the larger of its work, 5 ns a unit, and what it holds while a k runs,
     # 5 units a byte.  Work per (k, x): a stream, kmax^2 steps, n steps of 1 + #p records and
     # on values of up to B bits and their text, shared by all p, and per odd p a valuation of
-    # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b; per x, the telescopes.
-    # Held: its state in the one pass, kmax + 4 values of up to B bits, and 1 + #p record texts
+    # up to N (1 + X) bits at step N, X = max bitlen(|a| b) of x = a/b, fitted to child CPU
+    # against p = 2; per x, the telescopes.  Held: its state in the one pass, kmax + 4 values
+    # of up to B bits, and 1 + #p record texts (its n bound tuples stay within the work term)
     kmax, n, P = max(ends), args.n_max, count(ps)
     X = max((abs(a) * b).bit_length() for x in xs for a, b in map(pair, (x[0], x[-1])))
     B = n * (n.bit_length() + X) + kmax * (kmax.bit_length() + n.bit_length() + X)
     k3 = sum((k[-1] * (k[-1] + 1) // 2) ** 2 - ((k[0] - 1) * k[0] // 2) ** 2 for k in ks)
     work = k3 * (kmax + 8 * X) // 256 + count(ks) * (2500 + kmax * kmax + n * (
         kmax + 700 + 700 * min(P, 1) + 500 * P) + n * B * (
-        B * (1 + min(P, 1)) + 3 * n * (1 + X) * (P - ps.count((2,)))) // 8192)
+        B * (1 + min(P, 1)) + n * (1 + X) * (P - ps.count((2,)))) // 8192)
     held = 3000 + (kmax + 4) * (B + 170) + (1 + P) * (4000 + 16 * B)
     require_within_limit("--k, --x-set, --n-max and --p-list", count(xs) * max(work, held))
     # each grid value once: k ascending, x and p in first-seen order
     ks, xs = sorted(set(expand(ks))), list(dict.fromkeys(expand(xs, pair)))
     primes = parse_exact("--p-list", ps, lambda ps: tuple(map(Prime, dict.fromkeys(expand(ps)))))
     # a machine line is json.dumps of {command, params, result, ok}, spliced from fields
-    # formatted once: per grid, each x and each p's rejection; per check, its head and values
-    quote, inf = ('"', '"inf"') if machine else ("", "inf")
+    # formatted once: per grid, each x, each p's fragment after a head and its rejection, the
+    # bounds and the texts that end a record; per check, its head and values
+    quote, inf, step_fmt, p_fmt, reject_fmt, bound_at, verdicts = (
+        '"', '"inf"', '{"command": "verify", "params": {"k": %d, "N": %d, "x": ',
+        ', "p": %d}, "result": {',
+        ', "p": %d}, "result": {"rejected": true, "reason": "x not in Z_%d"}, "ok": true}',
+        ', "bound_exponent": ', ('}, "ok": false}', '}, "ok": true}')) if machine else (
+        "", "inf", "certificate k=%d N=%d x=", " p=%d: ", " p=%d: rejected (x not in Z_%d)",
+        " bound=", (" FAIL", " ok"))
     x_texts = [fmt_q(a, b, quote) for a, b in xs]
-    rejected = [f', "p": {p}}}, "result": {{"rejected": true, "reason": "x not in Z_{p}"}}, '
-                '"ok": true}' if machine else f" p={p}: rejected (x not in Z_{p})"
-                for p in primes]
+    p_texts, rejected = [p_fmt % p for p in primes], [reject_fmt % (p, p) for p in primes]
+    table = bound_table(range(1, args.n_max + 1), xs, primes)
     for k in ks:
         # every x in one pass: the scaled sides L, R and tail T, each over D; L == R is the check
         for N, Ls, Rs, Ts, Ds in scaled_checks(k, xs, args.n_max):
             lines, step_ok = [], True
-            at = (f'{{"command": "verify", "params": {{"k": {k}, "N": {N}, "x": ' if machine
-                  else f"certificate k={k} N={N} x=")
-            for (a, b), x, L, R, T, D in zip(xs, x_texts, Ls, Rs, Ts, Ds):
+            at = step_fmt % (k, N)
+            for (a, b), x, L, R, T, D, bounds in zip(xs, x_texts, Ls, Rs, Ts, Ds, table[N - 1]):
                 ok = L == R
-                step_ok = step_ok and ok
+                step_ok &= ok
                 head = f"{at}{x}"
                 lhs, tail = (str(L), str(T)) if D == 1 else (fmt_q(L, D, quote), fmt_q(T, D, quote))
                 rhs = lhs if ok else fmt_q(R, D, quote)  # equal values print the same text
-                lines.append(
-                    f'{head}}}, "result": {{"lhs": {lhs}, "rhs": {rhs}, "tail": '
-                    f'{tail}}}, "ok": {"true" if ok else "false"}}}' if machine else
-                    f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
+                lines.append((f'{head}}}, "result": {{"lhs": {lhs}, "rhs": {rhs}, "tail": {tail}'
+                              if machine else f"identity k={k} N={N} x={x}: lhs={lhs} rhs={rhs}")
+                             + verdicts[ok])
                 if b != 1:
                     lines += [head + suffix for suffix in rejected]
-                elif primes and a:  # D == 1: the certificate's fields are ints
-                    cert = certify(k, N, a, primes, L, R - T, T)
+                elif bounds:  # x a nonzero integer, D == 1: the certificate's fields are ints
+                    cert = certify(k, N, a, primes, L, R - T, T, bounds)
                     partial = lhs if cert.partial is L else cert.partial  # the text of L, reused
                     text = (f'"partial": {partial}, "target": {cert.target}, "tail": '
-                            f'{tail if cert.tail is T else cert.tail}' if machine else
-                            f"partial={partial} target={cert.target}")
-                    for p, e, bound, cert_ok in zip(cert.primes, cert.distance_exponents,
-                                                    cert.bound_exponents, cert.oks):
-                        step_ok = step_ok and cert_ok
-                        lines.append(
-                            f'{head}, "p": {p}}}, "result": {{{text}, "achieved_exponent": '
-                            f'{inf if e is None else e}, "bound_exponent": {bound}}}, "ok": '
-                            f'{"true" if cert_ok else "false"}}}' if machine else
-                            f"{head} p={p}: {text} achieved={inf if e is None else e} "
-                            f"bound={bound} {'ok' if cert_ok else 'FAIL'}")
+                            f'{tail if cert.tail is T else cert.tail}, "achieved_exponent": '
+                            if machine else f"partial={partial} target={cert.target} achieved=")
+                    for p_text, e, bound, cert_ok in zip(p_texts, cert.distance_exponents,
+                                                         cert.bound_exponents, cert.oks):
+                        step_ok &= cert_ok
+                        lines.append(f"{head}{p_text}{text}{inf if e is None else e}{bound_at}"
+                                     f"{bound}{verdicts[cert_ok]}")
             lines.append("")  # so the join ends the step's last line
             em.emit("\n".join(lines), step_ok)
 

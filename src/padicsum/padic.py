@@ -1,8 +1,9 @@
 """Exact p-adic valuations, norms, digit expansions and the convergence test.
 
-Everything here works on plain ints and fractions.Fraction; all results are
-exact.  A valuation is an int; v_p(0) = +infinity is None, not a sentinel
-int, so a comparison that forgets the case raises instead of passing.
+Everything here works on plain ints and fractions.Fraction (Rational in the
+annotations); all results are exact.  A valuation is an int; v_p(0) = +infinity
+is None, not a sentinel int, so a comparison that forgets the case raises
+instead of passing.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def factorial_norm_exponent(n: int, p: Prime) -> int:
     return e
 
 
-def _rational(q) -> Fraction | int:
+def _rational(q) -> Rational:
     """An int or a Fraction as it is, a float refused, anything else through Fraction."""
     if isinstance(q, int):  # before `fractions` is imported
         return q
@@ -167,7 +168,7 @@ def rationals(text: str) -> str:
     return text
 
 
-def vp(q: Fraction | int, p: Prime, at: int = 0) -> int | None:
+def vp(q: Rational, p: Prime, at: int = 0) -> int | None:
     """p-adic valuation of a rational; None for v_p(0) = +infinity.  An int is read directly,
     anything else through Fraction as v_p(numerator) - v_p(denominator).  An int at an odd p
     starts with one division by p^at, 0 < at < bitlen(q), and counts on from an exact quotient."""
@@ -194,7 +195,7 @@ def vp(q: Fraction | int, p: Prime, at: int = 0) -> int | None:
     return v
 
 
-def in_convergence_domain(x: Fraction | int, p: Prime) -> bool:
+def in_convergence_domain(x: Rational, p: Prime) -> bool:
     """True iff |x|_p <= 1, i.e. x lies in Z_p; 0 (valuation None) does."""
     return (vp(x, p) or 0) >= 0
 
@@ -216,7 +217,7 @@ class PadicExpansion(_Record):
         return f"({','.join(map(str, self.digits))})*{self.p}^{self.valuation}"
 
 
-def padic_expand(q: Fraction | int, p: Prime, precision: int) -> PadicExpansion:
+def padic_expand(q: Rational, p: Prime, precision: int) -> PadicExpansion:
     """Canonical digits of a rational with finite valuation.
 
     For q != 0 the unit part u = q / p^v has a denominator coprime to p, so

@@ -14,13 +14,11 @@ provable lower bound v_p(N!) + N*v_p(x).
 from __future__ import annotations
 
 from itertools import count, islice, repeat
-from operator import ge
+from operator import add, ge, mul
 
 from .padic import Prime, _rational, _Record, factorial_norm_exponent, ratio, vp
 from .poly import horner
 from .recurrences import telescope_combo, unit_combo
-
-_BOUNDS: dict = {}  # certify's memo: (N, n, primes) -> bound exponents, emptied at 4,096
 
 
 class SumCertificate(_Record):
@@ -34,8 +32,8 @@ class SumCertificate(_Record):
     per prime difference == tail and the distance meets b, and `ok` = all(oks).
     """
 
-    def __init__(self, k: int, N: int, x: Fraction | int, primes: tuple[Prime, ...],
-                 partial: Fraction | int, target: Fraction | int, tail: Fraction | int,
+    def __init__(self, k: int, N: int, x: Rational, primes: tuple[Prime, ...],
+                 partial: Rational, target: Rational, tail: Rational,
                  bound_exponents: tuple[int, ...]):
         if not primes or len(primes) != len(bound_exponents):
             raise ValueError("a certificate needs a prime, and one bound exponent for each")
@@ -51,8 +49,7 @@ class SumCertificate(_Record):
 class IdentityCheck(_Record):
     """Both sides of the finite identity at (k, N, x), ints for an integer x; lhs == rhs."""
 
-    def __init__(self, k: int, N: int, x: Fraction | int, lhs: Fraction | int,
-                 rhs: Fraction | int, tail: Fraction | int):
+    def __init__(self, k: int, N: int, x: Rational, lhs: Rational, rhs: Rational, tail: Rational):
         self.__dict__.update(k=k, N=N, x=x, lhs=lhs, rhs=rhs, tail=tail)
 
     @property
@@ -60,7 +57,7 @@ class IdentityCheck(_Record):
         return self.lhs == self.rhs
 
     @property
-    def target(self) -> Fraction | int:
+    def target(self) -> Rational:
         """rhs - tail = V_k(x), the p-adic sum for integer x in every Q_p."""
         return self.rhs - self.tail
 
@@ -106,19 +103,29 @@ def scaled_checks(k: int, points: list[tuple[int, int]], n_max: int,
     C = _combo(k, C)
     if n_max < 1:
         raise ValueError("N must be >= 1")
-    A, P = [], []  # per x: A(n; x) b^(k-1), and U(x) b^k + sum_j C_j a^j b^(k-j) n^j in n
+    U, A = [], []  # per x: U(x) b^k, and the coefficients in n of A(n; x) b^(k-1)
     for a, b in points:
         Ub, Ax = telescope_combo(C, a, b)
+        U.append(Ub)
         A.append(Ax)
-        P.append((Ub, *(c * a**j * b ** (k - j) for j, c in enumerate(C, 1))))
-    W, D = [-Ax[0] * b for Ax, (_, b) in zip(A, points)], [b**k for _, b in points]  # at N = 1
-    for N, F, L in islice(factorial_series(lambda n: [horner(Px, n) for Px in P], points), n_max):
-        T = [f * horner(Ax, N) for f, Ax in zip(F, A)]
-        yield N, L, [w + t for w, t in zip(W, T)], T, D  # W = V(x) b^(k-1) b^N
-        W, D = [w * b for w, (_, b) in zip(W, points)], [d * b for d, (_, b) in zip(D, points)]
+    # per nonzero C_j: j and C_j a^j b^(k-j) at every x, so c(n) takes n^j once a step
+    terms = [(j, [c * a**j * b ** (k - j) for a, b in points]) for j, c in enumerate(C, 1) if c]
+
+    def c(n):
+        values = U
+        for j, Cj in terms:
+            values = list(map(add, values, map(mul, Cj, repeat(n**j))))
+        return values
+
+    bs = [b for _, b in points]
+    W, D = [-Ax[0] * b for Ax, b in zip(A, bs)], [b**k for b in bs]  # at N = 1
+    for N, F, L in islice(factorial_series(c, points), n_max):
+        T = list(map(mul, F, map(horner, A, repeat(N))))
+        yield N, L, list(map(add, W, T)), T, D  # W = V(x) b^(k-1) b^N
+        W, D = list(map(mul, W, bs)), list(map(mul, D, bs))
 
 
-def identity_checks(k: int, x: Fraction | int, n_max: int,
+def identity_checks(k: int, x: Rational, n_max: int,
                     C: tuple[int, ...] | None = None) -> Iterator[IdentityCheck]:
     """The checks of scaled_checks at x, each value over D_N: ints for an integer x,
     where D_N = 1, and Fractions, which only then load `fractions`, for any other."""
@@ -131,14 +138,14 @@ def identity_checks(k: int, x: Fraction | int, n_max: int,
             k, N, x, Fraction(L, D), Fraction(R, D), Fraction(T, D))
 
 
-def verify_identity(k: int, N: int, x: Fraction | int) -> IdentityCheck:
+def verify_identity(k: int, N: int, x: Rational) -> IdentityCheck:
     """Both sides of the finite identity at (k, N, x), evaluated exactly; they differ only
     through a bug, since the identity holds for every rational x."""
     *_, check = identity_checks(k, x, N)
     return check
 
 
-def _integer(x: Fraction | int, nonzero: bool = False) -> int:
+def _integer(x: Rational, nonzero: bool = False) -> int:
     """x as an int; ValueError unless it is an integer, and a nonzero one if asked."""
     x = _rational(x)
     if x.denominator != 1 or (nonzero and x == 0):
@@ -146,38 +153,42 @@ def _integer(x: Fraction | int, nonzero: bool = False) -> int:
     return x.numerator
 
 
-def certify(k: int, N: int, x: Fraction | int, primes: tuple[Prime, ...], partial: Fraction | int,
-            target: Fraction | int, tail: Fraction | int) -> SumCertificate:
-    """The certificate at every prime of primes that the N-term partial sum at a nonzero
-    integer x is close to target = V_k(x), tail the finite-identity remainder; only the bounds
-    v_p(N!) + N v_p(x) are per prime, memoised per (N, x, primes) for every k to share."""
-    n = _integer(x, nonzero=True)
-    if (bounds := _BOUNDS.get(key := (N, n, primes))) is None:
-        if len(_BOUNDS) >= 4096:
-            _BOUNDS.clear()
-        bounds = _BOUNDS[key] = tuple(factorial_norm_exponent(N, p) + N * vp(n, p) for p in primes)
-    return SumCertificate(k, N, x, primes, partial, target, tail, bounds)
+def bound_table(Ns: Iterable[int], points: list[tuple[int, int]],
+                primes: tuple[Prime, ...]) -> list[list]:
+    """Per N of Ns, per x = a/b of points: the bounds v_p(N!) + N v_p(x) at each prime for a
+    nonzero integer x, else a false value; each v_p(N!) and v_p(x) is taken once."""
+    vs = [b == 1 and a and list(map(vp, repeat(a), primes)) for a, b in points]
+    table = []
+    for N in Ns:
+        fs = list(map(factorial_norm_exponent, repeat(N), primes))
+        table.append([v and tuple(map(add, fs, map(mul, v, repeat(N)))) for v in vs])
+    return table
+
+
+# the one certificate path, as the CLI calls it: a SumCertificate at the fields of a check,
+# its bounds the (N, x) entry of a bound_table
+certify = SumCertificate
 
 
 def certificate_from_check(check: IdentityCheck, primes: tuple[Prime, ...]) -> SumCertificate:
-    """certify at an identity check's lhs, target and tail."""
-    return certify(check.k, check.N, check.x, primes, check.lhs, check.target, check.tail)
+    """certify at an identity check's lhs, target and tail; x must be a nonzero integer."""
+    bounds = bound_table((check.N,), [(_integer(check.x, nonzero=True), 1)], primes)[0][0]
+    return certify(check.k, check.N, check.x, primes, check.lhs, check.target, check.tail, bounds)
 
 
-def invariant_sum(k: int, x: Fraction | int, C: tuple[int, ...] | None = None) -> Fraction:
+def invariant_sum(k: int, x: Rational, C: tuple[int, ...] | None = None) -> Fraction:
     """The common p-adic value V_k(x) of the infinite series, for integer x;
     with C, sum_j C_j V_j(x), that of the combination, k = len(C)."""
     from fractions import Fraction
     return Fraction(-telescope_combo(_combo(k, C), _integer(x))[1][0])
 
 
-def truncated_padic_sum(k: int, x: Fraction | int, p: Prime, N: int) -> SumCertificate:
+def truncated_padic_sum(k: int, x: Rational, p: Prime, N: int) -> SumCertificate:
     """Certificate at the one prime p that the N-term partial sum is p-adically close to V_k(x)."""
     return truncated_combo_sum(unit_combo(k), x, p, N)
 
 
-def truncated_combo_sum(C: tuple[int, ...], x: Fraction | int, p: Prime,
-                        N: int) -> SumCertificate:
+def truncated_combo_sum(C: tuple[int, ...], x: Rational, p: Prime, N: int) -> SumCertificate:
     """Certificate that the N-term partial sum of the Theorem-2 combination
     sum_n n! sum_j C_j [n^j x^j + U_j(x)] x^n, j = 1..k = len(C), is
     p-adically close to sum_j C_j V_j(x), from one telescope of

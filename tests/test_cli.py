@@ -226,6 +226,27 @@ class TestVerify:
                         })
         assert machine_records(out) == expected
 
+    def test_bounds_are_built_once_a_grid(self, capsys, monkeypatch):
+        # 3 k * 100 N * 50 x = 15,000 certified checks at p = 3, more than the 4,096 (N, x)
+        # pairs a bounded memo held: the grid's bound table takes v_3(N!) once per N, 100
+        # calls for every k, where a memo emptied at 4,096 entries made 15,000
+        import padicsum.summation as summation
+
+        calls = []
+        real = summation.factorial_norm_exponent
+        monkeypatch.setattr(summation, "factorial_norm_exponent",
+                            lambda n, p: calls.append((n, p)) or real(n, p))
+        code, out = run(capsys, "--format", "machine", "verify", "--k", "1..3", "--n-max",
+                        "100", "--x-set=1..50", "--p-list", "3")
+        recs = machine_records(out)
+        assert code == 0 and len(recs) == 2 * 15000 and all(r["ok"] for r in recs)
+        assert len(calls) <= 100 and sorted(calls) == [(N, 3) for N in range(1, 101)]
+        assert not hasattr(summation, "_BOUNDS")
+        # each record's bound is still its definition at (N, x)
+        assert all(r["result"]["bound_exponent"] == real(r["params"]["N"], Prime(3))
+                   + r["params"]["N"] * vp(r["params"]["x"], Prime(3))
+                   for r in recs if "p" in r["params"])
+
     def test_one_write_per_step(self, monkeypatch):
         # each step N writes the records of every x at once: one system call
         # per step, not per record, when stdout is unbuffered
@@ -723,7 +744,7 @@ def refuse_work(monkeypatch, command):
 class TestWorkLimit:
     # costs: verify (#x) max(work, held), work = sum_k k^3 (kmax + 8 X) // 256 + (#k)(2500
     # + kmax^2 + n (kmax + 700 + 700 min(#p, 1) + 500 #p) + n B (B (1 + min(#p, 1))
-    # + 3 n (1 + X) #odd p) // 8192) and held = 3000 + (kmax + 4)(B + 170) + (1 + #p)(4000
+    # + n (1 + X) #odd p) // 8192) and held = 3000 + (kmax + 4)(B + 170) + (1 + #p)(4000
     # + 16 B), the lists' lengths counted with repeats, X the largest bitlen(|a| b) of an
     # x = a/b and B = n (bitlen(n) + X) + kmax (bitlen(kmax) + bitlen(n) + X), sum
     # k^3 (k + 20 bitlen(x)) // 500, triples
@@ -760,14 +781,16 @@ class TestWorkLimit:
             (["sum", "--k", "200", "--x", str(10**3000)], "--k and --x"),
             # these passed (#k)(#x)(kmax^2 + n_max (kmax + #p)), the form before the
             # bits of a step, the valuation of each odd p and the telescopes counted:
-            # more than a day extrapolated from --n-max 2000 (0.8 s) as n^3, then 5.2 s,
-            # 4.9 s (both with the O(log v) valuation), and 20 minutes extrapolated
-            # from --k 1..200 (0.75 s) as k^5
+            # more than a day extrapolated from --n-max 2000 (0.8 s) as n^3, and 20
+            # minutes extrapolated from --k 1..200 (0.75 s) as k^5.  The two grids with
+            # primes are refused now that an odd prime's valuation is charged n (1 + X),
+            # not 3 n (1 + X): charged 5.6 and 5.4 s, they ran 2.0 and 2.8 s of child CPU
+            # (at 2,500 and 1,050 steps, which the old term refused, they ran 1.8 s each)
             (["verify", "--k", "1", "--n-max", "100000", "--x-set", "2"],
              "--k, --x-set, --n-max and --p-list"),
-            (["verify", "--k", "1", "--n-max", "2500", "--x-set", "2", "--p-list", "2,3,5,7"],
+            (["verify", "--k", "1", "--n-max", "2600", "--x-set", "2", "--p-list", "2,3,5,7"],
              "--k, --x-set, --n-max and --p-list"),
-            (["verify", "--k", "1", "--n-max", "1050", "--x-set", str(3**20), "--p-list", "3"],
+            (["verify", "--k", "1", "--n-max", "1200", "--x-set", str(3**20), "--p-list", "3"],
              "--k, --x-set, --n-max and --p-list"),
             (["verify", "--k", "1..900", "--n-max", "1", "--x-set", "2"],
              "--k, --x-set, --n-max and --p-list"),
@@ -850,9 +873,9 @@ class TestWorkLimit:
             # spans and single values mixed in each list; a single k counts k^3 in the
             # telescope term, and a 3..3 span is not the prime 2
             (["verify", "--k", "2..3,5", "--n-max", "4", "--x-set=-4..1,3/2",
-              "--p-list", "2,3"], 255297),
+              "--p-list", "2,3"], 255276),
             (["verify", "--k", "1..3,7,2..2", "--n-max", "5", "--x-set=5,-7/3,0..2",
-              "--p-list", "5,2,3..3"], 428180),
+              "--p-list", "5,2,3..3"], 427955),
             # a rational flag's d = len(text) + |exponent|: (8 + 100)^2 // 128
             (["padic", "--value", "-1e-1_00", "--p", "2", "--digits", "1"], 91),
         ],

@@ -224,6 +224,26 @@ class TestScaledChecks:
                         assert (Fraction(lhs, d), Fraction(rhs, d), Fraction(tail, d)) == (
                             partial, target + oracle_tail, oracle_tail)
 
+    @pytest.mark.parametrize("C", [(0, 0, 0, 1), (2, 0, -1, 0, 3), (1, 1, 1), (0, 0)])
+    def test_sparse_combinations_match_the_per_point_oracle(self, C):
+        # c(n) sums only the nonzero C_j, each n^j shared by every x of a step: a combination
+        # with zeros between, before and after its nonzero terms, and none at all, stepped
+        # at integer, zero and a/b points together, is the term-by-term oracle at every x
+        xs = [*map(Fraction, range(-3, 4)), Fraction(-6, 5), Fraction(1, 2)]
+        points = [(x.numerator, x.denominator) for x in xs]
+        trips = [build_triple(j) for j in range(1, len(C) + 1)]
+        steps = list(summation.scaled_checks(len(C), points, 9, C))
+        assert [N for N, *_ in steps] == list(range(1, 10))
+        for N, L, R, T, D in steps:
+            for x, (a, b), lhs, rhs, tail, d in zip(xs, points, L, R, T, D):
+                assert all(type(v) is int for v in (lhs, rhs, tail, d))
+                assert d == b ** (N - 1 + len(C))
+                partial, target = brute_combo(C, N, x)
+                oracle_tail = math.factorial(N) * x**N * sum(
+                    c * t.A.eval(N, x) for c, t in zip(C, trips))
+                assert (Fraction(lhs, d), Fraction(rhs, d), Fraction(tail, d)) == (
+                    partial, target + oracle_tail, oracle_tail)
+
     def test_an_integer_x_builds_no_fraction(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "fractions", None)
         for x in (-3, 0, 2, "5", "-4/2"):
@@ -378,6 +398,24 @@ class TestCertificates:
                         assert one.distance_exponents == (cert.distance_exponents[i],)
                         assert one.oks == (cert.oks[i],)
                     assert cert.ok and cert.oks == (True,) * len(primes)
+
+    def test_bound_table_matches_the_definition(self):
+        # one row per N and one entry per x: v_p(N!) + N v_p(x) at each prime for a nonzero
+        # integer x, from factorial_norm_exponent and a dividing-out v_p(x), and a false
+        # entry, which the CLI does not certify, for x = 0 and x = a/b
+        primes = tuple(Prime(pi) for pi in (7, 2, 3, 2))
+        points = [(a, 1) for a in (-12, -1, 0, 1, 2, 9, 2**20 * 3)] + [(3, 2), (-6, 5)]
+        Ns = (1, 2, 5, 13, 40)
+        table = summation.bound_table(Ns, points, primes)
+        assert len(table) == len(Ns) and all(len(row) == len(points) for row in table)
+        for N, row in zip(Ns, table):
+            for (a, b), entry in zip(points, row):
+                if b != 1 or a == 0:
+                    assert not entry
+                else:
+                    assert entry == tuple(factorial_norm_exponent(N, p) + N * loop_valuation(a, p)
+                                          for p in primes)
+        assert summation.bound_table((3,), [(5, 1)], ()) == [[[]]]  # no prime: nothing to bound
 
     def test_x_is_rejected_before_the_identity_pass(self, monkeypatch):
         def no_pass(*args):
